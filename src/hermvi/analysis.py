@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, _shape_matrix, evaluate, gauss_rule, split_segments
+from .assembly import DEFAULT_QUAD_POINTS
+from .mesh import DiscreteSolution, _shape_matrix, evaluate, segment_quadrature
 from .problems import ProblemSpec
-from .qp import KktResidual
+from .qp import DEFAULT_MAX_ITER, KktResidual
 from .solver import solve_problem
 
 #: Gauss points per (split) element segment for the integrated norms.
@@ -42,29 +43,14 @@ class ErrorReport:
 def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec, quad_points: int):
     """One quadrature sweep accumulating all squared error norms."""
     ex = spec.exact
-    rule = gauss_rule(quad_points)
-    mesh = sol.mesh
-    bps = tuple(sorted(set(spec.breakpoints) | set(ex.breakpoints)))
-    sq = np.zeros(4)  # l2, h1, h2, control
-    for e in range(mesh.n_elements):
-        x0, x1 = float(mesh.nodes[e]), float(mesh.nodes[e + 1])
-        h = x1 - x0
-        ce = sol.element_coefficients(e)
-        for s0, s1 in split_segments(x0, x1, bps):
-            xs = s0 + (s1 - s0) * rule.points
-            xi = (xs - x0) / h
-            ws = rule.weights * (s1 - s0)
-            d0 = _shape_matrix(xi, h, 0) @ ce - ex.y_bar(xs)
-            d1 = _shape_matrix(xi, h, 1) @ ce - ex.p(xs)
-            y2h = _shape_matrix(xi, h, 2) @ ce
-            d2 = y2h - ex.p_prime(xs)
-            fu = np.asarray(spec.f(xs), dtype=float)
-            du = -(y2h + fu) - ex.u_bar(xs)
-            sq[0] += float(np.dot(ws, d0 * d0))
-            sq[1] += float(np.dot(ws, d1 * d1))
-            sq[2] += float(np.dot(ws, d2 * d2))
-            sq[3] += float(np.dot(ws, du * du))
-    return np.sqrt(sq)
+    bps = set(spec.breakpoints) | set(ex.breakpoints)
+    element, xs, xi, ws = segment_quadrature(sol.mesh, bps, quad_points)
+    h = sol.mesh.h[element]
+    ce = sol.coefficients[2 * element[:, None] + np.arange(4)]
+    y0, y1, y2 = (np.einsum("pk,pk->p", _shape_matrix(xi, h, k), ce) for k in range(3))
+    du = -(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs)
+    d = np.stack([y0 - ex.y_bar(xs), y1 - ex.p(xs), y2 - ex.p_prime(xs), du])
+    return np.sqrt((d * d) @ ws)  # l2, h1, h2, control
 
 
 def error_norms(
@@ -141,8 +127,8 @@ def convergence_rates(reports: Sequence[ErrorReport]) -> ConvergenceReport:
 def run_convergence_study(
     spec: ProblemSpec,
     element_counts: Sequence[int],
-    quad_points: int = 6,
-    max_iter: int = 100,
+    quad_points: int = DEFAULT_QUAD_POINTS,
+    max_iter: int = DEFAULT_MAX_ITER,
     samples_per_element: int = LINF_SAMPLES_PER_ELEMENT,
 ) -> ConvergenceReport:
     """Solve each level and collect error norms and rates."""

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .mesh import DofMap, Mesh, _shape_matrix, gauss_rule, split_segments
+from .mesh import DofMap, Mesh, _shape_matrix, gauss_rule, segment_quadrature
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
@@ -29,9 +29,20 @@ HALF_BANDWIDTH = 3
 #: integrands with headroom for smooth data.
 DEFAULT_QUAD_POINTS = 6
 
+#: Iterative refinement steps after the Cholesky solve in
+#: :meth:`SymmetricBandedMatrix.solve`.
+REFINE_STEPS = 3
+
 
 class MatrixNotSpdError(Exception):
     """Raised when a Cholesky factorization of a system matrix fails."""
+
+
+def _band_slots(dim: int, hbw: int):
+    """Row index, column index and in-range mask of every band storage slot."""
+    j = np.broadcast_to(np.arange(dim), (2 * hbw + 1, dim))
+    i = j + np.arange(-hbw, hbw + 1)[:, None]
+    return i, j, (i >= 0) & (i < dim)
 
 
 @dataclass
@@ -57,11 +68,9 @@ class SymmetricBandedMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        dim = a.shape[0]
-        out = cls.zeros(dim, dim - 1)
-        for i in range(dim):
-            for j in range(dim):
-                out.data[out.half_bandwidth + i - j, j] = a[i, j]
+        out = cls.zeros(a.shape[0], a.shape[0] - 1)
+        i, j, valid = _band_slots(out.dim, out.half_bandwidth)
+        out.data[valid] = a[i[valid], j[valid]]
         return out
 
     def get(self, i: int, j: int) -> float:
@@ -69,22 +78,10 @@ class SymmetricBandedMatrix:
             return 0.0
         return float(self.data[self.half_bandwidth + i - j, j])
 
-    def add(self, i: int, j: int, value: float) -> None:
-        self.data[self.half_bandwidth + i - j, j] += value
-
-    def add_block(self, dofs: Sequence[int], block: np.ndarray) -> None:
-        for a, i in enumerate(dofs):
-            for b, j in enumerate(dofs):
-                self.data[self.half_bandwidth + i - j, j] += block[a, b]
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
-        hbw = self.half_bandwidth
-        for off in range(-hbw, hbw + 1):
-            row = hbw + off  # stores A[j + off, j]
-            j0, j1 = max(0, -off), min(self.dim, self.dim - off)
-            cols = np.arange(j0, j1)
-            out[cols + off, cols] = self.data[row, j0:j1]
+        i, j, valid = _band_slots(self.dim, self.half_bandwidth)
+        out[i[valid], j[valid]] = self.data[valid]
         return out
 
     def symmetry_error(self) -> float:
@@ -117,15 +114,7 @@ class SymmetricBandedMatrix:
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - A @ x in long double."""
-        hbw = self.half_bandwidth
-        xl = np.asarray(x, dtype=np.longdouble)
-        r = np.asarray(rhs, dtype=np.longdouble).copy()
-        for d in range(-hbw, hbw + 1):
-            j0, j1 = max(0, -d), min(self.dim, self.dim - d)
-            if j1 > j0:
-                band = self.data[hbw + d, j0:j1].astype(np.longdouble)
-                r[j0 + d : j1 + d] -= band * xl[j0:j1]
-        return r
+        return np.asarray(rhs, dtype=np.longdouble) - self.matvec(x)
 
     def upper_band(self) -> np.ndarray:
         """Upper band in the form scipy's *h_banded solvers expect."""
@@ -138,19 +127,33 @@ class SymmetricBandedMatrix:
         except np.linalg.LinAlgError as exc:
             raise MatrixNotSpdError(str(exc)) from exc
 
-    def solve(self, rhs: np.ndarray, refine: int = 3) -> np.ndarray:
-        """Solve A x = rhs with iterative refinement, in long double.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs with :data:`REFINE_STEPS` refinement steps.
 
         The correction steps run in double precision but the iterate and its
         residual are carried in long double, so the returned solution
-        satisfies the system beyond double-precision roundoff in A @ x.
+        satisfies the system beyond double-precision roundoff in A @ x.  A
+        long-double ``rhs`` keeps its extra bits in those residuals.
         """
         factor = self.factor()
         x = cho_solve_banded((factor, False), np.asarray(rhs, dtype=float)).astype(np.longdouble)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             r = self.residual(x, rhs).astype(float)
             x = x + cho_solve_banded((factor, False), r)
         return x
+
+    def pinned(self, fixed: np.ndarray) -> "SymmetricBandedMatrix":
+        """Copy with the rows and columns ``fixed`` replaced by the identity's.
+
+        The pinned coordinates decouple from the rest, in the Cholesky
+        factor too, so :meth:`solve` returns the right-hand side's values
+        there exactly.  Dimension and bandwidth stay those of ``self``.
+        """
+        mask = np.zeros(self.dim, dtype=bool)
+        mask[fixed] = True
+        i, j, valid = _band_slots(self.dim, self.half_bandwidth)
+        hit = valid & (mask[np.clip(i, 0, self.dim - 1)] | mask[j])
+        return SymmetricBandedMatrix(self.dim, self.half_bandwidth, np.where(hit, i == j, self.data))
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the (sorted) retained indices.
@@ -160,13 +163,12 @@ class SymmetricBandedMatrix:
         was outside the band contributes an exact zero.
         """
         keep = np.asarray(keep, dtype=int)
-        dim = keep.size
-        hbw = min(self.half_bandwidth, max(dim - 1, 0))
-        out = SymmetricBandedMatrix.zeros(dim, hbw)
-        for off in range(-out.half_bandwidth, out.half_bandwidth + 1):
-            j0, j1 = max(0, -off), min(dim, dim - off)
-            for j in range(j0, j1):
-                out.data[out.half_bandwidth + off, j] = self.get(keep[j + off], keep[j])
+        hbw = self.half_bandwidth
+        out = SymmetricBandedMatrix.zeros(keep.size, hbw)
+        i, j, valid = _band_slots(out.dim, out.half_bandwidth)
+        row = hbw + keep[i[valid]] - keep[j[valid]]
+        inband = (row >= 0) & (row <= 2 * hbw)
+        out.data[valid] = np.where(inband, self.data[row.clip(0, 2 * hbw), keep[j[valid]]], 0.0)
         return out
 
 
@@ -178,20 +180,19 @@ def assemble_energy(mesh: Mesh, beta: float, quad_points: int = DEFAULT_QUAD_POI
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     rule = gauss_rule(quad_points)
+    h = mesh.h[:, None]
+    xi = np.broadcast_to(rule.points, (mesh.n_elements, rule.points.size))
+    s0, s2 = _shape_matrix(xi, h, 0), _shape_matrix(xi, h, 2)
+    w = rule.weights * h
+    local = np.einsum("eq,eqi,eqj->eij", w, s0, s0) + beta * np.einsum("eq,eqi,eqj->eij", w, s2, s2)
+    # average with the transpose so the band is exactly symmetric
+    local = 0.5 * (local + local.swapaxes(1, 2))
+    # local (i, j) of element e is entry (2e + i, 2e + j): band row
+    # hbw + i - j, columns 2e + j over all e
     a = SymmetricBandedMatrix.zeros(2 * mesh.n_nodes, HALF_BANDWIDTH)
-    local = np.empty((4, 4))
-    for e in range(mesh.n_elements):
-        h = float(mesh.h[e])
-        w = rule.weights * h
-        s0 = _shape_matrix(rule.points, h, 0)
-        s2 = _shape_matrix(rule.points, h, 2)
-        # fill by symmetric pairs so the band is exactly symmetric
-        for i in range(4):
-            for j in range(i, 4):
-                v = float(np.dot(w, s0[:, i] * s0[:, j]) + beta * np.dot(w, s2[:, i] * s2[:, j]))
-                local[i, j] = v
-                local[j, i] = v
-        a.add_block(range(2 * e, 2 * e + 4), local)
+    for i in range(4):
+        for j in range(4):
+            a.data[HALF_BANDWIDTH + i - j, j : a.dim - 2 + j : 2] += local[:, i, j]
     return a
 
 
@@ -210,27 +211,18 @@ def assemble_load(
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    rule = gauss_rule(quad_points)
-    b = np.zeros(2 * mesh.n_nodes)
-    for e in range(mesh.n_elements):
-        x0, x1 = float(mesh.nodes[e]), float(mesh.nodes[e + 1])
-        h = x1 - x0
-        dofs = slice(2 * e, 2 * e + 4)
-        for s0x, s1x in split_segments(x0, x1, breakpoints):
-            xs = s0x + (s1x - s0x) * rule.points
-            xi = (xs - x0) / h
-            ws = rule.weights * (s1x - s0x)
-            sv = _shape_matrix(xi, h, 0)
-            sdd = _shape_matrix(xi, h, 2)
-            yv = np.asarray(y_d(xs), dtype=float)
-            fv = np.asarray(f(xs), dtype=float)
-            b[dofs] += sv.T @ (ws * yv) - beta * (sdd.T @ (ws * fv))
-    return b
+    element, x, xi, w = segment_quadrature(mesh, breakpoints, quad_points)
+    h = mesh.h[element]
+    wy = w * np.asarray(y_d(x), dtype=float)
+    wf = w * np.asarray(f(x), dtype=float)
+    vals = _shape_matrix(xi, h, 0) * wy[:, None] - beta * (_shape_matrix(xi, h, 2) * wf[:, None])
+    dofs = 2 * element[:, None] + np.arange(4)
+    return np.bincount(dofs.ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
 
 
 def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
     """Upper bound for the slope DOF at each node: psi evaluated there."""
-    return np.array([float(psi(x)) for x in mesh.nodes])
+    return np.broadcast_to(np.asarray(psi(mesh.nodes), dtype=float), mesh.nodes.shape).copy()
 
 
 @dataclass

@@ -219,6 +219,30 @@ def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[t
     return list(zip(edges[:-1], edges[1:]))
 
 
+def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
+    """Gauss points of every element, split at the breakpoints inside it.
+
+    Each element is cut where :func:`split_segments` would cut it, so a kink
+    or jump of the data never sits inside a Gauss panel.  Returns flat arrays
+    over (segment, Gauss point): the owning element, the point ``x``, its
+    reference coordinate ``xi`` in that element, and the quadrature weight.
+    """
+    rule = gauss_rule(quad_points)
+    nodes, h = mesh.nodes, mesh.h
+    bps = np.unique(np.asarray(list(breakpoints), dtype=float))
+    e = np.searchsorted(nodes, bps, side="right") - 1
+    inside = (e >= 0) & (e < mesh.n_elements)
+    bps, e = bps[inside], e[inside]
+    tol = 1e-12 * h[e]
+    cuts = bps[(nodes[e] + tol < bps) & (bps < nodes[e + 1] - tol)]
+    edges = np.sort(np.concatenate([nodes, cuts]))
+    lo, width = edges[:-1], np.diff(edges)
+    element = np.repeat(np.searchsorted(nodes, lo, side="right") - 1, rule.points.size)
+    x = (lo[:, None] + width[:, None] * rule.points).ravel()
+    xi = (x - nodes[element]) / h[element]
+    return element, x, xi, (width[:, None] * rule.weights).ravel()
+
+
 def composite_integral(
     fn: Callable,
     lo: float = -1.0,

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
 
 from .assembly import MatrixNotSpdError, SymmetricBandedMatrix
 
 #: Refused above this many bounded coordinates (2^n candidate sets).
 BRUTEFORCE_LIMIT = 20
+
+#: Default PDAS iteration limit.
+DEFAULT_MAX_ITER = 100
 
 
 class NonConvergenceError(Exception):
@@ -98,75 +100,56 @@ class QpSolution:
     iterations: int
 
 
-def _equality_step(qp: BoundQp, active: frozenset):
-    """Solve with x fixed to its bound on ``active``; multipliers there.
+def _equality_step(qp: BoundQp, active: np.ndarray):
+    """Solve with x pinned to its bound on the active coordinates.
 
-    Returns (x, multipliers); stationarity holds on free rows by the solve
-    and on fixed rows by the definition of the multiplier.
+    ``active`` is a boolean mask over ``qp.constrained``.  The active rows
+    and columns of a copy of the band become the identity's and the bounds
+    move into the right-hand side, so the system keeps its dimension and
+    bandwidth and x equals the bound exactly on the active set.  Returns
+    (x, multipliers); stationarity holds on free rows by the solve and on
+    fixed rows by the definition of the multiplier.
     """
-    pos = {int(c): k for k, c in enumerate(qp.constrained)}
-    fixed = np.array(sorted(active), dtype=int)
-    free = np.setdiff1d(np.arange(qp.dim), fixed)
+    fixed = qp.constrained[active]
     x = np.zeros(qp.dim, dtype=np.longdouble)
-    if fixed.size:
-        x[fixed] = qp.bounds[[pos[int(i)] for i in fixed]]
-    if free.size:
-        factor = qp.a.submatrix(free).factor()
-        # iterate in long double, refining against the full-row residual, so
-        # stationarity holds beyond the quantization of a double-precision x
-        for _ in range(4):
-            r = qp.a.residual(x, qp.b)[free].astype(float)
-            x[free] += cho_solve_banded((factor, False), r)
+    x[fixed] = qp.bounds[active]
+    rhs = qp.a.residual(x, qp.b)
+    rhs[fixed] = x[fixed]
+    x = qp.a.pinned(fixed).solve(rhs)
     multipliers = np.zeros(qp.dim, dtype=np.longdouble)
-    if fixed.size:
-        multipliers[fixed] = (np.asarray(qp.b, dtype=np.longdouble) - qp.a.matvec(x))[fixed]
+    multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
     return x, multipliers
 
 
-def solve_pdas(qp: BoundQp, c: float = 1.0, max_iter: int = 100) -> QpSolution:
+def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
     """Primal-dual active set iteration for the bound QP.
 
     Starts from the unconstrained solve with the violated bounds as the
-    initial active set.  A coordinate i is activated when
-    ``lambda_i + c * (x_i - u_i) > 0`` (ties leave the set).  Terminates when
-    the active set repeats; an immediate repeat is optimality, any longer
-    cycle or hitting ``max_iter`` raises :class:`NonConvergenceError`.
+    initial active set.  An active coordinate stays active while its
+    multiplier is positive and an inactive one enters when it exceeds its
+    bound; this is the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0``
+    for any c > 0, since x_i = u_i on the active set and lambda_i = 0 off it.
+    Terminates when the active set repeats; an immediate repeat is
+    optimality, any longer cycle or hitting ``max_iter`` raises
+    :class:`NonConvergenceError`.
     """
-    if c <= 0.0:
-        raise ValueError("complementarity scaling c must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    x0 = qp.a.solve(qp.b)
-    active = frozenset(
-        int(i) for i, u in zip(qp.constrained, qp.bounds) if x0[i] > u
-    )
-    seen = {active}
-    x, multipliers = x0, np.zeros(qp.dim)
+    x = qp.a.solve(qp.b)
+    active = x[qp.constrained] > qp.bounds
+    seen = {active.tobytes()}
     for it in range(1, max_iter + 1):
         x, multipliers = _equality_step(qp, active)
-        updated = frozenset(
-            int(i)
-            for i, u in zip(qp.constrained, qp.bounds)
-            if multipliers[i] + c * (x[i] - u) > 0
-        )
-        if updated == active:
-            return QpSolution(
-                x=x,
-                multipliers=multipliers,
-                active_set=tuple(sorted(active)),
-                iterations=it,
-            )
-        if updated in seen:
-            raise NonConvergenceError(
-                "active set cycled without converging",
-                x=x, multipliers=multipliers, active_set=sorted(active), iterations=it,
-            )
-        seen.add(updated)
+        last = dict(x=x, multipliers=multipliers, iterations=it,
+                    active_set=tuple(sorted(qp.constrained[active].tolist())))
+        updated = np.where(active, multipliers[qp.constrained] > 0, x[qp.constrained] > qp.bounds)
+        if np.array_equal(updated, active):
+            return QpSolution(**last)
+        if updated.tobytes() in seen:
+            raise NonConvergenceError("active set cycled without converging", **last)
+        seen.add(updated.tobytes())
         active = updated
-    raise NonConvergenceError(
-        f"no stable active set within {max_iter} iterations",
-        x=x, multipliers=multipliers, active_set=sorted(active), iterations=max_iter,
-    )
+    raise NonConvergenceError(f"no stable active set within {max_iter} iterations", **last)
 
 
 def solve_bruteforce(qp: BoundQp) -> QpSolution:

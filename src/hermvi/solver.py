@@ -14,7 +14,7 @@ from .assembly import (
 )
 from .mesh import DiscreteSolution, DofMap, Mesh, build_mesh
 from .problems import ProblemSpec
-from .qp import BoundQp, QpSolution, kkt_residual, solve_pdas
+from .qp import DEFAULT_MAX_ITER, BoundQp, QpSolution, kkt_residual, solve_pdas
 
 
 @dataclass
@@ -43,8 +43,7 @@ def solve_problem(
     n_elements: int | None = None,
     mesh: Mesh | None = None,
     quad_points: int = DEFAULT_QUAD_POINTS,
-    pdas_c: float = 1.0,
-    max_iter: int = 100,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveResult:
     """Solve ``spec`` on a uniform mesh (or a supplied one).
 
@@ -58,7 +57,7 @@ def solve_problem(
         mesh = build_mesh(n_elements)
     system = assemble_system(spec, mesh, quad_points=quad_points)
     qp = system.to_qp()
-    qp_sol = solve_pdas(qp, c=pdas_c, max_iter=max_iter)
+    qp_sol = solve_pdas(qp, max_iter=max_iter)
     coefficients = system.embed(qp_sol.x)
     active_nodes = tuple(
         sorted(system.dof_map.node_of_dof(int(system.retained[i])) for i in qp_sol.active_set)

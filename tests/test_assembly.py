@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import hermvi as hv
-from hermvi.mesh import _shape_matrix
+from hermvi.mesh import _shape_matrix, segment_quadrature, split_segments
 
 
 def hermite_basis_integrals(mesh, quad_points=8):
@@ -141,6 +141,47 @@ def test_load_splits_at_breakpoints(paper):
     assert np.max(np.abs(with_split - without)) > 1e-4
 
 
+def load_reference(mesh, y_d, f, beta, breakpoints, quad_points=6):
+    """Per-element loop over split_segments: the reference for assemble_load.
+
+    Also returns the sum of |terms| per entry (the roundoff scale) and the
+    (element, point, weight) triples of every segment.
+    """
+    rule = hv.gauss_rule(quad_points)
+    b, scale, points = np.zeros(2 * mesh.n_nodes), np.zeros(2 * mesh.n_nodes), []
+    for e in range(mesh.n_elements):
+        x0, x1 = float(mesh.nodes[e]), float(mesh.nodes[e + 1])
+        h = x1 - x0
+        for s0, s1 in split_segments(x0, x1, breakpoints):
+            xs = s0 + (s1 - s0) * rule.points
+            ws = rule.weights * (s1 - s0)
+            sv, sdd = _shape_matrix((xs - x0) / h, h, 0), _shape_matrix((xs - x0) / h, h, 2)
+            wy, wf = ws * y_d(xs), ws * f(xs)
+            b[2 * e : 2 * e + 4] += sv.T @ wy - beta * (sdd.T @ wf)
+            scale[2 * e : 2 * e + 4] += np.abs(sv).T @ np.abs(wy) + beta * (np.abs(sdd).T @ np.abs(wf))
+            points.append((np.full(xs.size, e), xs, ws))
+    return b, scale, points
+
+
+def test_load_nonuniform_mesh_matches_per_element_split():
+    # breakpoints inside two elements, on a node, within 1e-12 h of a node
+    # on either side, and outside [-1, 1]; the data jump at each of them
+    mesh = hv.Mesh(np.array([-1.0, -0.7, -0.2, 0.1, 0.35, 0.8, 1.0]))
+    bps = np.array([-1.5, -0.5, -0.2 + 0.4e-12 * 0.3, 0.1, 0.35 - 0.5e-12 * 0.25, 0.6, 1.25])
+    y_d = lambda x: np.cos(3.0 * x) + np.searchsorted(bps, x)
+    f = lambda x: np.sin(2.0 * x) - 0.5 * np.searchsorted(bps, x)
+    beta = 0.7
+    ref, scale, points = load_reference(mesh, y_d, f, beta, bps)
+    element, x, _, w = segment_quadrature(mesh, bps, 6)
+    ref_element, ref_x, ref_w = map(np.concatenate, zip(*points))
+    assert x.size == (mesh.n_elements + 2) * 6  # only -0.5 and 0.6 cut
+    assert np.array_equal(element, ref_element)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    b = hv.assemble_load(mesh, y_d, f, beta, breakpoints=bps)
+    # same terms, summed in another order: a few ulps of the term magnitudes
+    assert np.all(np.abs(b - ref) <= 32 * np.finfo(float).eps * scale)
+
+
 # ---------------------------------------------------------- constraint_bounds
 
 def test_bounds_of_benchmark_obstacle(paper):
@@ -206,6 +247,17 @@ def test_banded_roundtrip_and_matvec(rng):
     assert np.max(np.abs(np.asarray(banded.matvec(x), float) - dense @ x)) <= 1e-12
     sub = banded.submatrix(np.array([0, 2, 5]))
     assert np.array_equal(sub.to_dense(), dense[np.ix_([0, 2, 5], [0, 2, 5])])
+    # pinned solve: identity rows/columns at the pinned coordinates decouple
+    # them, so the rest solves the principal submatrix and they come out 0
+    m = rng.normal(size=(7, 7))
+    spd = m @ m.T + 7.0 * np.eye(7)
+    pinned, free = np.array([1, 4]), np.array([0, 2, 3, 5, 6])
+    rhs = rng.normal(size=7)
+    rhs[pinned] = 0.0
+    x = hv.SymmetricBandedMatrix.from_dense(spd).pinned(pinned).solve(rhs)
+    assert np.all(x[pinned] == 0.0)
+    ref = np.linalg.solve(spd[np.ix_(free, free)], rhs[free])
+    assert np.max(np.abs(np.asarray(x[free], float) - ref)) <= 1e-12
 
 
 def test_banded_solve_matches_dense(rng):

@@ -61,8 +61,6 @@ def test_qp_rejects_indefinite_matrix():
 def test_pdas_validates_parameters(paper):
     qp = paper_qp(paper, 2)
     with pytest.raises(ValueError):
-        hv.solve_pdas(qp, c=0.0)
-    with pytest.raises(ValueError):
         hv.solve_pdas(qp, max_iter=0)
 
 
