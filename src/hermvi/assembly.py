@@ -60,7 +60,7 @@ class SymmetricBandedMatrix:
 
     @classmethod
     def zeros(cls, dim: int, half_bandwidth: int = HALF_BANDWIDTH) -> "SymmetricBandedMatrix":
-        hbw = min(half_bandwidth, dim - 1)
+        hbw = max(0, min(half_bandwidth, dim - 1))
         return cls(dim=dim, half_bandwidth=hbw, data=np.zeros((2 * hbw + 1, dim)))
 
     @classmethod

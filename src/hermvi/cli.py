@@ -62,11 +62,7 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
-def cmd_solve(args) -> int:
-    try:
-        spec = _load_problem(args)
-    except KeyError as exc:
-        return _fail(str(exc))
+def cmd_solve(args, spec) -> int:
     result = solve_problem(
         spec, n_elements=args.elements,
         quad_points=args.quad_points, max_iter=args.pdas_max_iter,
@@ -95,11 +91,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    try:
-        spec = _load_problem(args)
-    except KeyError as exc:
-        return _fail(str(exc))
+def cmd_convergence(args, spec) -> int:
     if (args.levels is None) == (args.elements is None):
         return _fail("pass exactly one of --levels or --elements")
     if args.levels is not None:
@@ -125,11 +117,7 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    try:
-        spec = _load_problem(args)
-    except KeyError as exc:
-        return _fail(str(exc))
+def cmd_verify(args, spec) -> int:
     if spec.exact is None and args.elements is None:
         return _fail("problem has no exact data; pass --elements for a discrete check")
     all_passed = True
@@ -202,7 +190,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        spec = _load_problem(args)
+    except KeyError as exc:
+        return _fail(exc.args[0])
+    try:
+        return args.func(args, spec)
     except NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -10,7 +10,6 @@ derivative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -219,6 +218,24 @@ def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[t
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
+    """``edges`` plus the breakpoints inside its intervals, by :func:`split_segments`' rule."""
+    bps = np.unique(np.asarray(list(breakpoints), dtype=float))
+    e = np.searchsorted(edges, bps, side="right") - 1
+    inside = (e >= 0) & (e < edges.size - 1)
+    bps, e = bps[inside], e[inside]
+    tol = 1e-12 * (edges[e + 1] - edges[e])
+    cuts = bps[(edges[e] + tol < bps) & (bps < edges[e + 1] - tol)]
+    return np.sort(np.concatenate([edges, cuts]))
+
+
+def _gauss_points(edges: np.ndarray, quad_points: int):
+    """Flat Gauss points and weights over (interval of ``edges``, point)."""
+    rule = gauss_rule(quad_points)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * rule.points).ravel(), (width * rule.weights).ravel()
+
+
 def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
     """Gauss points of every element, split at the breakpoints inside it.
 
@@ -227,20 +244,10 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
     over (segment, Gauss point): the owning element, the point ``x``, its
     reference coordinate ``xi`` in that element, and the quadrature weight.
     """
-    rule = gauss_rule(quad_points)
-    nodes, h = mesh.nodes, mesh.h
-    bps = np.unique(np.asarray(list(breakpoints), dtype=float))
-    e = np.searchsorted(nodes, bps, side="right") - 1
-    inside = (e >= 0) & (e < mesh.n_elements)
-    bps, e = bps[inside], e[inside]
-    tol = 1e-12 * h[e]
-    cuts = bps[(nodes[e] + tol < bps) & (bps < nodes[e + 1] - tol)]
-    edges = np.sort(np.concatenate([nodes, cuts]))
-    lo, width = edges[:-1], np.diff(edges)
-    element = np.repeat(np.searchsorted(nodes, lo, side="right") - 1, rule.points.size)
-    x = (lo[:, None] + width[:, None] * rule.points).ravel()
-    xi = (x - nodes[element]) / h[element]
-    return element, x, xi, (width[:, None] * rule.weights).ravel()
+    edges = _cut(mesh.nodes, breakpoints)
+    x, w = _gauss_points(edges, quad_points)
+    element = np.repeat(mesh.element_of(edges[:-1]), quad_points)
+    return element, x, (x - mesh.nodes[element]) / mesh.h[element], w
 
 
 def composite_integral(
@@ -253,23 +260,21 @@ def composite_integral(
 ) -> float:
     """Composite Gauss quadrature of ``fn`` over [lo, hi].
 
-    The interval is first split at the supplied breakpoints, then each piece
-    is subdivided into panels proportional to its length (at least one), so
-    discontinuities land on panel boundaries and each panel sees a smooth
-    integrand.  ``fn`` must accept numpy arrays.
+    The interval is split at the breakpoints by the rule of
+    :func:`segment_quadrature`, then each piece into panels proportional to
+    its length (at least one), so discontinuities land on panel boundaries.
+    ``fn`` is called once, on an array of every panel's Gauss points; a
+    scalar result is taken as a constant integrand.
     """
-    rule = gauss_rule(quad_points)
-    total = 0.0
-    for a, b in split_segments(lo, hi, breakpoints):
-        n_sub = max(1, math.ceil(panels * (b - a) / (hi - lo)))
-        edges = np.linspace(a, b, n_sub + 1)
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            xs = s0 + (s1 - s0) * rule.points
-            vals = np.asarray(fn(xs), dtype=float)
-            if vals.ndim == 0:
-                vals = np.full_like(xs, float(vals))
-            total += (s1 - s0) * float(np.dot(rule.weights, vals))
-    return total
+    pieces = _cut(np.array([lo, hi], dtype=float), breakpoints)
+    start, width = pieces[:-1], np.diff(pieces)
+    n_sub = np.maximum(1, np.ceil(panels * width / (hi - lo))).astype(int)
+    piece = np.repeat(np.arange(start.size), n_sub)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    # np.linspace(a, b, n_sub + 1) of every piece, flattened
+    edges = np.append(k * (width / n_sub)[piece] + start[piece], hi)
+    x, w = _gauss_points(edges, quad_points)
+    return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
 
 
 @dataclass

@@ -373,12 +373,8 @@ def objective(
     jumps) can be passed on top of the problem's registered ones.
     """
     bps = tuple(sorted(set(spec.breakpoints) | set(breakpoints)))
-    state_term = composite_integral(
-        lambda t: (np.asarray(y(t), dtype=float) - spec.y_d(t)) ** 2,
+    return 0.5 * composite_integral(
+        lambda t: (np.asarray(y(t), dtype=float) - spec.y_d(t)) ** 2
+        + spec.beta * np.asarray(u(t), dtype=float) ** 2,
         breakpoints=bps, panels=panels, quad_points=quad_points,
     )
-    control_term = composite_integral(
-        lambda t: np.asarray(u(t), dtype=float) ** 2,
-        breakpoints=bps, panels=panels, quad_points=quad_points,
-    )
-    return 0.5 * (state_term + spec.beta * control_term)

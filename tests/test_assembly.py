@@ -258,6 +258,10 @@ def test_banded_roundtrip_and_matvec(rng):
     assert np.all(x[pinned] == 0.0)
     ref = np.linalg.solve(spd[np.ix_(free, free)], rhs[free])
     assert np.max(np.abs(np.asarray(x[free], float) - ref)) <= 1e-12
+    # empty inputs: no rows kept, and a 0x0 matrix
+    for empty in (banded.submatrix([]), hv.SymmetricBandedMatrix.from_dense(np.zeros((0, 0)))):
+        assert empty.dim == 0 and empty.to_dense().shape == (0, 0)
+        assert np.asarray(empty.matvec(np.zeros(0))).shape == (0,)
 
 
 def test_banded_solve_matches_dense(rng):

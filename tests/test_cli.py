@@ -141,6 +141,22 @@ def test_verify_requires_bundle_or_level(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--problem", "nope", "--elements", "4"),
+         "unknown problem 'nope'; known problems: paper, unconstrained-smoke"),
+        (("verify", "--problem", "unconstrained-smoke", "--tamper-lambda", "1"),
+         "--tamper-lambda needs a problem with exact data"),
+    ],
+    ids=["unknown-problem", "tamper-without-exact-data"],
+)
+def test_problem_config_error_message(capsys, argv, message):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--problem", "paper", "--frobnicate"])

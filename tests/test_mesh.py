@@ -230,3 +230,48 @@ def test_composite_integral_polynomial_and_breakpoint():
     step = lambda x: np.where(x < 0.3, 1.0, 2.0)
     val = hv.composite_integral(step, 0.0, 1.0, breakpoints=(0.3,))
     assert val == pytest.approx(0.3 + 1.4, abs=1e-14)
+
+
+def composite_reference(fn, lo, hi, breakpoints, panels, quad_points):
+    """Per-piece, per-panel loop over split_segments: the reference for
+    composite_integral.  Also returns sum |w * fn| (the roundoff scale)."""
+    rule = hv.gauss_rule(quad_points)
+    total = scale = 0.0
+    for a, b in split_segments(lo, hi, breakpoints):
+        n_sub = max(1, math.ceil(panels * (b - a) / (hi - lo)))
+        edges = np.linspace(a, b, n_sub + 1)
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            xs = s0 + (s1 - s0) * rule.points
+            vals = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+            total += (s1 - s0) * float(rule.weights @ vals)
+            scale += (s1 - s0) * float(rule.weights @ np.abs(vals))
+    return total, scale
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi, breakpoints, panels, quad_points",
+    [
+        (lambda x: x**2, -1.0, 1.0, (), 64, 10),
+        (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, (0.3,), 64, 10),
+        (lambda x: np.exp(3.0 * x), -1.0, 1.0, (0.2, -0.4, 0.2, 0.2), 37, 2),
+        # at lo, outside [lo, hi], within 1e-12 (hi - lo) of hi, and inside;
+        # a cut at the sliver would put Gauss points on its 1e6 jump
+        (lambda x: np.select([x < 1.1, x < 3.0 - 1.5e-12], [np.sin(x), np.cos(x)], 1e6),
+         0.0, 3.0, (0.0, -2.0, 4.0, 3.0 - 1.5e-12, 1.1), 40, 5),
+        (lambda x: 2.5, -1.0, 2.0, (0.5,), 16, 3),
+        (lambda x: np.abs(np.sin(16.0 * np.pi * x)), -1.0, 1.0,
+         tuple(hv.build_mesh(32).nodes), 96, 12),
+    ],
+    ids=["square", "step", "repeated", "edge-cases", "scalar", "mesh-nodes"],
+)
+def test_composite_integral_matches_panel_loop(fn, lo, hi, breakpoints, panels, quad_points):
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    val = hv.composite_integral(counted, lo, hi, breakpoints, panels, quad_points)
+    ref, scale = composite_reference(fn, lo, hi, breakpoints, panels, quad_points)
+    assert len(calls) == 1
+    assert abs(val - ref) <= 64 * np.finfo(float).eps * scale
