@@ -40,11 +40,11 @@ class ErrorReport:
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
 
 
-def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec, quad_points: int):
+def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec):
     """One quadrature sweep accumulating all squared error norms."""
     ex = spec.exact
     bps = set(spec.breakpoints) | set(ex.breakpoints)
-    element, xs, xi, ws = segment_quadrature(sol.mesh, bps, quad_points)
+    element, xs, xi, ws = segment_quadrature(sol.mesh, bps, NORM_QUAD_POINTS)
     h = sol.mesh.h[element]
     ce = sol.coefficients[2 * element[:, None] + np.arange(4)]
     y0, y1, y2 = (np.einsum("pk,pk->p", _shape_matrix(xi, h, k), ce) for k in range(3))
@@ -57,7 +57,6 @@ def error_norms(
     sol: DiscreteSolution,
     spec: ProblemSpec,
     samples_per_element: int = LINF_SAMPLES_PER_ELEMENT,
-    quad_points: int = NORM_QUAD_POINTS,
 ) -> ErrorReport:
     """L2/max/H1/H2 errors of the state plus the L2 control error.
 
@@ -67,7 +66,7 @@ def error_norms(
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
-    l2, h1, h2, control = _norm_pass(sol, spec, quad_points)
+    l2, h1, h2, control = _norm_pass(sol, spec)
     mesh = sol.mesh
     offsets = np.linspace(0.0, 1.0, samples_per_element + 1)
     xs = (mesh.nodes[:-1, None] + mesh.h[:, None] * offsets[None, :]).ravel()
@@ -85,7 +84,7 @@ def error_norms(
     )
 
 
-def control_error(sol: DiscreteSolution, spec: ProblemSpec, quad_points: int = NORM_QUAD_POINTS) -> float:
+def control_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
     """L2 distance between -(y_h'' + f) and the exact control.
 
     Computed in the same quadrature pass as the H2 seminorm error, to which
@@ -93,7 +92,7 @@ def control_error(sol: DiscreteSolution, spec: ProblemSpec, quad_points: int = N
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
-    return float(_norm_pass(sol, spec, quad_points)[3])
+    return float(_norm_pass(sol, spec)[3])
 
 
 @dataclass
@@ -129,13 +128,23 @@ def run_convergence_study(
     element_counts: Sequence[int],
     quad_points: int = DEFAULT_QUAD_POINTS,
     max_iter: int = DEFAULT_MAX_ITER,
-    samples_per_element: int = LINF_SAMPLES_PER_ELEMENT,
 ) -> ConvergenceReport:
-    """Solve each level and collect error norms and rates."""
+    """Solve each level and collect error norms and rates.
+
+    The counts are checked before anything is solved: at least two, with
+    no duplicates, strictly increasing.
+    """
+    counts = [int(n) for n in element_counts]
+    if len(counts) < 2:
+        raise ValueError("a convergence study needs at least two levels")
+    if len(set(counts)) != len(counts):
+        raise ValueError(f"duplicate element counts in {counts}")
+    if any(b <= a for a, b in zip(counts[:-1], counts[1:])):
+        raise ValueError(f"element counts must strictly increase, got {counts}")
     reports = []
-    for n in element_counts:
-        result = solve_problem(spec, n_elements=int(n), quad_points=quad_points, max_iter=max_iter)
-        reports.append(error_norms(result.solution, spec, samples_per_element=samples_per_element))
+    for n in counts:
+        result = solve_problem(spec, n_elements=n, quad_points=quad_points, max_iter=max_iter)
+        reports.append(error_norms(result.solution, spec))
     return convergence_rates(reports)
 
 

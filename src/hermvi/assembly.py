@@ -1,5 +1,5 @@
 """Assembly of the energy form, load functional, slope bounds and Dirichlet
-elimination.
+conditions.
 
 The energy bilinear form combines an L2 mass term with a width-scaled
 bending term,
@@ -68,6 +68,9 @@ class SymmetricBandedMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
+        # matvec reads both triangles but factor only the upper one
+        if np.max(np.abs(a - a.T), initial=0.0) > 1e-14 * np.max(np.abs(a), initial=0.0):
+            raise ValueError("expected a symmetric matrix")
         out = cls.zeros(a.shape[0], a.shape[0] - 1)
         i, j, valid = _band_slots(out.dim, out.half_bandwidth)
         out.data[valid] = a[i[valid], j[valid]]
@@ -227,33 +230,23 @@ def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """Energy matrix and load after Dirichlet elimination.
+    """Energy matrix and load with the Dirichlet DOFs pinned to zero.
 
-    ``retained`` maps reduced indices back to full DOF indices;
-    ``constrained`` are the reduced indices of the slope DOFs, aligned with
-    ``bounds`` (one entry per mesh node).
+    Indices are global DOF indices; ``bounds`` holds one slope bound per
+    mesh node, aligned with ``dof_map.constrained_dofs``.
     """
 
     a: SymmetricBandedMatrix
     b: np.ndarray
     dof_map: DofMap
-    retained: np.ndarray
-    full_to_reduced: np.ndarray
-    constrained: np.ndarray
     bounds: np.ndarray | None = None
-
-    def embed(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Expand a reduced vector to all DOFs, zeros at Dirichlet DOFs."""
-        full = np.zeros(self.dof_map.n_dofs)
-        full[self.retained] = x_reduced
-        return full
 
     def to_qp(self):
         from .qp import BoundQp
 
         if self.bounds is None:
             raise ValueError("system has no slope bounds attached")
-        return BoundQp(a=self.a, b=self.b, constrained=self.constrained, bounds=self.bounds)
+        return BoundQp(a=self.a, b=self.b, constrained=self.dof_map.constrained_dofs, bounds=self.bounds)
 
 
 def apply_dirichlet(
@@ -262,30 +255,17 @@ def apply_dirichlet(
     dof_map: DofMap,
     bounds: np.ndarray | None = None,
 ) -> AssembledSystem:
-    """Eliminate the endpoint value DOFs (homogeneous boundary data).
+    """Pin the endpoint value DOFs to zero (homogeneous boundary data).
 
-    Rows and columns are dropped; with zero boundary values there is no
-    right-hand-side correction.  The returned index maps let solutions be
-    re-embedded with zeros.
+    Their rows and columns become the identity's and their load entries
+    zero, as PDAS pins active slopes, so every solve returns exactly 0.0
+    there and the system keeps the global DOF numbering.
     """
-    n_dofs = dof_map.n_dofs
-    if a.dim != n_dofs or len(b) != n_dofs:
+    if a.dim != dof_map.n_dofs or len(b) != dof_map.n_dofs:
         raise ValueError("system size does not match the DOF map")
-    retained = np.setdiff1d(np.arange(n_dofs), dof_map.dirichlet_dofs)
-    full_to_reduced = np.full(n_dofs, -1, dtype=int)
-    full_to_reduced[retained] = np.arange(retained.size)
-    constrained = full_to_reduced[dof_map.constrained_dofs]
-    if np.any(constrained < 0):
-        raise ValueError("constrained DOFs overlap Dirichlet DOFs")
     bounds_arr = None if bounds is None else np.asarray(bounds, dtype=float)
     if bounds_arr is not None and bounds_arr.shape != (dof_map.n_nodes,):
         raise ValueError("expected one bound per node")
-    return AssembledSystem(
-        a=a.submatrix(retained),
-        b=np.asarray(b, dtype=float)[retained],
-        dof_map=dof_map,
-        retained=retained,
-        full_to_reduced=full_to_reduced,
-        constrained=constrained,
-        bounds=bounds_arr,
-    )
+    b = np.array(b, dtype=float)
+    b[dof_map.dirichlet_dofs] = 0.0
+    return AssembledSystem(a=a.pinned(dof_map.dirichlet_dofs), b=b, dof_map=dof_map, bounds=bounds_arr)

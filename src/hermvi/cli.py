@@ -95,21 +95,11 @@ def cmd_convergence(args, spec) -> int:
     if (args.levels is None) == (args.elements is None):
         return _fail("pass exactly one of --levels or --elements")
     if args.levels is not None:
-        if len(set(args.levels)) != len(args.levels):
-            return _fail("duplicate levels")
         if any(k < 0 for k in args.levels):
             return _fail("levels must be nonnegative")
         counts = [2**k for k in args.levels]
     else:
-        counts = list(args.elements)
-        if len(set(counts)) != len(counts):
-            return _fail("duplicate element counts")
-        if any(n < 1 for n in counts):
-            return _fail("element counts must be positive")
-    if len(counts) < 2:
-        return _fail("a convergence study needs at least two levels")
-    if any(b <= a for a, b in zip(counts[:-1], counts[1:])):
-        return _fail("levels must be strictly refining")
+        counts = args.elements
     report = run_convergence_study(
         spec, counts, quad_points=args.quad_points, max_iter=args.pdas_max_iter,
     )

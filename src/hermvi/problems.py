@@ -240,6 +240,15 @@ def with_obstacle(spec: ProblemSpec, psi: Callable, breakpoints: tuple = ()) -> 
 # verification of the first-order optimality data
 # ---------------------------------------------------------------------------
 
+#: Midpoint samples on [-1, 1] for the pointwise checks.
+_KKT_SAMPLES = 1000
+#: Legendre polynomials tested in the weak stationarity identity.
+_KKT_TEST_FUNCTIONS = 20
+#: Tolerances of the weak stationarity, pointwise and integral checks.
+_STATIONARITY_TOL = 1e-8
+_POINTWISE_TOL = 1e-10
+_INTEGRAL_TOL = 1e-12
+
 @dataclass
 class CheckResult:
     name: str
@@ -273,14 +282,7 @@ def _sample_points(n_samples: int, avoid: Sequence[float], margin: float = 1e-6)
     return xs
 
 
-def verify_continuous_kkt(
-    spec: ProblemSpec,
-    n_samples: int = 1000,
-    n_test_functions: int = 20,
-    stationarity_tol: float = 1e-8,
-    pointwise_tol: float = 1e-10,
-    integral_tol: float = 1e-12,
-) -> KktVerificationReport:
+def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     """Check the exact bundle against the first-order optimality system.
 
     Verifies, at sample points and by quadrature: (a) the multiplier density
@@ -294,39 +296,39 @@ def verify_continuous_kkt(
         raise ValueError("problem has no exact solution bundle to verify")
     ex = spec.exact
     bps = tuple(sorted(set(ex.breakpoints) | set(spec.breakpoints)))
-    xs = _sample_points(n_samples, bps)
+    xs = _sample_points(_KKT_SAMPLES, bps)
     checks = []
 
     rho_recomputed = ex.p_dprime(xs) + ex.f_prime(xs) - ex.phi(xs) + ex.lam
     mismatch = float(np.max(np.abs(rho_recomputed - ex.rho(xs))))
     negativity = float(max(0.0, -np.min(rho_recomputed)))
     checks.append(CheckResult(
-        "density formula p'' + f' - phi + lam", mismatch <= pointwise_tol,
-        mismatch, pointwise_tol,
+        "density formula p'' + f' - phi + lam", mismatch <= _POINTWISE_TOL,
+        mismatch, _POINTWISE_TOL,
     ))
     checks.append(CheckResult(
-        "density nonnegative", negativity <= pointwise_tol, negativity, pointwise_tol,
+        "density nonnegative", negativity <= _POINTWISE_TOL, negativity, _POINTWISE_TOL,
     ))
 
     gamma = float(ex.p_prime(-1.0) + spec.f(-1.0))
     zeta = float(-(ex.p_prime(1.0) + spec.f(1.0)))
     worst_mass = max(abs(gamma - ex.gamma), abs(zeta - ex.zeta))
     checks.append(CheckResult(
-        "endpoint masses gamma, zeta", worst_mass <= integral_tol and min(gamma, zeta) >= -integral_tol,
-        worst_mass, integral_tol,
+        "endpoint masses gamma, zeta", worst_mass <= _INTEGRAL_TOL and min(gamma, zeta) >= -_INTEGRAL_TOL,
+        worst_mass, _INTEGRAL_TOL,
         note=f"gamma={gamma:.12g}, zeta={zeta:.12g}",
     ))
 
     comp = float(np.max(np.abs(ex.rho(xs) * (ex.p(xs) - spec.psi(xs)))))
     checks.append(CheckResult(
-        "complementarity rho * (p - psi)", comp <= pointwise_tol, comp, pointwise_tol,
+        "complementarity rho * (p - psi)", comp <= _POINTWISE_TOL, comp, _POINTWISE_TOL,
     ))
 
     f_right = float(spec.f(1.0))
     f_left = float(spec.f(-1.0))
     worst_res = 0.0
     quad_bps = tuple(sorted(set(bps) | set(spec.psi_breakpoints)))
-    for j in range(n_test_functions):
+    for j in range(_KKT_TEST_FUNCTIONS):
         q = np.polynomial.legendre.Legendre.basis(j, domain=[-1.0, 1.0])
         dq = q.deriv()
         integrand = lambda t: (
@@ -340,14 +342,14 @@ def verify_continuous_kkt(
         res += ex.gamma * q(-1.0) + ex.zeta * q(1.0)
         worst_res = max(worst_res, abs(res))
     checks.append(CheckResult(
-        f"weak stationarity on {n_test_functions} polynomial test functions",
-        worst_res <= stationarity_tol, worst_res, stationarity_tol,
+        f"weak stationarity on {_KKT_TEST_FUNCTIONS} polynomial test functions",
+        worst_res <= _STATIONARITY_TOL, worst_res, _STATIONARITY_TOL,
     ))
 
     phi_mean = composite_integral(ex.phi, breakpoints=bps, panels=256, quad_points=12)
     checks.append(CheckResult(
-        "zero-mean potential int phi", abs(phi_mean) <= integral_tol,
-        abs(phi_mean), integral_tol,
+        "zero-mean potential int phi", abs(phi_mean) <= _INTEGRAL_TOL,
+        abs(phi_mean), _INTEGRAL_TOL,
     ))
 
     psi_mass = composite_integral(spec.psi, breakpoints=spec.psi_breakpoints, panels=256, quad_points=12)

@@ -28,7 +28,7 @@ class SolveResult:
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh, quad_points: int = DEFAULT_QUAD_POINTS) -> AssembledSystem:
-    """Assemble the eliminated system with slope bounds for ``spec``."""
+    """Assemble the Dirichlet-pinned system with slope bounds for ``spec``."""
     a = assemble_energy(mesh, spec.beta, quad_points=quad_points)
     b = assemble_load(
         mesh, spec.y_d, spec.f, spec.beta,
@@ -47,9 +47,9 @@ def solve_problem(
 ) -> SolveResult:
     """Solve ``spec`` on a uniform mesh (or a supplied one).
 
-    Returns the discrete state with boundary values clamped to zero, the
-    active slope constraints mapped back to node indices, and fresh KKT
-    residuals of the underlying QP.
+    Returns the discrete state, whose boundary values are pinned to zero,
+    the active slope constraints as node indices, and fresh KKT residuals
+    of the underlying QP.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")
@@ -58,15 +58,11 @@ def solve_problem(
     system = assemble_system(spec, mesh, quad_points=quad_points)
     qp = system.to_qp()
     qp_sol = solve_pdas(qp, max_iter=max_iter)
-    coefficients = system.embed(qp_sol.x)
-    active_nodes = tuple(
-        sorted(system.dof_map.node_of_dof(int(system.retained[i])) for i in qp_sol.active_set)
-    )
     solution = DiscreteSolution(
-        coefficients=coefficients,
+        coefficients=qp_sol.x,
         mesh=mesh,
         iterations=qp_sol.iterations,
-        active_nodes=active_nodes,
+        active_nodes=tuple(system.dof_map.node_of_dof(i) for i in qp_sol.active_set),
         kkt=kkt_residual(qp, qp_sol),
     )
     return SolveResult(solution=solution, system=system, qp=qp, qp_solution=qp_sol)

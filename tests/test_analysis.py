@@ -99,6 +99,15 @@ def test_rates_reject_non_refining_levels():
         hv.convergence_rates(reports[:1])
 
 
+@pytest.mark.parametrize("counts", [[8, 4], [4, 4], [4]], ids=["decreasing", "duplicate", "single"])
+def test_convergence_study_validates_before_solving(paper, monkeypatch, counts):
+    calls = []
+    monkeypatch.setattr(hv.analysis, "solve_problem", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError):
+        hv.run_convergence_study(paper, counts)
+    assert calls == []
+
+
 # --------------------------------------------------------------- render_report
 
 def test_render_empty_report_header_only():

@@ -199,15 +199,27 @@ def test_bounds_constant_obstacle():
 
 # ------------------------------------------------------------ apply_dirichlet
 
-def test_dirichlet_shrinks_system():
+def test_dirichlet_pins_boundary_dofs(rng):
     mesh = hv.build_mesh(2)
+    dm = hv.DofMap(mesh.n_nodes)
     a = hv.assemble_energy(mesh, 1.0)
-    system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes))
-    assert a.dim == 6 and system.a.dim == 4
-    assert list(system.retained) == [1, 2, 3, 5]
-    # re-embedding puts zeros at the Dirichlet DOFs
-    full = system.embed(np.ones(4))
-    assert full[0] == 0.0 and full[4] == 0.0
+    b = rng.normal(size=a.dim)
+    b_before = b.copy()
+    system = hv.apply_dirichlet(a, b, dm, bounds=np.full(mesh.n_nodes, 0.1))
+    pinned, eye = system.a.to_dense(), np.eye(a.dim)
+    assert system.a.dim == a.dim == 6
+    for d in (0, dm.n_dofs - 2):
+        assert np.array_equal(pinned[d], eye[d]) and np.array_equal(pinned[:, d], eye[d])
+        assert system.b[d] == 0.0
+    # the other entries keep the global numbering and their values
+    free = [1, 2, 3, 5]
+    assert np.array_equal(pinned[np.ix_(free, free)], a.to_dense()[np.ix_(free, free)])
+    assert np.array_equal(system.b[free], b[free]) and np.array_equal(b, b_before)
+    x = system.a.solve(system.b)
+    sol = hv.solve_pdas(system.to_qp())
+    assert sol.active_set  # the bound binds, so PDAS pins slopes as well
+    for d in (0, dm.n_dofs - 2):
+        assert x[d] == 0.0 and sol.x[d] == 0.0
 
 
 def test_eliminated_system_symmetric_and_spd():

@@ -58,6 +58,15 @@ def test_qp_rejects_indefinite_matrix():
         )
 
 
+def test_qp_rejects_nonsymmetric_matrix():
+    # the upper triangle alone is SPD, so only a symmetry check catches it
+    a = np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [0.0, 0.0, 4.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        hv.BoundQp(a=a, b=np.ones(3), constrained=[0], bounds=[10.0])
+    with pytest.raises(ValueError, match="symmetric"):
+        SymmetricBandedMatrix.from_dense(a)
+
+
 def test_pdas_validates_parameters(paper):
     qp = paper_qp(paper, 2)
     with pytest.raises(ValueError):
