@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS, dest="quad_points",
                        help="Gauss points per element for assembly (default %(default)s)")
         p.add_argument("--pdas-max-iter", type=int, default=DEFAULT_MAX_ITER, dest="pdas_max_iter",
-                       help="active set iteration limit (default %(default)s)")
+                       help="active set iteration limit on each mesh level (default %(default)s)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p_solve = sub.add_parser("solve", help="solve one mesh and dump solution samples as CSV")

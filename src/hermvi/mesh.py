@@ -10,6 +10,7 @@ derivative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -202,8 +203,15 @@ def gauss_rule(m: int) -> QuadRule:
     """m-point Gauss-Legendre rule on [0, 1], exact to degree 2m-1."""
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_GAUSS_POINTS:
         raise ValueError(f"point count must lie in [1, {MAX_GAUSS_POINTS}], got {m!r}")
-    x, w = np.polynomial.legendre.leggauss(int(m))
-    return QuadRule(points=(x + 1.0) / 2.0, weights=w / 2.0, order=2 * int(m) - 1)
+    return _gauss_rule(int(m))
+
+
+@functools.cache
+def _gauss_rule(m: int) -> QuadRule:
+    # one rule per point count, shared: its arrays are read-only, and
+    # computing it costs more than assembling a coarse mesh
+    x, w = np.polynomial.legendre.leggauss(m)
+    return QuadRule(points=(x + 1.0) / 2.0, weights=w / 2.0, order=2 * m - 1)
 
 
 def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
@@ -279,7 +287,12 @@ def composite_integral(
 
 @dataclass
 class DiscreteSolution:
-    """Coefficient vector over all Hermite DOFs plus solve metadata."""
+    """Coefficient vector over all Hermite DOFs plus solve metadata.
+
+    ``iterations`` is the PDAS iteration count on this mesh, the finest
+    level of the solve; the coarse-mesh solves that warm-start it are not
+    counted.
+    """
 
     coefficients: np.ndarray
     mesh: Mesh

@@ -361,13 +361,16 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     return KktVerificationReport(checks=checks)
 
 
+#: Composite rule of :func:`objective`: panels over [-1, 1], Gauss points each.
+_OBJECTIVE_PANELS = 400
+_OBJECTIVE_QUAD_POINTS = 10
+
+
 def objective(
     spec: ProblemSpec,
     y: Callable,
     u: Callable,
     breakpoints: Sequence[float] = (),
-    panels: int = 400,
-    quad_points: int = 10,
 ) -> float:
     """Cost 1/2 (||y - y_d||^2 + beta ||u||^2) by composite quadrature.
 
@@ -378,5 +381,5 @@ def objective(
     return 0.5 * composite_integral(
         lambda t: (np.asarray(y(t), dtype=float) - spec.y_d(t)) ** 2
         + spec.beta * np.asarray(u(t), dtype=float) ** 2,
-        breakpoints=bps, panels=panels, quad_points=quad_points,
+        breakpoints=bps, panels=_OBJECTIVE_PANELS, quad_points=_OBJECTIVE_QUAD_POINTS,
     )

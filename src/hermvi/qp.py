@@ -91,7 +91,10 @@ class QpSolution:
 
     ``x`` and ``multipliers`` are long-double arrays so the stationarity
     residual of fine-mesh systems stays resolvable; cast to float for
-    downstream double-precision work.
+    downstream double-precision work.  ``iterations`` counts the PDAS
+    iterations of this QP alone (the candidate sets tried, for
+    :func:`solve_bruteforce`); in a ``solve_problem`` result that is the
+    finest level's PDAS, without the coarse-mesh solves of its warm start.
     """
 
     x: np.ndarray
@@ -121,10 +124,11 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     return x, multipliers
 
 
-def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
+def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray | None = None) -> QpSolution:
     """Primal-dual active set iteration for the bound QP.
 
-    Starts from the unconstrained solve with the violated bounds as the
+    Starts from ``active``, a boolean mask over ``qp.constrained``; without
+    one, from the unconstrained solve with the violated bounds as the
     initial active set.  An active coordinate stays active while its
     multiplier is positive and an inactive one enters when it exceeds its
     bound; this is the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0``
@@ -135,8 +139,14 @@ def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    x = qp.a.solve(qp.b)
-    active = x[qp.constrained] > qp.bounds
+    if active is None:
+        active = qp.a.solve(qp.b)[qp.constrained] > qp.bounds
+    active = np.asarray(active, dtype=bool)
+    if active.shape != qp.constrained.shape:
+        raise ValueError(
+            f"initial active set needs one entry per constrained coordinate "
+            f"({qp.constrained.size}), got shape {active.shape}"
+        )
     seen = {active.tobytes()}
     for it in range(1, max_iter + 1):
         x, multipliers = _equality_step(qp, active)

@@ -54,6 +54,16 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert "converge" in stderr
 
 
+def test_solve_fine_mesh_converges(capsys, tmp_path):
+    # a cold-started PDAS needs more than the default 100 iterations here
+    code, _, stderr = run(
+        capsys, "solve", "--problem", "paper", "--elements", "4096",
+        "--output", str(tmp_path / "sol.csv"),
+    )
+    assert code == 0
+    assert "elements: 4096  pdas iterations: 2" in stderr
+
+
 def test_solve_deterministic_output(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

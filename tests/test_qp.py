@@ -35,11 +35,15 @@ def test_pdas_clamped_scalar():
 
 
 def test_pdas_matches_bruteforce_on_benchmark(paper):
+    rng = np.random.default_rng(5)
     for n in (2, 3, 5):
         qp = paper_qp(paper, n)
-        x_pdas = np.asarray(hv.solve_pdas(qp).x, dtype=float)
         x_bf = np.asarray(hv.solve_bruteforce(qp).x, dtype=float)
-        assert np.max(np.abs(x_pdas - x_bf)) <= 1e-10
+        size = qp.constrained.size
+        # the cold start, then initial active sets far from the solution's
+        for start in (None, np.ones(size, bool), np.zeros(size, bool), rng.random(size) < 0.5):
+            x_pdas = np.asarray(hv.solve_pdas(qp, active=start).x, dtype=float)
+            assert np.max(np.abs(x_pdas - x_bf)) <= 1e-10
 
 
 def test_pdas_max_iter_carries_iterate(paper):
@@ -71,6 +75,9 @@ def test_pdas_validates_parameters(paper):
     qp = paper_qp(paper, 2)
     with pytest.raises(ValueError):
         hv.solve_pdas(qp, max_iter=0)
+    for start in (np.ones(qp.constrained.size - 1, bool), np.ones((1, qp.constrained.size), bool)):
+        with pytest.raises(ValueError, match="one entry per constrained coordinate"):
+            hv.solve_pdas(qp, active=start)
 
 
 # ------------------------------------------------------------- solve_bruteforce

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hermvi as hv
+from hermvi.solver import assemble_system
 
 
 def test_solution_coefficients_vanish_at_dirichlet_dofs(solve_cache):
@@ -49,3 +50,58 @@ def test_shared_structures_are_immutable(paper, solve_cache):
     sol = solve_cache(4).solution
     with pytest.raises(ValueError):
         sol.coefficients[0] = 1.0
+
+
+def random_even_mesh(rng, n):
+    widths = rng.uniform(0.2, 1.0, size=n)
+    nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
+    nodes[-1] = 1.0
+    return hv.Mesh(nodes)
+
+
+WARM_START_MESHES = {
+    **{f"uniform-{n}": hv.build_mesh(n) for n in (6, 96, 768, 1000, 1024)},
+    **{f"nonuniform-seed{s}": random_even_mesh(np.random.default_rng(s), 200) for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("mesh", WARM_START_MESHES.values(), ids=WARM_START_MESHES.keys())
+def test_warm_start_matches_cold_start(paper, mesh):
+    warm = hv.solve_problem(paper, mesh=mesh).qp_solution
+    cold = hv.solve_pdas(assemble_system(paper, mesh).to_qp())
+    assert warm.active_set == cold.active_set
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_coarse_chain_runs_only_on_even_meshes_with_a_binding_bound(paper, monkeypatch):
+    sizes = []
+
+    def counting(spec, mesh, **kwargs):
+        sizes.append(mesh.n_elements)
+        return assemble_system(spec, mesh, **kwargs)
+
+    monkeypatch.setattr("hermvi.solver.assemble_system", counting)
+    unbound = hv.ProblemSpec(
+        name="unbound", beta=1.0, f=paper.f, y_d=paper.y_d,
+        psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3),
+    )
+    for spec, n, chain in [
+        (paper, 96, [96, 48, 24, 12, 6, 3]),
+        (paper, 33, [33]),
+        (unbound, 64, [64]),
+    ]:
+        sizes.clear()
+        hv.solve_problem(spec, n)
+        assert sizes == chain
+
+
+@pytest.mark.parametrize("k", range(5, 13))
+def test_pdas_iterations_do_not_grow_with_the_mesh(solve_cache, k):
+    assert solve_cache(2**k).solution.iterations <= 2
+
+
+def test_coarse_level_nonconvergence_names_its_mesh(paper):
+    with pytest.raises(hv.NonConvergenceError, match="on the 1-element coarse mesh") as excinfo:
+        hv.solve_problem(paper, 16, max_iter=1)
+    # the iterate is the coarse mesh's: one element, two nodes, four DOFs
+    assert excinfo.value.x.shape == (4,)
