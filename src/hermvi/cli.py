@@ -75,10 +75,9 @@ def cmd_solve(args, spec) -> int:
     dys = evaluate(sol, xs, 1)
     d2ys = evaluate(sol, xs, 2)
     us = -(d2ys + np.asarray(spec.f(xs), dtype=float))
-    lines = ["x,y,dy,d2y,u"]
-    for row in zip(xs, ys, dys, d2ys, us):
-        lines.append(",".join(f"{v:.12e}" for v in row))
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = np.column_stack([xs, ys, dys, d2ys, us])
+    samples = ("%.12e,%.12e,%.12e,%.12e,%.12e\n" * len(rows)) % tuple(rows.ravel().tolist())
+    _emit("x,y,dy,d2y,u\n" + samples, args.output)
     kkt = sol.kkt
     print(f"elements: {mesh.n_elements}  pdas iterations: {sol.iterations}", file=sys.stderr)
     print(f"active nodes: {list(sol.active_nodes)}", file=sys.stderr)

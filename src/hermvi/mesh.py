@@ -107,10 +107,6 @@ class DofMap:
         return 2 * node + 1
 
     @property
-    def value_dofs(self) -> np.ndarray:
-        return np.arange(0, self.n_dofs, 2)
-
-    @property
     def deriv_dofs(self) -> np.ndarray:
         return np.arange(1, self.n_dofs, 2)
 
@@ -289,9 +285,8 @@ def composite_integral(
 class DiscreteSolution:
     """Coefficient vector over all Hermite DOFs plus solve metadata.
 
-    ``iterations`` is the PDAS iteration count on this mesh, the finest
-    level of the solve; the coarse-mesh solves that warm-start it are not
-    counted.
+    ``iterations`` is the PDAS iteration count on this mesh alone; each
+    level of a warm-start chain (``SolveResult.levels``) counts its own.
     """
 
     coefficients: np.ndarray

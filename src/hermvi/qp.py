@@ -93,8 +93,9 @@ class QpSolution:
     residual of fine-mesh systems stays resolvable; cast to float for
     downstream double-precision work.  ``iterations`` counts the PDAS
     iterations of this QP alone (the candidate sets tried, for
-    :func:`solve_bruteforce`); in a ``solve_problem`` result that is the
-    finest level's PDAS, without the coarse-mesh solves of its warm start.
+    :func:`solve_bruteforce`); in a ``solve_problem`` result each level of
+    the warm-start chain counts its own PDAS, and ``qp_solution`` is the
+    finest level's.
     """
 
     x: np.ndarray

@@ -21,12 +21,17 @@ from .qp import DEFAULT_MAX_ITER, BoundQp, NonConvergenceError, QpSolution, kkt_
 
 @dataclass
 class SolveResult:
-    """Discrete solution plus the QP artifacts used to produce it."""
+    """Discrete solution plus the QP artifacts used to produce it.
+
+    ``levels`` holds the solution on every mesh of the warm-start chain,
+    coarsest first and ``solution`` last (``solution`` alone without one).
+    """
 
     solution: DiscreteSolution
     system: AssembledSystem
     qp: BoundQp
     qp_solution: QpSolution
+    levels: tuple
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh, quad_points: int = DEFAULT_QUAD_POINTS) -> AssembledSystem:
@@ -38,34 +43,6 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, quad_points: int = DEFAULT_QU
     )
     bounds = constraint_bounds(mesh, spec.psi)
     return apply_dirichlet(a, b, DofMap(mesh.n_nodes), bounds=bounds)
-
-
-def _nested_start(spec: ProblemSpec, mesh: Mesh, quad_points: int, max_iter: int) -> np.ndarray:
-    """PDAS start on ``mesh`` (even element count) from the mesh one level coarser.
-
-    ``Mesh(mesh.nodes[::2])`` is solved first, itself started this way when
-    its element count is even and cold otherwise, and its active set is
-    prolonged: fine node 2i takes coarse node i, and fine node 2i + 1 is
-    active iff coarse nodes i and i + 1 both are.  From that start PDAS
-    takes one or two iterations on any mesh, where a cold start takes a
-    number that grows with the element count.
-    """
-    coarse = Mesh(mesh.nodes[::2])
-    qp = assemble_system(spec, coarse, quad_points=quad_points).to_qp()
-    start = None if coarse.n_elements % 2 else _nested_start(spec, coarse, quad_points, max_iter)
-    try:
-        sol = solve_pdas(qp, max_iter=max_iter, active=start)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(
-            f"{exc} (on the {coarse.n_elements}-element coarse mesh of the warm start)",
-            exc.x, exc.multipliers, exc.active_set, exc.iterations,
-        ) from exc
-    # constrained slopes are in node order, one per node
-    coarse_active = np.isin(qp.constrained, sol.active_set)
-    active = np.empty(mesh.n_nodes, dtype=bool)
-    active[0::2] = coarse_active
-    active[1::2] = coarse_active[:-1] & coarse_active[1:]
-    return active
 
 
 def solve_problem(
@@ -80,10 +57,14 @@ def solve_problem(
     Returns the discrete state, whose boundary values are pinned to zero,
     the active slope constraints as node indices, and fresh KKT residuals
     of the underlying QP.  PDAS starts from the bounds that the
-    unconstrained solve violates, or, when there are any and the element
-    count is even, from the solution on the mesh one level coarser (see
-    :func:`_nested_start`); a :class:`NonConvergenceError` raised on such a
-    coarser mesh names its element count and carries that mesh's iterate.
+    unconstrained solve violates.  When there are any and the element
+    count is even, the solve first goes down a chain of nested meshes,
+    ``Mesh(nodes[::2])`` while the count is even, and climbs back up: the
+    coarsest mesh starts cold and each finer one from the active set below
+    it, prolonged, so PDAS takes one or two iterations on any mesh (a cold
+    start takes a number that grows with the element count).  A
+    :class:`NonConvergenceError` raised on a coarser mesh names its
+    element count and carries that mesh's iterate.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")
@@ -91,15 +72,29 @@ def solve_problem(
         mesh = build_mesh(n_elements)
     system = assemble_system(spec, mesh, quad_points=quad_points)
     qp = system.to_qp()
-    start = qp.a.solve(qp.b)[qp.constrained] > qp.bounds
-    if start.any() and mesh.n_elements % 2 == 0:
-        start = _nested_start(spec, mesh, quad_points, max_iter)
-    qp_sol = solve_pdas(qp, max_iter=max_iter, active=start)
-    solution = DiscreteSolution(
-        coefficients=qp_sol.x,
-        mesh=mesh,
-        iterations=qp_sol.iterations,
-        active_nodes=tuple(system.dof_map.node_of_dof(i) for i in qp_sol.active_set),
-        kkt=kkt_residual(qp, qp_sol),
-    )
-    return SolveResult(solution=solution, system=system, qp=qp, qp_solution=qp_sol)
+    active = qp.a.solve(qp.b)[qp.constrained] > qp.bounds
+    chain = [(mesh, system)]
+    while active.any() and chain[-1][0].n_elements % 2 == 0:
+        coarse = Mesh(chain[-1][0].nodes[::2])
+        chain.append((coarse, assemble_system(spec, coarse, quad_points=quad_points)))
+    active = active if len(chain) == 1 else None  # the coarsest level of a chain starts cold
+    levels = []
+    for level_mesh, level_system in reversed(chain):
+        if levels:  # prolong the level below: fine node 2i takes its node i, 2i + 1 needs i and i + 1
+            active = np.repeat(np.isin(level_qp.constrained, qp_sol.active_set), 2)[:-1]
+            active[1::2] &= active[2::2]
+        level_qp = qp if level_mesh is mesh else level_system.to_qp()
+        try:
+            qp_sol = solve_pdas(level_qp, max_iter=max_iter, active=active)
+        except NonConvergenceError as exc:
+            if level_mesh is mesh:
+                raise
+            raise NonConvergenceError(
+                f"{exc} (on the {level_mesh.n_elements}-element coarse mesh of the warm start)",
+                exc.x, exc.multipliers, exc.active_set, exc.iterations,
+            ) from exc
+        levels.append(DiscreteSolution(
+            qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
+            active_nodes=tuple(level_system.dof_map.node_of_dof(i) for i in qp_sol.active_set),
+        ))
+    return SolveResult(levels[-1], system, qp, qp_sol, levels=tuple(levels))

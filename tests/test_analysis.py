@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hermvi as hv
+from hermvi.solver import assemble_system
 
 from table1_reference import TABLE1
 
@@ -40,6 +41,51 @@ def test_interpolant_error_on_kink_aligned_mesh(paper):
     straddling = hv.hermite_interpolant(paper.exact.y_bar, paper.exact.p, hv.build_mesh(4))
     rep = hv.error_norms(straddling, paper, samples_per_element=100)
     assert rep.h2 > 1e-2
+
+
+def dense_scan(sol, spec, samples=1000):
+    """The former max norm, |y_h - y_bar| on ``samples`` equispaced intervals
+    per element, and the most such a grid can read below the true maximum:
+    max|e''| (h / samples)^2 / 8, from a Taylor expansion at the maximum."""
+    mesh = sol.mesh
+    offsets = np.linspace(0.0, 1.0, samples + 1)
+    xs = (mesh.nodes[:-1, None] + mesh.h[:, None] * offsets[None, :]).ravel()
+    scan = np.max(np.abs(hv.evaluate(sol, xs, 0) - spec.exact.y_bar(xs)))
+    curvature = np.max(np.abs(hv.evaluate(sol, xs, 2) - spec.exact.p_prime(xs)))
+    return scan, curvature * (mesh.mesh_size / samples) ** 2 / 8
+
+
+def nonuniform_mesh(seed, n):
+    widths = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
+    nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
+    nodes[-1] = 1.0
+    return hv.Mesh(nodes)
+
+
+def interpolant(spec, n):
+    return hv.hermite_interpolant(spec.exact.y_bar, spec.exact.p, hv.build_mesh(n))
+
+
+MAX_NORM_CASES = {
+    **{f"solve-{2**k}": lambda spec, solve, n=2**k: solve(n).solution for k in range(11)},
+    "kink-aligned-interpolant-3": lambda spec, solve: interpolant(spec, 3),
+    "straddling-interpolant-4": lambda spec, solve: interpolant(spec, 4),
+    "solve-nonuniform-seed7": lambda spec, solve: hv.solve_problem(
+        spec, mesh=nonuniform_mesh(7, 37)).solution,
+}
+
+#: Rounding of |y_h - y_bar| for values of order one; the kink-aligned
+#: interpolant's error is this rounding alone.
+ROUNDING = 1e-15
+
+
+@pytest.mark.parametrize("case", MAX_NORM_CASES)
+def test_max_norm_search_never_reads_below_the_dense_scan(paper, solve_cache, case):
+    sol = MAX_NORM_CASES[case](paper, solve_cache)
+    scan, scan_miss = dense_scan(sol, paper)
+    linf = hv.error_norms(sol, paper).linf
+    assert linf >= scan * (1.0 - 1e-9) - ROUNDING
+    assert linf <= scan + scan_miss + ROUNDING
 
 
 def test_curvature_error_matches_reference_level(solve_cache, paper):
@@ -106,6 +152,48 @@ def test_convergence_study_validates_before_solving(paper, monkeypatch, counts):
     with pytest.raises(ValueError):
         hv.run_convergence_study(paper, counts)
     assert calls == []
+
+
+def record_assembled_sizes(monkeypatch):
+    sizes = []
+
+    def counting(spec, mesh, **kwargs):
+        sizes.append(mesh.n_elements)
+        return assemble_system(spec, mesh, **kwargs)
+
+    monkeypatch.setattr("hermvi.solver.assemble_system", counting)
+    return sizes
+
+
+def test_study_solves_one_chain(paper, monkeypatch):
+    sizes = record_assembled_sizes(monkeypatch)
+    hv.run_convergence_study(paper, [2**k for k in range(10)])
+    assert sorted(sizes) == [2**k for k in range(10)]
+    # 6 brings its chain 6 -> 3 along; 5 is not in it and gets its own solve
+    sizes.clear()
+    study = hv.run_convergence_study(paper, [3, 5, 6])
+    assert sizes == [6, 3, 5]
+    assert study.reports[0] == hv.error_norms(hv.solve_problem(paper, 3).solution, paper)
+
+
+def test_study_levels_equal_their_own_solves(paper, solve_cache):
+    counts = [2**k for k in range(2, 10)]
+    study = hv.run_convergence_study(paper, counts)
+    chain = {level.mesh.n_elements: level for level in hv.solve_problem(paper, counts[-1]).levels}
+    assert sorted(chain) == [2**k for k in range(10)]
+    for n, report in zip(counts, study.reports):
+        own = solve_cache(n).solution
+        assert chain[n].active_nodes == own.active_nodes
+        assert np.array_equal(chain[n].coefficients, own.coefficients)
+        assert chain[n].iterations == own.iterations and chain[n].kkt == own.kkt
+        assert report == hv.error_norms(own, paper)
+
+
+def test_rates_from_129_to_2049_nodes(paper):
+    study = hv.run_convergence_study(paper, [2**k for k in range(7, 12)])
+    for name in ("l2", "linf", "h1"):
+        assert all(1.9 <= rate <= 2.1 for rate in study.rates[name]), name
+    assert all(0.95 <= rate <= 1.05 for rate in study.rates["h2"])
 
 
 # --------------------------------------------------------------- render_report

@@ -1,9 +1,11 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
-from hermvi.cli import main
+import hermvi as hv
+from hermvi.cli import SAMPLES_PER_ELEMENT, main
 
 from table1_reference import COLUMN_INDEX, TABLE1
 
@@ -72,6 +74,25 @@ def test_solve_deterministic_output(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_solve_csv_matches_per_value_formatting(capsys, tmp_path):
+    # the samples are formatted in one call; the bytes must equal one
+    # f"{v:.12e}" per value, comma-joined, one line per sample
+    out = tmp_path / "sol.csv"
+    code, _, _ = run(capsys, "solve", "--problem", "paper", "--elements", "9", "--output", str(out))
+    assert code == 0
+    paper = hv.paper_example()
+    sol = hv.solve_problem(paper, n_elements=9).solution
+    mesh = sol.mesh
+    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_ELEMENT, endpoint=False)
+    xs = np.append((mesh.nodes[:-1, None] + mesh.h[:, None] * offsets[None, :]).ravel(), 1.0)
+    d2ys = hv.evaluate(sol, xs, 2)
+    columns = (xs, hv.evaluate(sol, xs, 0), hv.evaluate(sol, xs, 1), d2ys, -(d2ys + paper.f(xs)))
+    lines = ["x,y,dy,d2y,u"]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.12e}" for v in row))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # ----------------------------------------------------------------- convergence
