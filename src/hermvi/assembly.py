@@ -7,9 +7,11 @@ bending term,
     a(v, w) = int v w dx + beta * int v'' w'' dx,
 
 so the assembled matrix is symmetric positive definite with half-bandwidth 3
-in the interleaved (value, slope) DOF ordering.  Load assembly splits any
-element containing a registered data breakpoint so that each quadrature
-segment sees a smooth integrand.
+in the interleaved (value, slope) DOF ordering.  Its element matrices are
+the closed-form cubic Hermite mass and bending matrices, so the band is
+exactly symmetric.  Load assembly splits any element containing a
+registered data breakpoint so that each quadrature segment sees a smooth
+integrand.
 """
 
 from __future__ import annotations
@@ -20,14 +22,30 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .mesh import DofMap, Mesh, _shape_matrix, gauss_rule, segment_quadrature
+from .mesh import DofMap, Mesh, _shape_matrix, segment_quadrature
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
 
-#: Default Gauss point count for assembly; exact for the degree-6 mass
-#: integrands with headroom for smooth data.
+#: Default Gauss point count for the load; exact for polynomial y_d up to
+#: degree 8 and f up to degree 10, with headroom for smooth data.
 DEFAULT_QUAD_POINTS = 6
+
+#: Mass and bending matrices of the unit element in local DOF order
+#: (value_left, slope_left, value_right, slope_right); an element of width h
+#: scales slope rows and columns by h, the mass by h and the bending by 1/h^3.
+_MASS = np.array([
+    [156.0, 22.0, 54.0, -13.0],
+    [22.0, 4.0, 13.0, -3.0],
+    [54.0, 13.0, 156.0, -22.0],
+    [-13.0, -3.0, -22.0, 4.0],
+]) / 420.0
+_BENDING = np.array([
+    [12.0, 6.0, -12.0, 6.0],
+    [6.0, 4.0, -6.0, 2.0],
+    [-12.0, -6.0, 12.0, -6.0],
+    [6.0, 2.0, -6.0, 4.0],
+])
 
 #: Iterative refinement steps after the Cholesky solve in
 #: :meth:`SymmetricBandedMatrix.solve`.
@@ -50,8 +68,8 @@ class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
     ``data[half_bandwidth + i - j, j]`` holds entry (i, j); both triangles
-    are stored so assembly round-off symmetry can be checked rather than
-    assumed.
+    are stored because :meth:`matvec`, :meth:`pinned` and :meth:`to_dense`
+    read them.
     """
 
     dim: int
@@ -76,27 +94,11 @@ class SymmetricBandedMatrix:
         out.data[valid] = a[i[valid], j[valid]]
         return out
 
-    def get(self, i: int, j: int) -> float:
-        if abs(i - j) > self.half_bandwidth:
-            return 0.0
-        return float(self.data[self.half_bandwidth + i - j, j])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
         i, j, valid = _band_slots(self.dim, self.half_bandwidth)
         out[i[valid], j[valid]] = self.data[valid]
         return out
-
-    def symmetry_error(self) -> float:
-        """max |A[i,j] - A[j,i]| over the stored band."""
-        worst = 0.0
-        hbw = self.half_bandwidth
-        for off in range(1, hbw + 1):
-            lo = self.data[hbw + off, : self.dim - off]  # A[j+off, j]
-            up = self.data[hbw - off, off:]              # A[j, j+off]
-            if lo.size:
-                worst = max(worst, float(np.max(np.abs(lo - up))))
-        return worst
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -119,14 +121,10 @@ class SymmetricBandedMatrix:
         """rhs - A @ x in long double."""
         return np.asarray(rhs, dtype=np.longdouble) - self.matvec(x)
 
-    def upper_band(self) -> np.ndarray:
-        """Upper band in the form scipy's *h_banded solvers expect."""
-        return self.data[: self.half_bandwidth + 1]
-
     def factor(self):
         """Banded Cholesky factor; raises MatrixNotSpdError on failure."""
         try:
-            return cholesky_banded(self.upper_band(), lower=False)
+            return cholesky_banded(self.data[: self.half_bandwidth + 1], lower=False)
         except np.linalg.LinAlgError as exc:
             raise MatrixNotSpdError(str(exc)) from exc
 
@@ -175,27 +173,23 @@ class SymmetricBandedMatrix:
         return out
 
 
-def assemble_energy(mesh: Mesh, beta: float, quad_points: int = DEFAULT_QUAD_POINTS) -> SymmetricBandedMatrix:
+def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     """Assemble int v w + beta int v'' w'' over the global Hermite basis.
 
     No boundary conditions are applied; use :func:`apply_dirichlet` next.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    rule = gauss_rule(quad_points)
-    h = mesh.h[:, None]
-    xi = np.broadcast_to(rule.points, (mesh.n_elements, rule.points.size))
-    s0, s2 = _shape_matrix(xi, h, 0), _shape_matrix(xi, h, 2)
-    w = rule.weights * h
-    local = np.einsum("eq,eqi,eqj->eij", w, s0, s0) + beta * np.einsum("eq,eqi,eqj->eij", w, s2, s2)
-    # average with the transpose so the band is exactly symmetric
-    local = 0.5 * (local + local.swapaxes(1, 2))
+    h = mesh.h
+    bending = beta / h**3
+    scale = (1.0, h, 1.0, h)
     # local (i, j) of element e is entry (2e + i, 2e + j): band row
     # hbw + i - j, columns 2e + j over all e
     a = SymmetricBandedMatrix.zeros(2 * mesh.n_nodes, HALF_BANDWIDTH)
     for i in range(4):
         for j in range(4):
-            a.data[HALF_BANDWIDTH + i - j, j : a.dim - 2 + j : 2] += local[:, i, j]
+            local = scale[i] * scale[j] * (h * _MASS[i, j] + bending * _BENDING[i, j])
+            a.data[HALF_BANDWIDTH + i - j, j : a.dim - 2 + j : 2] += local
     return a
 
 

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--problem", required=True, help="registered problem name")
         p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS, dest="quad_points",
-                       help="Gauss points per element for assembly (default %(default)s)")
+                       help="Gauss points per element for the load (default %(default)s)")
         p.add_argument("--pdas-max-iter", type=int, default=DEFAULT_MAX_ITER, dest="pdas_max_iter",
                        help="active set iteration limit on each mesh level (default %(default)s)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")

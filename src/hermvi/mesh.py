@@ -100,23 +100,13 @@ class DofMap:
     def n_dofs(self) -> int:
         return 2 * self.n_nodes
 
-    def value_dof(self, node: int) -> int:
-        return 2 * node
-
-    def deriv_dof(self, node: int) -> int:
-        return 2 * node + 1
-
-    @property
-    def deriv_dofs(self) -> np.ndarray:
-        return np.arange(1, self.n_dofs, 2)
-
     @property
     def dirichlet_dofs(self) -> np.ndarray:
         return np.array([0, self.n_dofs - 2])
 
     @property
     def constrained_dofs(self) -> np.ndarray:
-        return self.deriv_dofs
+        return np.arange(1, self.n_dofs, 2)
 
     def node_of_dof(self, dof: int) -> int:
         return dof // 2

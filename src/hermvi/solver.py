@@ -28,7 +28,6 @@ class SolveResult:
     """
 
     solution: DiscreteSolution
-    system: AssembledSystem
     qp: BoundQp
     qp_solution: QpSolution
     levels: tuple
@@ -36,7 +35,7 @@ class SolveResult:
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh, quad_points: int = DEFAULT_QUAD_POINTS) -> AssembledSystem:
     """Assemble the Dirichlet-pinned system with slope bounds for ``spec``."""
-    a = assemble_energy(mesh, spec.beta, quad_points=quad_points)
+    a = assemble_energy(mesh, spec.beta)
     b = assemble_load(
         mesh, spec.y_d, spec.f, spec.beta,
         breakpoints=spec.breakpoints, quad_points=quad_points,
@@ -97,4 +96,4 @@ def solve_problem(
             qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
             active_nodes=tuple(level_system.dof_map.node_of_dof(i) for i in qp_sol.active_set),
         ))
-    return SolveResult(levels[-1], system, qp, qp_sol, levels=tuple(levels))
+    return SolveResult(levels[-1], qp, qp_sol, levels=tuple(levels))

@@ -46,3 +46,11 @@ def random_bound_qp(rng, dim=None):
     cons = np.sort(rng.choice(dim, size=n_con, replace=False))
     bounds = rng.normal(size=n_con)
     return hv.BoundQp(a=a, b=b, constrained=cons, bounds=bounds)
+
+
+def nonuniform_mesh(seed, n):
+    """Mesh of ``n`` elements with seeded widths up to five times apart."""
+    widths = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
+    nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
+    nodes[-1] = 1.0
+    return hv.Mesh(nodes)

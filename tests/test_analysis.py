@@ -8,6 +8,7 @@ import pytest
 import hermvi as hv
 from hermvi.solver import assemble_system
 
+from conftest import nonuniform_mesh
 from table1_reference import TABLE1
 
 
@@ -55,13 +56,6 @@ def dense_scan(sol, spec, samples=1000):
     return scan, curvature * (mesh.mesh_size / samples) ** 2 / 8
 
 
-def nonuniform_mesh(seed, n):
-    widths = np.random.default_rng(seed).uniform(0.2, 1.0, size=n)
-    nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
-    nodes[-1] = 1.0
-    return hv.Mesh(nodes)
-
-
 def interpolant(spec, n):
     return hv.hermite_interpolant(spec.exact.y_bar, spec.exact.p, hv.build_mesh(n))
 
@@ -86,6 +80,24 @@ def test_max_norm_search_never_reads_below_the_dense_scan(paper, solve_cache, ca
     linf = hv.error_norms(sol, paper).linf
     assert linf >= scan * (1.0 - 1e-9) - ROUNDING
     assert linf <= scan + scan_miss + ROUNDING
+
+
+def test_max_norm_reads_a_kink_inside_an_element():
+    # y_bar = 1 - |x - 0.3| peaks at its slope jump 0.3, inside the element
+    # [0, 0.5] of a 4-element mesh: the samples of the unsplit element miss
+    # it (best 0.9875) and Newton steps see a zero curvature, so only the
+    # cut at the exact breakpoint reads the maximum 1
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    exact = hv.ExactBundle(
+        y_bar=lambda x: 1.0 - np.abs(x - 0.3), p=lambda x: -np.sign(x - 0.3),
+        p_prime=zero, p_dprime=zero, u_bar=zero, phi=zero, f_prime=zero,
+        lam=0.0, rho=zero, gamma=0.0, zeta=0.0, active_set_description="none",
+        breakpoints=(0.3,),
+    )
+    spec = hv.ProblemSpec("kink", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero, exact=exact)
+    mesh = hv.build_mesh(4)
+    sol = hv.DiscreteSolution(np.zeros(2 * mesh.n_nodes), mesh)
+    assert hv.error_norms(sol, spec).linf == pytest.approx(1.0, abs=ROUNDING)
 
 
 def test_curvature_error_matches_reference_level(solve_cache, paper):
@@ -189,8 +201,8 @@ def test_study_levels_equal_their_own_solves(paper, solve_cache):
         assert report == hv.error_norms(own, paper)
 
 
-def test_rates_from_129_to_2049_nodes(paper):
-    study = hv.run_convergence_study(paper, [2**k for k in range(7, 12)])
+def test_rates_from_129_to_8193_nodes(paper):
+    study = hv.run_convergence_study(paper, [2**k for k in range(7, 14)])
     for name in ("l2", "linf", "h1"):
         assert all(1.9 <= rate <= 2.1 for rate in study.rates[name]), name
     assert all(0.95 <= rate <= 1.05 for rate in study.rates["h2"])

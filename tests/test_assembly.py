@@ -5,6 +5,8 @@ from scipy.integrate import quad
 import hermvi as hv
 from hermvi.mesh import _shape_matrix, segment_quadrature, split_segments
 
+from conftest import nonuniform_mesh
+
 
 def hermite_basis_integrals(mesh, quad_points=8):
     """Quadrature oracle for int phi_i dx over the global basis."""
@@ -36,7 +38,7 @@ def test_bending_block_leading_entry(h):
     mesh = hv.Mesh(nodes)
     a1 = hv.assemble_energy(mesh, 1.0)
     a2 = hv.assemble_energy(mesh, 2.0)
-    bending = a2.get(0, 0) - a1.get(0, 0)  # isolates the beta coefficient
+    bending = a2.to_dense()[0, 0] - a1.to_dense()[0, 0]  # isolates the beta coefficient
     assert bending == pytest.approx(12.0 / h**3, rel=1e-13)
 
 
@@ -82,9 +84,38 @@ def test_symmetry_and_spd_across_sizes():
         for beta in (1e-3, 1.0, 1e3):
             mesh = hv.build_mesh(n)
             a = hv.assemble_energy(mesh, beta)
-            assert a.symmetry_error() <= 1e-14
+            d = a.to_dense()
+            assert np.array_equal(d, d.T)
             system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes))
             system.a.factor()  # raises if not SPD
+
+
+def quadrature_energy(mesh, beta, quad_points=6):
+    """Energy matrix from per-element Gauss quadrature of the mass and bending
+    integrands, added element by element into a dense matrix."""
+    rule = hv.gauss_rule(quad_points)
+    h = mesh.h[:, None]
+    xi = np.broadcast_to(rule.points, (mesh.n_elements, rule.points.size))
+    s0, s2 = _shape_matrix(xi, h, 0), _shape_matrix(xi, h, 2)
+    w = rule.weights * h
+    local = np.einsum("eq,eqi,eqj->eij", w, s0, s0) + beta * np.einsum("eq,eqi,eqj->eij", w, s2, s2)
+    out = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
+    for e in range(mesh.n_elements):
+        out[2 * e : 2 * e + 4, 2 * e : 2 * e + 4] += local[e]
+    return out
+
+
+@pytest.mark.parametrize("mesh", [nonuniform_mesh(7, 37), hv.build_mesh(64)], ids=["nonuniform-37", "uniform-64"])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+def test_closed_form_energy_matches_quadrature(mesh, beta):
+    # 6 Gauss points integrate the degree-6 integrands exactly, so the two
+    # differ by rounding; measured against the largest entry, since exact
+    # zeros (interior value-slope couplings on a uniform mesh) pick up
+    # quadrature rounding that is large relative to themselves
+    a = hv.assemble_energy(mesh, beta).to_dense()
+    ref = quadrature_energy(mesh, beta)
+    assert np.max(np.abs(a - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.array_equal(a, a.T)
 
 
 # -------------------------------------------------------------- assemble_load
@@ -226,7 +257,8 @@ def test_eliminated_system_symmetric_and_spd():
     mesh = hv.build_mesh(5)
     a = hv.assemble_energy(mesh, 1.0)
     system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes))
-    assert system.a.symmetry_error() <= 1e-14
+    d = system.a.to_dense()
+    assert np.array_equal(d, d.T)
     system.a.factor()
 
 

@@ -57,7 +57,7 @@ def test_dofmap_counts_and_disjointness():
         assert dm.dirichlet_dofs.shape == (2,)
         assert dm.constrained_dofs.shape == (n + 1,)
         assert not set(dm.dirichlet_dofs) & set(dm.constrained_dofs)
-        assert dm.value_dof(0) == 0 and dm.deriv_dof(n) == 2 * n + 1
+        assert dm.dirichlet_dofs[0] == 0 and dm.constrained_dofs[-1] == 2 * n + 1
 
 
 # ----------------------------------------------------------- reference_shape
