@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .assembly import DEFAULT_QUAD_POINTS
-from .mesh import DiscreteSolution, _cut, _shape_matrix, segment_quadrature
+from .mesh import DiscreteSolution, _cut, _element_evaluator, segment_quadrature
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import DEFAULT_MAX_ITER, KktResidual
@@ -49,15 +49,14 @@ def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec):
     ex = spec.exact
     bps = set(spec.breakpoints) | set(ex.breakpoints)
     element, xs, xi, ws = segment_quadrature(sol.mesh, bps, NORM_QUAD_POINTS)
-    h = sol.mesh.h[element]
-    ce = sol.coefficients[2 * element[:, None] + np.arange(4)]
-    y0, y1, y2 = (np.einsum("pk,pk->p", _shape_matrix(xi, h, k), ce) for k in range(3))
+    _, at = _element_evaluator(sol, element)
+    y0, y1, y2 = (at(xi, k) for k in range(3))
     du = -(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs)
     d = np.stack([y0 - ex.y_bar(xs), y1 - ex.p(xs), y2 - ex.p_prime(xs), du])
     return np.sqrt((d * d) @ ws)  # l2, h1, h2, control
 
 
-def _max_error(sol: DiscreteSolution, spec: ProblemSpec, samples: int) -> float:
+def _max_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
     """max |y_h - y_bar| over samples of every split segment and Newton steps on e' = y_h' - p.
 
     Each segment is evaluated on its own element (so y_h'' at a node comes
@@ -65,15 +64,14 @@ def _max_error(sol: DiscreteSolution, spec: ProblemSpec, samples: int) -> float:
     """
     ex, mesh = spec.exact, sol.mesh
     edges = _cut(mesh.nodes, set(spec.breakpoints) | set(ex.breakpoints))
-    element = mesh.element_of(edges[:-1])
-    lo, hi, h = edges[:-1, None], edges[1:, None], mesh.h[element, None]
-    ce = sol.coefficients[2 * element[:, None] + np.arange(4)]
+    element = mesh.element_of(edges[:-1])[:, None]
+    lo, hi, left = edges[:-1, None], edges[1:, None], mesh.nodes[element]
+    h, at = _element_evaluator(sol, element)
 
     def err(x, k):  # k-th derivative of the error at x of shape (segment, point)
-        shapes = _shape_matrix((x - mesh.nodes[element, None]) / h, h, k)
-        return np.einsum("spk,sk->sp", shapes, ce) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
+        return at((x - left) / h, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
-    x = lo + (hi - lo) * np.linspace(0.0, 1.0, samples + 1)
+    x = lo + (hi - lo) * np.linspace(0.0, 1.0, LINF_SAMPLES_PER_ELEMENT + 1)
     seeded = np.abs(err(x, 0))
     x = np.take_along_axis(x, seeded.argmax(axis=1)[:, None], axis=1)
     for _ in range(_LINF_NEWTON_STEPS):
@@ -83,18 +81,16 @@ def _max_error(sol: DiscreteSolution, spec: ProblemSpec, samples: int) -> float:
     return float(max(seeded.max(), np.abs(err(x, 0)).max()))
 
 
-def error_norms(
-    sol: DiscreteSolution,
-    spec: ProblemSpec,
-    samples_per_element: int = LINF_SAMPLES_PER_ELEMENT,
-) -> ErrorReport:
+def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
     """L2/max/H1/H2 errors of the state plus the L2 control error.
 
-    Integrated norms use per-element Gauss quadrature split at the data
-    breakpoints.  The max norm samples each of those split segments at
-    ``samples_per_element + 1`` equispaced points (ends included) and
-    refines the segment's best sample by Newton steps on the error's
-    slope, so it reads the local maximum instead of a grid value.
+    Integrated norms use :data:`NORM_QUAD_POINTS`-point Gauss quadrature on
+    every element segment split at the data and exact-solution
+    breakpoints; the control error -(y_h'' + f) - u_bar comes from the same
+    pass as the H2 error.  The max norm samples each of those split
+    segments at ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends
+    included) and refines the segment's best sample by Newton steps on the
+    error's slope, so it reads the local maximum instead of a grid value.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
@@ -104,7 +100,7 @@ def error_norms(
         n_elements=mesh.n_elements,
         h=mesh.mesh_size,
         l2=float(l2),
-        linf=_max_error(sol, spec, samples_per_element),
+        linf=_max_error(sol, spec),
         h1=float(h1),
         h2=float(h2),
         control_l2=float(control),
@@ -113,23 +109,12 @@ def error_norms(
     )
 
 
-def control_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
-    """L2 distance between -(y_h'' + f) and the exact control.
-
-    Computed in the same quadrature pass as the H2 seminorm error, to which
-    it is algebraically identical.
-    """
-    if spec.exact is None:
-        raise ValueError("problem has no exact solution bundle")
-    return float(_norm_pass(sol, spec)[3])
-
-
 @dataclass
 class ConvergenceReport:
     """Ordered error reports plus per-norm observed rates between levels."""
 
     reports: list
-    rates: dict = field(default_factory=dict)
+    rates: dict = field(init=False)
 
     def __post_init__(self):
         self.rates = {

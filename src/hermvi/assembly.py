@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .mesh import DofMap, Mesh, _shape_matrix, segment_quadrature
+from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
@@ -77,7 +77,7 @@ class SymmetricBandedMatrix:
     data: np.ndarray
 
     @classmethod
-    def zeros(cls, dim: int, half_bandwidth: int = HALF_BANDWIDTH) -> "SymmetricBandedMatrix":
+    def zeros(cls, dim: int, half_bandwidth: int) -> "SymmetricBandedMatrix":
         hbw = max(0, min(half_bandwidth, dim - 1))
         return cls(dim=dim, half_bandwidth=hbw, data=np.zeros((2 * hbw + 1, dim)))
 
@@ -213,8 +213,7 @@ def assemble_load(
     wy = w * np.asarray(y_d(x), dtype=float)
     wf = w * np.asarray(f(x), dtype=float)
     vals = _shape_matrix(xi, h, 0) * wy[:, None] - beta * (_shape_matrix(xi, h, 2) * wf[:, None])
-    dofs = 2 * element[:, None] + np.arange(4)
-    return np.bincount(dofs.ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
+    return np.bincount(_element_dofs(element).ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
 
 
 def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:

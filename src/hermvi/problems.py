@@ -47,7 +47,6 @@ class ExactBundle:
     rho: Callable
     gamma: float
     zeta: float
-    active_set_description: str
     breakpoints: tuple = ()
 
 
@@ -185,7 +184,6 @@ def paper_example() -> ProblemSpec:
         rho=_paper_density,
         gamma=27.0 / 4.0,
         zeta=4.0 / 9.0,
-        active_set_description="{-1} union [1/3, 1]",
         breakpoints=(BREAK,),
     )
     return ProblemSpec(

@@ -3,9 +3,10 @@
 Solves min 1/2 x'Ax - b'x subject to x_i <= u_i on a subset of coordinates
 with a primal-dual active set (PDAS) iteration: guess the active set, solve
 the equality-constrained system, update multipliers, repeat until the set is
-stable.  For SPD matrices with simple bounds this terminates finitely at the
-exact minimizer.  A brute-force enumeration over candidate active sets is
-provided as an independent test oracle, along with KKT residual diagnostics.
+stable.  Finite termination is proved for M-matrices (Hintermüller, Ito and
+Kunisch, SIAM J. Optim. 13, 2002); the Hermite energy matrix has positive
+off-diagonal entries, so :func:`solve_pdas` raises on a cycle or at
+``max_iter``.  A brute-force oracle and KKT residuals complete the module.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def solve_bruteforce(qp: BoundQp) -> QpSolution:
 
 def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     """Recompute the four KKT residuals for a candidate solution."""
-    r = qp.a.matvec(sol.x) - qp.b + sol.multipliers
+    r = sol.multipliers - qp.a.residual(sol.x, qp.b)
     stationarity = float(np.max(np.abs(r))) if r.size else 0.0
     if qp.constrained.size:
         gap = sol.x[qp.constrained] - qp.bounds

@@ -94,6 +94,6 @@ def solve_problem(
             ) from exc
         levels.append(DiscreteSolution(
             qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
-            active_nodes=tuple(level_system.dof_map.node_of_dof(i) for i in qp_sol.active_set),
+            active_nodes=tuple((np.asarray(qp_sol.active_set) // 2).tolist()),
         ))
     return SolveResult(levels[-1], qp, qp_sol, levels=tuple(levels))

@@ -260,6 +260,20 @@ def test_eliminated_system_symmetric_and_spd():
     d = system.a.to_dense()
     assert np.array_equal(d, d.T)
     system.a.factor()
+    with pytest.raises(ValueError, match="no slope bounds"):
+        system.to_qp()
+
+
+def test_dirichlet_rejects_mismatched_sizes():
+    mesh = hv.build_mesh(3)
+    dm = hv.DofMap(mesh.n_nodes)
+    a, b = hv.assemble_energy(mesh, 1.0), np.zeros(dm.n_dofs)
+    hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes))
+    for bad_a, bad_b in ((hv.assemble_energy(hv.build_mesh(4), 1.0), b), (a, np.zeros(dm.n_dofs + 2))):
+        with pytest.raises(ValueError, match="does not match the DOF map"):
+            hv.apply_dirichlet(bad_a, bad_b, dm)
+    with pytest.raises(ValueError, match="one bound per node"):
+        hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes - 1))
 
 
 def test_equality_resolve_matches_qp_solution(paper):

@@ -132,6 +132,12 @@ def test_convergence_rejects_duplicates(capsys):
     assert "duplicate" in stderr
 
 
+def test_convergence_rejects_negative_levels(capsys):
+    code, stdout, stderr = run(capsys, "convergence", "--problem", "paper", "--levels", "-1", "2")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: levels must be nonnegative\n"
+
+
 def test_convergence_explicit_elements(capsys):
     code, stdout, _ = run(
         capsys, "convergence", "--problem", "paper", "--elements", "4", "8", "--format", "md"

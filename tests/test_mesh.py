@@ -6,6 +6,8 @@ import pytest
 import hermvi as hv
 from hermvi.mesh import split_segments
 
+from conftest import nonuniform_mesh
+
 
 # ---------------------------------------------------------------- build_mesh
 
@@ -152,6 +154,30 @@ def test_evaluate_rejects_outside_domain():
         hv.evaluate(sol, 1.0001)
     with pytest.raises(ValueError):
         hv.evaluate(sol, np.array([0.0, -1.5]))
+    for element in (-1, 2):
+        with pytest.raises(ValueError, match="element index out of range"):
+            hv.evaluate_element(sol, element, 0.5)
+
+
+def test_discrete_solution_needs_two_coefficients_per_node():
+    for count in (5, 7):
+        with pytest.raises(ValueError, match="expected 6 coefficients"):
+            hv.DiscreteSolution(np.zeros(count), hv.build_mesh(2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_equals_evaluate_element_exactly(seed):
+    # both go through one element kernel, so the same point gives the same
+    # bits, second derivatives included
+    rng = np.random.default_rng(seed)
+    mesh = nonuniform_mesh(seed, 5 + 11 * seed)
+    sol = hv.DiscreteSolution(rng.normal(size=2 * mesh.n_nodes), mesh)
+    xs = np.append(rng.uniform(-1.0, 1.0, 300), mesh.nodes)
+    element = mesh.element_of(xs)
+    xi = (xs - mesh.nodes[element]) / mesh.h[element]
+    for k in range(3):
+        single = [hv.evaluate_element(sol, e, t, k) for e, t in zip(element, xi)]
+        assert np.array_equal(hv.evaluate(sol, xs, k), single), k
 
 
 def test_interpolant_of_zero():
@@ -206,7 +232,7 @@ def test_interpolation_error_rates_for_benchmark_state(paper):
     for n in (5, 10, 20, 40):
         mesh = hv.build_mesh(n)
         interp = hv.hermite_interpolant(paper.exact.y_bar, paper.exact.p, mesh)
-        rep = hv.error_norms(interp, paper, samples_per_element=50)
+        rep = hv.error_norms(interp, paper)
         errs.append(rep)
     order_h1 = math.log(errs[0].h1 / errs[-1].h1) / math.log(8.0)
     order_h_h2 = math.log(

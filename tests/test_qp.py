@@ -71,6 +71,25 @@ def test_qp_rejects_nonsymmetric_matrix():
         SymmetricBandedMatrix.from_dense(a)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(b=np.ones(3)), "load vector length"),
+        (dict(bounds=[1.0, 2.0]), "one bound per constrained coordinate"),
+        (dict(constrained=[2]), "out of range"),
+        (dict(constrained=[-1]), "out of range"),
+        (dict(bounds=[np.nan]), r"finite or \+inf"),
+        (dict(bounds=[-np.inf]), r"finite or \+inf"),
+    ],
+    ids=["load-length", "bound-count", "index-above", "index-below", "nan-bound", "minus-inf-bound"],
+)
+def test_qp_rejects_malformed_inputs(change, message):
+    valid = dict(a=np.eye(2), b=np.ones(2), constrained=[0], bounds=[1.0])
+    hv.BoundQp(**valid)
+    with pytest.raises(ValueError, match=message):
+        hv.BoundQp(**{**valid, **change})
+
+
 def test_pdas_validates_parameters(paper):
     qp = paper_qp(paper, 2)
     with pytest.raises(ValueError):
@@ -129,6 +148,9 @@ def test_kkt_residual_zero_at_exact_solution():
     assert res.primal_violation == 0.0
     assert res.min_multiplier >= 0.0
     assert res.complementarity == 0.0
+    # no constrained coordinate: only stationarity is left to measure
+    free = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[])
+    assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_kkt_residual_linear_in_perturbation(rng):

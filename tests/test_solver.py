@@ -105,3 +105,8 @@ def test_coarse_level_nonconvergence_names_its_mesh(paper):
         hv.solve_problem(paper, 16, max_iter=1)
     # the iterate is the coarse mesh's: one element, two nodes, four DOFs
     assert excinfo.value.x.shape == (4,)
+    # an odd mesh has no chain, so the error is the mesh's own, unrenamed
+    with pytest.raises(hv.NonConvergenceError, match="within 1 iterations") as excinfo:
+        hv.solve_problem(paper, 33, max_iter=1)
+    assert "coarse mesh" not in str(excinfo.value)
+    assert excinfo.value.x.shape == (68,)
