@@ -16,11 +16,12 @@ integrand.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
 
@@ -63,23 +64,36 @@ def _band_slots(dim: int, hbw: int):
     return i, j, (i >= 0) & (i < dim)
 
 
-@dataclass
+def _zero_band(dim: int, half_bandwidth: int):
+    """Half-bandwidth clamped to ``[0, dim - 1]`` and zero band storage for it."""
+    hbw = max(0, min(half_bandwidth, dim - 1))
+    return hbw, np.zeros((2 * hbw + 1, dim))
+
+
+def _require_finite(a: np.ndarray) -> None:
+    # LAPACK runs on through infs and NaNs, so check as scipy's wrappers do
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+@dataclass(frozen=True)
 class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
     ``data[half_bandwidth + i - j, j]`` holds entry (i, j); both triangles
     are stored because :meth:`matvec`, :meth:`pinned` and :meth:`to_dense`
-    read them.
+    read them (and so does the benchmark's row-sum scale).  ``data`` is
+    made read-only on construction, so the long-double copy of the band
+    and the Cholesky factor are computed at most once per instance and
+    never go stale; fill the array before constructing the matrix.
     """
 
     dim: int
     half_bandwidth: int
     data: np.ndarray
 
-    @classmethod
-    def zeros(cls, dim: int, half_bandwidth: int) -> "SymmetricBandedMatrix":
-        hbw = max(0, min(half_bandwidth, dim - 1))
-        return cls(dim=dim, half_bandwidth=hbw, data=np.zeros((2 * hbw + 1, dim)))
+    def __post_init__(self):
+        self.data.flags.writeable = False
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SymmetricBandedMatrix":
@@ -89,10 +103,10 @@ class SymmetricBandedMatrix:
         # matvec reads both triangles but factor only the upper one
         if np.max(np.abs(a - a.T), initial=0.0) > 1e-14 * np.max(np.abs(a), initial=0.0):
             raise ValueError("expected a symmetric matrix")
-        out = cls.zeros(a.shape[0], a.shape[0] - 1)
-        i, j, valid = _band_slots(out.dim, out.half_bandwidth)
-        out.data[valid] = a[i[valid], j[valid]]
-        return out
+        hbw, data = _zero_band(a.shape[0], a.shape[0] - 1)
+        i, j, valid = _band_slots(a.shape[0], hbw)
+        data[valid] = a[i[valid], j[valid]]
+        return cls(a.shape[0], hbw, data)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
@@ -100,33 +114,52 @@ class SymmetricBandedMatrix:
         out[i[valid], j[valid]] = self.data[valid]
         return out
 
+    @functools.cached_property
+    def _longdouble(self) -> np.ndarray:
+        band = self.data.astype(np.longdouble)
+        band.flags.writeable = False
+        return band
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
 
         The bending block scales like 1/h^3, so double-precision products
         lose enough bits on fine meshes to drown KKT residuals; carrying the
-        product in long double (80-bit on x86) keeps them measurable.
+        product in long double (80-bit on x86) keeps them measurable.  All
+        products come from one multiplication of the cached long-double
+        band; the diagonals are then summed in the order d = -hbw .. hbw.
         """
         hbw = self.half_bandwidth
-        xl = np.asarray(x, dtype=np.longdouble)
+        products = self._longdouble * np.asarray(x, dtype=np.longdouble)
         y = np.zeros(self.dim, dtype=np.longdouble)
         for d in range(-hbw, hbw + 1):
             j0, j1 = max(0, -d), min(self.dim, self.dim - d)
             if j1 > j0:
-                band = self.data[hbw + d, j0:j1].astype(np.longdouble)
-                y[j0 + d : j1 + d] += band * xl[j0:j1]
+                y[j0 + d : j1 + d] += products[hbw + d, j0:j1]
         return y
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - A @ x in long double."""
         return np.asarray(rhs, dtype=np.longdouble) - self.matvec(x)
 
-    def factor(self):
-        """Banded Cholesky factor; raises MatrixNotSpdError on failure."""
-        try:
-            return cholesky_banded(self.data[: self.half_bandwidth + 1], lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise MatrixNotSpdError(str(exc)) from exc
+    @functools.cached_property
+    def _factor(self) -> np.ndarray:
+        upper = self.data[: self.half_bandwidth + 1]
+        _require_finite(upper)
+        factor, info = dpbtrf(upper, lower=0)
+        if info > 0:
+            raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
+        factor.flags.writeable = False
+        return factor
+
+    def factor(self) -> np.ndarray:
+        """Upper banded Cholesky factor, computed once per instance.
+
+        Raises MatrixNotSpdError if the matrix is not positive definite and
+        ValueError if its band holds an inf or NaN; a failed factorization
+        is not cached, so every later call raises again.
+        """
+        return self._factor
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs with :data:`REFINE_STEPS` refinement steps.
@@ -134,27 +167,39 @@ class SymmetricBandedMatrix:
         The correction steps run in double precision but the iterate and its
         residual are carried in long double, so the returned solution
         satisfies the system beyond double-precision roundoff in A @ x.  A
-        long-double ``rhs`` keeps its extra bits in those residuals.
+        long-double ``rhs`` keeps its extra bits in those residuals.  Every
+        solve of one instance reuses its :meth:`factor`; an inf or NaN in
+        ``rhs`` raises ValueError.
         """
         factor = self.factor()
-        x = cho_solve_banded((factor, False), np.asarray(rhs, dtype=float)).astype(np.longdouble)
+        b = np.asarray(rhs, dtype=float)
+        _require_finite(b)
+        x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
         for _ in range(REFINE_STEPS):
             r = self.residual(x, rhs).astype(float)
-            x = x + cho_solve_banded((factor, False), r)
+            x = x + dpbtrs(factor, r, lower=0)[0]
         return x
 
     def pinned(self, fixed: np.ndarray) -> "SymmetricBandedMatrix":
-        """Copy with the rows and columns ``fixed`` replaced by the identity's.
+        """Matrix with the rows and columns ``fixed`` replaced by the identity's.
 
         The pinned coordinates decouple from the rest, in the Cholesky
         factor too, so :meth:`solve` returns the right-hand side's values
-        there exactly.  Dimension and bandwidth stay those of ``self``.
+        there exactly.  Dimension and bandwidth stay those of ``self``;
+        with nothing to pin the result is ``self``, cached factor included.
         """
         mask = np.zeros(self.dim, dtype=bool)
         mask[fixed] = True
-        i, j, valid = _band_slots(self.dim, self.half_bandwidth)
-        hit = valid & (mask[np.clip(i, 0, self.dim - 1)] | mask[j])
-        return SymmetricBandedMatrix(self.dim, self.half_bandwidth, np.where(hit, i == j, self.data))
+        if not mask.any():
+            return self
+        hbw = self.half_bandwidth
+        data = self.data.copy()
+        for d in range(-hbw, hbw + 1):
+            # diagonal d holds entries (j + d, j): hit where row or column is pinned
+            j0, j1 = max(0, -d), min(self.dim, self.dim - d)
+            data[hbw + d, j0:j1][mask[j0:j1] | mask[j0 + d : j1 + d]] = 0.0
+        data[hbw, mask] = 1.0
+        return SymmetricBandedMatrix(self.dim, hbw, data)
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the (sorted) retained indices.
@@ -165,12 +210,12 @@ class SymmetricBandedMatrix:
         """
         keep = np.asarray(keep, dtype=int)
         hbw = self.half_bandwidth
-        out = SymmetricBandedMatrix.zeros(keep.size, hbw)
-        i, j, valid = _band_slots(out.dim, out.half_bandwidth)
+        out_hbw, data = _zero_band(keep.size, hbw)
+        i, j, valid = _band_slots(keep.size, out_hbw)
         row = hbw + keep[i[valid]] - keep[j[valid]]
         inband = (row >= 0) & (row <= 2 * hbw)
-        out.data[valid] = np.where(inband, self.data[row.clip(0, 2 * hbw), keep[j[valid]]], 0.0)
-        return out
+        data[valid] = np.where(inband, self.data[row.clip(0, 2 * hbw), keep[j[valid]]], 0.0)
+        return SymmetricBandedMatrix(keep.size, out_hbw, data)
 
 
 def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
@@ -185,12 +230,13 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     scale = (1.0, h, 1.0, h)
     # local (i, j) of element e is entry (2e + i, 2e + j): band row
     # hbw + i - j, columns 2e + j over all e
-    a = SymmetricBandedMatrix.zeros(2 * mesh.n_nodes, HALF_BANDWIDTH)
+    dim = 2 * mesh.n_nodes
+    data = np.zeros((2 * HALF_BANDWIDTH + 1, dim))
     for i in range(4):
         for j in range(4):
             local = scale[i] * scale[j] * (h * _MASS[i, j] + bending * _BENDING[i, j])
-            a.data[HALF_BANDWIDTH + i - j, j : a.dim - 2 + j : 2] += local
-    return a
+            data[HALF_BANDWIDTH + i - j, j : dim - 2 + j : 2] += local
+    return SymmetricBandedMatrix(dim, HALF_BANDWIDTH, data)
 
 
 def assemble_load(

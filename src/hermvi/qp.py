@@ -68,6 +68,8 @@ class BoundQp:
         dim = self.a.dim
         if self.b.shape != (dim,):
             raise ValueError("load vector length does not match the matrix")
+        if not np.isfinite(self.b).all():
+            raise ValueError("load vector must be finite")
         if self.constrained.size != self.bounds.size:
             raise ValueError("need exactly one bound per constrained coordinate")
         if self.constrained.size and (
@@ -76,7 +78,7 @@ class BoundQp:
             raise ValueError("constrained index out of range")
         if np.any(np.isnan(self.bounds)) or np.any(self.bounds == -np.inf):
             raise ValueError("bounds must be finite or +inf")
-        self.a.factor()  # fail early if not SPD
+        self.a.factor()  # fail early if not SPD; the factor is cached for later solves
 
     @property
     def dim(self) -> int:

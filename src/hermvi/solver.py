@@ -78,7 +78,8 @@ def solve_problem(
         chain.append((coarse, assemble_system(spec, coarse, quad_points=quad_points)))
     active = active if len(chain) == 1 else None  # the coarsest level of a chain starts cold
     levels = []
-    for level_mesh, level_system in reversed(chain):
+    while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
+        level_mesh, level_system = chain.pop()
         if levels:  # prolong the level below: fine node 2i takes its node i, 2i + 1 needs i and i + 1
             active = np.repeat(np.isin(level_qp.constrained, qp_sol.active_set), 2)[:-1]
             active[1::2] &= active[2::2]

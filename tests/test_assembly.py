@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import hermvi as hv
+from hermvi import assembly
+from hermvi.assembly import _band_slots
 from hermvi.mesh import _shape_matrix, segment_quadrature, split_segments
 
 from conftest import nonuniform_mesh
@@ -334,3 +338,90 @@ def test_banded_factor_rejects_indefinite():
     bad = hv.SymmetricBandedMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(hv.MatrixNotSpdError):
         bad.factor()
+
+
+def test_banded_solve_rejects_non_finite_input():
+    a = hv.SymmetricBandedMatrix.from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            a.solve(np.array([1.0, bad]))
+        band = hv.SymmetricBandedMatrix(2, 1, np.array([[0.0, 1.0], [4.0, bad], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            band.factor()
+
+
+def matvec_per_diagonal(a, x):
+    """A @ x in long double, one diagonal at a time: the oracle for matvec."""
+    hbw = a.half_bandwidth
+    xl = np.asarray(x, dtype=np.longdouble)
+    y = np.zeros(a.dim, dtype=np.longdouble)
+    for d in range(-hbw, hbw + 1):
+        j0, j1 = max(0, -d), min(a.dim, a.dim - d)
+        if j1 > j0:
+            y[j0 + d : j1 + d] += a.data[hbw + d, j0:j1].astype(np.longdouble) * xl[j0:j1]
+    return y
+
+
+def pinned_by_slots(a, fixed):
+    """Band of ``a`` with rows and columns ``fixed`` set to the identity's,
+    from the row and column of every storage slot: the oracle for pinned."""
+    mask = np.zeros(a.dim, dtype=bool)
+    mask[fixed] = True
+    i, j, valid = _band_slots(a.dim, a.half_bandwidth)
+    hit = valid & (mask[np.clip(i, 0, a.dim - 1)] | mask[j])
+    return np.where(hit, i == j, a.data)
+
+
+def banded_case(rng, kind, n):
+    if kind == "dense":  # half-bandwidth n - 1
+        m = rng.normal(size=(n, n))
+        return hv.SymmetricBandedMatrix.from_dense(m + m.T + 2.0 * n * np.eye(n))
+    mesh = hv.build_mesh(n)
+    return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(2 * mesh.n_nodes), hv.DofMap(mesh.n_nodes)).a
+
+
+BANDED_CASES = [("dense", n) for n in range(1, 10)] + [("mesh", n) for n in (1, 2, 3, 7, 64, 1024)]
+
+
+@pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
+def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
+    a = banded_case(rng, kind, n)
+    # long-double x with bits below double precision
+    x = np.asarray(rng.normal(size=a.dim), dtype=np.longdouble)
+    x += np.asarray(rng.normal(size=a.dim), dtype=np.longdouble) * np.longdouble(2.0) ** -60
+    y = a.matvec(x)
+    assert y.dtype == np.longdouble and np.array_equal(y, matvec_per_diagonal(a, x))
+    masks = {
+        "empty": np.array([], dtype=int),
+        "all": np.arange(a.dim),
+        "endpoints": np.array([0, a.dim - 1]),
+        "random": np.flatnonzero(rng.random(a.dim) < 0.3),
+    }
+    for name, fixed in masks.items():
+        p = a.pinned(fixed)
+        assert p.dim == a.dim and p.half_bandwidth == a.half_bandwidth
+        assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
+    assert a.pinned([]) is a
+
+
+def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factorize(*args, **kwargs)
+
+    factorize = assembly.dpbtrf
+    monkeypatch.setattr(assembly, "dpbtrf", counting)
+    result = hv.solve_problem(paper, 1024)
+    # each level's QP factors its matrix once, which also serves the cold
+    # and unconstrained solves, and each PDAS step factors its pinned copy
+    assert len(calls) == len(result.levels) + sum(s.iterations for s in result.levels) == 33
+    assert result.qp.a.factor() is result.qp.a.factor() and len(calls) == 33
+    with pytest.raises(ValueError):
+        result.qp.a.factor()[0, 0] = 1.0
+    unbound = dataclasses.replace(paper, psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3))
+    calls.clear()
+    result = hv.solve_problem(unbound, 64)
+    assert result.solution.iterations == 1 and not result.solution.active_nodes
+    assert len(calls) == 1

@@ -1,12 +1,15 @@
 """Names and figures the benchmark harness in ``hermbench/`` relies on.
 
-The harness wraps package functions by name and checks each solve's scaled
-stationarity; a rename or a less accurate solve breaks it, so both are
-guarded here.  The harness modules are loaded by file path, unchanged.
+The harness wraps package functions by name and checks each operation's
+output; a rename, a less accurate solve or a wrong result breaks it, so
+all three are guarded here.  The harness modules are loaded by file path,
+unchanged.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 HERMBENCH = Path(__file__).resolve().parents[1] / "hermbench"
 
@@ -46,3 +49,18 @@ def test_scaled_stationarity_within_harness_tolerance(solve_cache):
         result.qp, result.qp_solution.x, result.qp_solution.multipliers
     )
     assert scaled <= workloads.KKT_SCALED_TOL
+
+
+WORKLOADS = load_harness_module("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.make_workloads(quick=True)))
+def test_quick_workload_passes_its_check(name, tmp_path):
+    # the harness's own per-operation check: exact contact set, scaled
+    # stationarity, CLI exit codes and the reference-table deviation
+    workload = WORKLOADS.make_workloads(quick=True)[name]
+    ctx = WORKLOADS.Context(tmp_path, *WORKLOADS.load_reference(HERMBENCH.parent))
+    problem = workload.build(7)
+    failures, info = workload.check(problem, workload.op(problem, ctx), ctx)
+    assert not failures
+    assert info

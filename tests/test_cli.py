@@ -165,6 +165,18 @@ def test_verify_discrete_level(capsys):
     assert "discrete stationarity" in stdout
 
 
+def test_verify_reports_the_solve_kkt_record(capsys, monkeypatch):
+    # the discrete check prints the residuals solve_problem recorded
+    expected = run(capsys, "verify", "--problem", "paper", "--elements", "8")
+
+    def recompute(*args):
+        raise AssertionError("kkt_residual called again")
+
+    monkeypatch.setattr("hermvi.cli.kkt_residual", recompute)
+    assert run(capsys, "verify", "--problem", "paper", "--elements", "8") == expected
+    assert expected[0] == 0 and "discrete stationarity" in expected[1]
+
+
 def test_verify_tampered_multiplier_fails(capsys):
     code, stdout, _ = run(capsys, "verify", "--problem", "paper", "--tamper-lambda", "5")
     assert code == 1

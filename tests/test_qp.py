@@ -80,8 +80,11 @@ def test_qp_rejects_nonsymmetric_matrix():
         (dict(constrained=[-1]), "out of range"),
         (dict(bounds=[np.nan]), r"finite or \+inf"),
         (dict(bounds=[-np.inf]), r"finite or \+inf"),
+        (dict(b=[np.inf, 0.0]), "load vector must be finite"),
+        (dict(b=[0.0, np.nan]), "load vector must be finite"),
     ],
-    ids=["load-length", "bound-count", "index-above", "index-below", "nan-bound", "minus-inf-bound"],
+    ids=["load-length", "bound-count", "index-above", "index-below", "nan-bound", "minus-inf-bound",
+         "inf-load", "nan-load"],
 )
 def test_qp_rejects_malformed_inputs(change, message):
     valid = dict(a=np.eye(2), b=np.ones(2), constrained=[0], bounds=[1.0])

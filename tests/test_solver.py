@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ def test_solve_problem_accepts_custom_mesh(paper):
     assert result.solution.kkt.stationarity <= 1e-10
 
 
+def test_non_finite_data_raises(paper):
+    spec = dataclasses.replace(paper, y_d=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan))
+    with pytest.raises(ValueError):
+        hv.solve_problem(spec, 8)
+
+
 def test_shared_structures_are_immutable(paper, solve_cache):
     mesh = hv.build_mesh(4)
     with pytest.raises(ValueError):
@@ -50,6 +58,11 @@ def test_shared_structures_are_immutable(paper, solve_cache):
     sol = solve_cache(4).solution
     with pytest.raises(ValueError):
         sol.coefficients[0] = 1.0
+    a = solve_cache(4).qp.a
+    with pytest.raises(ValueError):
+        a.data[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.data = np.zeros_like(a.data)
 
 
 def random_even_mesh(rng, n):
