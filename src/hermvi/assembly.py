@@ -278,13 +278,11 @@ class AssembledSystem:
     a: SymmetricBandedMatrix
     b: np.ndarray
     dof_map: DofMap
-    bounds: np.ndarray | None = None
+    bounds: np.ndarray
 
     def to_qp(self):
         from .qp import BoundQp
 
-        if self.bounds is None:
-            raise ValueError("system has no slope bounds attached")
         return BoundQp(a=self.a, b=self.b, constrained=self.dof_map.constrained_dofs, bounds=self.bounds)
 
 
@@ -292,7 +290,7 @@ def apply_dirichlet(
     a: SymmetricBandedMatrix,
     b: np.ndarray,
     dof_map: DofMap,
-    bounds: np.ndarray | None = None,
+    bounds: np.ndarray,
 ) -> AssembledSystem:
     """Pin the endpoint value DOFs to zero (homogeneous boundary data).
 
@@ -302,9 +300,9 @@ def apply_dirichlet(
     """
     if a.dim != dof_map.n_dofs or len(b) != dof_map.n_dofs:
         raise ValueError("system size does not match the DOF map")
-    bounds_arr = None if bounds is None else np.asarray(bounds, dtype=float)
-    if bounds_arr is not None and bounds_arr.shape != (dof_map.n_nodes,):
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (dof_map.n_nodes,):
         raise ValueError("expected one bound per node")
     b = np.array(b, dtype=float)
     b[dof_map.dirichlet_dofs] = 0.0
-    return AssembledSystem(a=a.pinned(dof_map.dirichlet_dofs), b=b, dof_map=dof_map, bounds=bounds_arr)
+    return AssembledSystem(a=a.pinned(dof_map.dirichlet_dofs), b=b, dof_map=dof_map, bounds=bounds)

@@ -2,8 +2,8 @@
 verify optimality conditions.
 
 Reports go to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 invalid configuration, 3 solver
-non-convergence.
+0 success, 1 verification failure, 2 invalid configuration (an unwritable
+--output too), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ def _load_problem(args):
 
 
 def _emit(text: str, output):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def cmd_solve(args, spec) -> int:
@@ -109,11 +112,10 @@ def cmd_convergence(args, spec) -> int:
 def cmd_verify(args, spec) -> int:
     if spec.exact is None and args.elements is None:
         return _fail("problem has no exact data; pass --elements for a discrete check")
-    all_passed = True
+    all_passed, lines = True, []
     if spec.exact is not None:
         report = verify_continuous_kkt(spec)
-        for line in report.lines():
-            print(line)
+        lines += report.lines()
         all_passed &= report.passed
     if args.elements is not None:
         result = solve_problem(
@@ -128,8 +130,9 @@ def cmd_verify(args, spec) -> int:
             ("discrete complementarity", kkt.complementarity <= KKT_TOLERANCES["complementarity"], kkt.complementarity),
         )
         for name, ok, value in conditions:
-            print(f"{'PASS' if ok else 'FAIL'}  {name} ({value:.3e}) at {args.elements} elements")
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {name} ({value:.3e}) at {args.elements} elements")
             all_passed &= ok
+    _emit("".join(line + "\n" for line in lines), args.output)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

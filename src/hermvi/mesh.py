@@ -143,7 +143,7 @@ def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
         )
     else:
         raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
-    return np.stack([np.broadcast_to(c, xi.shape) for c in cols], axis=-1)
+    return np.stack(cols, axis=-1)
 
 
 def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
@@ -246,28 +246,20 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
 
 def composite_integral(
     fn: Callable,
-    lo: float = -1.0,
-    hi: float = 1.0,
     breakpoints: Sequence[float] = (),
     panels: int = 64,
     quad_points: int = 10,
 ) -> float:
-    """Composite Gauss quadrature of ``fn`` over [lo, hi].
+    """Composite Gauss quadrature of ``fn`` over [-1, 1].
 
-    The interval is split at the breakpoints by the rule of
-    :func:`segment_quadrature`, then each piece into panels proportional to
-    its length (at least one), so discontinuities land on panel boundaries.
-    ``fn`` is called once, on an array of every panel's Gauss points; a
+    ``panels`` equal panels are cut at the breakpoints by the rule of
+    :func:`segment_quadrature`, so discontinuities land on panel boundaries.
+    ``fn`` is called once, on an array of every piece's Gauss points; a
     scalar result is taken as a constant integrand.
     """
-    pieces = _cut(np.array([lo, hi], dtype=float), breakpoints)
-    start, width = pieces[:-1], np.diff(pieces)
-    n_sub = np.maximum(1, np.ceil(panels * width / (hi - lo))).astype(int)
-    piece = np.repeat(np.arange(start.size), n_sub)
-    k = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    # np.linspace(a, b, n_sub + 1) of every piece, flattened
-    edges = np.append(k * (width / n_sub)[piece] + start[piece], hi)
-    x, w = _gauss_points(edges, quad_points)
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels!r}")
+    x, w = _gauss_points(_cut(np.linspace(*DOMAIN, panels + 1), breakpoints), quad_points)
     return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
 
 

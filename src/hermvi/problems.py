@@ -54,10 +54,10 @@ class ExactBundle:
 class ProblemSpec:
     """Data tuple (beta, f, psi, y_d) with optional exact-solution bundle.
 
-    Breakpoint tuples register locations where f or y_d are nonsmooth so
-    quadrature can split there.  Construction checks the obstacle
-    compatibility condition int psi dx > 0, without which no admissible
-    state exists.
+    ``breakpoints`` registers where f or y_d is nonsmooth and
+    ``psi_breakpoints`` where psi is, so quadrature can split there.
+    Construction checks the obstacle compatibility condition
+    int psi dx > 0, without which no admissible state exists.
     """
 
     name: str
@@ -65,8 +65,7 @@ class ProblemSpec:
     f: Callable
     psi: Callable
     y_d: Callable
-    f_breakpoints: tuple = ()
-    y_d_breakpoints: tuple = ()
+    breakpoints: tuple = ()
     psi_breakpoints: tuple = ()
     exact: ExactBundle | None = None
 
@@ -78,11 +77,6 @@ class ProblemSpec:
             raise ValueError(
                 f"obstacle integral must be positive for a feasible problem, got {mass:.3e}"
             )
-
-    @property
-    def breakpoints(self) -> tuple:
-        """Union of the registered data breakpoints, sorted."""
-        return tuple(sorted(set(self.f_breakpoints) | set(self.y_d_breakpoints)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +132,7 @@ def _paper_source_deriv(x):
 
 def _paper_potential(x):
     # f' on the left branch, f' + 2/3 on the right; continuous, zero mean
-    x = np.asarray(x, dtype=float)
-    return np.where(
-        x <= BREAK,
-        (2.0 / 3.0) * np.cos(np.pi * (3.0 * x - 1.0)),
-        -2.0 * (x - BREAK) + 2.0 / 3.0,
-    )
+    return _paper_source_deriv(x) + np.where(np.asarray(x, dtype=float) <= BREAK, 0.0, 2.0 / 3.0)
 
 
 def _paper_potential_deriv(x):
@@ -192,8 +181,7 @@ def paper_example() -> ProblemSpec:
         f=_paper_source,
         psi=paper_obstacle,
         y_d=_paper_target,
-        f_breakpoints=(BREAK,),
-        y_d_breakpoints=(BREAK,),
+        breakpoints=(BREAK,),
         psi_breakpoints=(0.0,),
         exact=bundle,
     )
@@ -227,7 +215,8 @@ def get_problem(name: str) -> ProblemSpec:
 
 
 def with_obstacle(spec: ProblemSpec, psi: Callable, breakpoints: tuple = ()) -> ProblemSpec:
-    """Copy of ``spec`` with the obstacle replaced (exact bundle dropped)."""
+    """Copy of ``spec`` with ``psi`` and ``psi_breakpoints`` replaced by
+    ``psi`` and ``breakpoints`` (exact bundle dropped)."""
     return dataclasses.replace(
         spec, psi=psi, psi_breakpoints=breakpoints, exact=None,
         name=f"{spec.name}+obstacle",

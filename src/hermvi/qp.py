@@ -118,14 +118,19 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     fixed rows by the definition of the multiplier.
     """
     fixed = qp.constrained[active]
-    x = np.zeros(qp.dim, dtype=np.longdouble)
+    x = np.zeros(qp.dim)
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
     rhs[fixed] = x[fixed]
     x = qp.a.pinned(fixed).solve(rhs)
-    multipliers = np.zeros(qp.dim, dtype=np.longdouble)
+    multipliers = np.zeros_like(x)
     multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
     return x, multipliers
+
+
+def _cold_start(qp: BoundQp) -> np.ndarray:
+    """Mask over ``qp.constrained`` of the bounds the unconstrained minimizer violates."""
+    return qp.a.solve(qp.b)[qp.constrained] > qp.bounds
 
 
 def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray | None = None) -> QpSolution:
@@ -143,9 +148,7 @@ def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if active is None:
-        active = qp.a.solve(qp.b)[qp.constrained] > qp.bounds
-    active = np.asarray(active, dtype=bool)
+    active = np.asarray(_cold_start(qp) if active is None else active, dtype=bool)
     if active.shape != qp.constrained.shape:
         raise ValueError(
             f"initial active set needs one entry per constrained coordinate "

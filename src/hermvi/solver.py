@@ -16,7 +16,7 @@ from .assembly import (
 )
 from .mesh import DiscreteSolution, DofMap, Mesh, build_mesh
 from .problems import ProblemSpec
-from .qp import DEFAULT_MAX_ITER, BoundQp, NonConvergenceError, QpSolution, kkt_residual, solve_pdas
+from .qp import DEFAULT_MAX_ITER, BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
 
 @dataclass
@@ -71,7 +71,7 @@ def solve_problem(
         mesh = build_mesh(n_elements)
     system = assemble_system(spec, mesh, quad_points=quad_points)
     qp = system.to_qp()
-    active = qp.a.solve(qp.b)[qp.constrained] > qp.bounds
+    active = _cold_start(qp)
     chain = [(mesh, system)]
     while active.any() and chain[-1][0].n_elements % 2 == 0:
         coarse = Mesh(chain[-1][0].nodes[::2])

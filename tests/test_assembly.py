@@ -90,7 +90,7 @@ def test_symmetry_and_spd_across_sizes():
             a = hv.assemble_energy(mesh, beta)
             d = a.to_dense()
             assert np.array_equal(d, d.T)
-            system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes))
+            system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes), np.ones(mesh.n_nodes))
             system.a.factor()  # raises if not SPD
 
 
@@ -260,12 +260,10 @@ def test_dirichlet_pins_boundary_dofs(rng):
 def test_eliminated_system_symmetric_and_spd():
     mesh = hv.build_mesh(5)
     a = hv.assemble_energy(mesh, 1.0)
-    system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes))
+    system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes), np.ones(mesh.n_nodes))
     d = system.a.to_dense()
     assert np.array_equal(d, d.T)
     system.a.factor()
-    with pytest.raises(ValueError, match="no slope bounds"):
-        system.to_qp()
 
 
 def test_dirichlet_rejects_mismatched_sizes():
@@ -275,7 +273,7 @@ def test_dirichlet_rejects_mismatched_sizes():
     hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes))
     for bad_a, bad_b in ((hv.assemble_energy(hv.build_mesh(4), 1.0), b), (a, np.zeros(dm.n_dofs + 2))):
         with pytest.raises(ValueError, match="does not match the DOF map"):
-            hv.apply_dirichlet(bad_a, bad_b, dm)
+            hv.apply_dirichlet(bad_a, bad_b, dm, np.ones(mesh.n_nodes))
     with pytest.raises(ValueError, match="one bound per node"):
         hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes - 1))
 
@@ -377,7 +375,8 @@ def banded_case(rng, kind, n):
         m = rng.normal(size=(n, n))
         return hv.SymmetricBandedMatrix.from_dense(m + m.T + 2.0 * n * np.eye(n))
     mesh = hv.build_mesh(n)
-    return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(2 * mesh.n_nodes), hv.DofMap(mesh.n_nodes)).a
+    dm = hv.DofMap(mesh.n_nodes)
+    return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(dm.n_dofs), dm, np.ones(mesh.n_nodes)).a
 
 
 BANDED_CASES = [("dense", n) for n in range(1, 10)] + [("mesh", n) for n in (1, 2, 3, 7, 64, 1024)]

@@ -1,11 +1,13 @@
+import argparse
 import csv
+import inspect
 import io
 
 import numpy as np
 import pytest
 
 import hermvi as hv
-from hermvi.cli import SAMPLES_PER_ELEMENT, main
+from hermvi.cli import SAMPLES_PER_ELEMENT, build_parser, main
 
 from table1_reference import COLUMN_INDEX, TABLE1
 
@@ -210,3 +212,51 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--problem", "paper", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_verify_writes_its_report_to_output(capsys, tmp_path):
+    expected = run(capsys, "verify", "--problem", "paper", "--elements", "8")
+    out = tmp_path / "verify.txt"
+    code, stdout, stderr = run(capsys, "verify", "--problem", "paper", "--elements", "8", "--output", str(out))
+    assert (code, stdout, stderr) == (expected[0], "", "")
+    assert out.read_text() == expected[1]
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--problem", "paper", "--elements", "4"),
+    ("convergence", "--problem", "paper", "--levels", "0", "1"),
+    ("verify", "--problem", "paper"),
+], ids=["solve", "convergence", "verify"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_config_error(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "report.txt" if target == "missing-dir" else tmp_path
+    code, stdout, stderr = run(capsys, *command, "--output", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: cannot write {path}: ") and stderr.count("\n") == 1
+
+
+# --------------------------------------------------------------------- options
+
+#: Settable-option budget; ROADMAP item 5 quotes the same number.
+OPTION_BUDGET = 38
+
+
+def settable_options():
+    """Defaulted parameters of every function in ``hermvi.__all__`` plus
+    every flag of every subcommand, as readable names."""
+    options = [
+        f"{name}({param})"
+        for name in hv.__all__ if inspect.isfunction(getattr(hv, name))
+        for param, p in inspect.signature(getattr(hv, name)).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    ]
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        options += [f"{command} {a.option_strings[-1]}" for a in sub._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    return options
+
+
+def test_settable_option_count_within_budget():
+    options = settable_options()
+    assert len(options) <= OPTION_BUDGET, f"{len(options)} options:\n" + "\n".join(options)

@@ -251,53 +251,59 @@ def test_split_segments_interior_point():
 
 
 def test_composite_integral_polynomial_and_breakpoint():
-    val = hv.composite_integral(lambda x: x**2, -1.0, 1.0)
+    val = hv.composite_integral(lambda x: x**2)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-14)
     step = lambda x: np.where(x < 0.3, 1.0, 2.0)
-    val = hv.composite_integral(step, 0.0, 1.0, breakpoints=(0.3,))
-    assert val == pytest.approx(0.3 + 1.4, abs=1e-14)
+    val = hv.composite_integral(step, breakpoints=(0.3,))
+    assert val == pytest.approx(1.3 + 1.4, abs=1e-14)
+    with pytest.raises(ValueError, match="panels must be at least 1"):
+        hv.composite_integral(np.cos, panels=0)
 
 
-def composite_reference(fn, lo, hi, breakpoints, panels, quad_points):
-    """Per-piece, per-panel loop over split_segments: the reference for
-    composite_integral.  Also returns sum |w * fn| (the roundoff scale)."""
+def composite_reference(fn, breakpoints, panels, quad_points):
+    """Loop over ``panels`` equal panels on [-1, 1], each split by
+    split_segments: the reference for composite_integral.  Also returns
+    sum |w * fn| (the roundoff scale)."""
     rule = hv.gauss_rule(quad_points)
     total = scale = 0.0
-    for a, b in split_segments(lo, hi, breakpoints):
-        n_sub = max(1, math.ceil(panels * (b - a) / (hi - lo)))
-        edges = np.linspace(a, b, n_sub + 1)
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            xs = s0 + (s1 - s0) * rule.points
+    for k in range(panels):
+        lo, hi = -1.0 + 2.0 * k / panels, -1.0 + 2.0 * (k + 1) / panels
+        for a, b in split_segments(lo, hi, breakpoints):
+            xs = a + (b - a) * rule.points
             vals = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
-            total += (s1 - s0) * float(rule.weights @ vals)
-            scale += (s1 - s0) * float(rule.weights @ np.abs(vals))
+            total += (b - a) * float(rule.weights @ vals)
+            scale += (b - a) * float(rule.weights @ np.abs(vals))
     return total, scale
 
 
+#: Half the cut tolerance (1e-12 of the panel width 0.05) below the edge 0.5
+#: of the 40-panel edge-cases rule.
+_SLIVER = 0.5 - 0.5e-12 * 0.05
+
+
 @pytest.mark.parametrize(
-    "fn, lo, hi, breakpoints, panels, quad_points",
+    "fn, breakpoints, panels, quad_points",
     [
-        (lambda x: x**2, -1.0, 1.0, (), 64, 10),
-        (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, (0.3,), 64, 10),
-        (lambda x: np.exp(3.0 * x), -1.0, 1.0, (0.2, -0.4, 0.2, 0.2), 37, 2),
-        # at lo, outside [lo, hi], within 1e-12 (hi - lo) of hi, and inside;
-        # a cut at the sliver would put Gauss points on its 1e6 jump
-        (lambda x: np.select([x < 1.1, x < 3.0 - 1.5e-12], [np.sin(x), np.cos(x)], 1e6),
-         0.0, 3.0, (0.0, -2.0, 4.0, 3.0 - 1.5e-12, 1.1), 40, 5),
-        (lambda x: 2.5, -1.0, 2.0, (0.5,), 16, 3),
-        (lambda x: np.abs(np.sin(16.0 * np.pi * x)), -1.0, 1.0,
-         tuple(hv.build_mesh(32).nodes), 96, 12),
+        (lambda x: x**2, (), 64, 10),
+        (lambda x: np.where(x < 0.3, 1.0, 2.0), (0.3,), 64, 10),
+        (lambda x: np.exp(3.0 * x), (0.2, -0.4, 0.2, 0.2), 37, 2),
+        # at -1, outside [-1, 1], within 1e-12 h of the panel edge 0.5, and
+        # inside; a cut at the sliver would put Gauss points on its 1e6 jump
+        (lambda x: np.select([x < 0.1, x < _SLIVER, x < 0.5], [np.sin(x), np.cos(x), 1e6], np.cos(x)),
+         (-1.0, -2.0, 4.0, _SLIVER, 0.1), 40, 5),
+        (lambda x: 2.5, (0.5,), 16, 3),
+        (lambda x: np.abs(np.sin(16.0 * np.pi * x)), tuple(hv.build_mesh(32).nodes), 96, 12),
     ],
     ids=["square", "step", "repeated", "edge-cases", "scalar", "mesh-nodes"],
 )
-def test_composite_integral_matches_panel_loop(fn, lo, hi, breakpoints, panels, quad_points):
+def test_composite_integral_matches_panel_loop(fn, breakpoints, panels, quad_points):
     calls = []
 
     def counted(x):
         calls.append(np.shape(x))
         return fn(x)
 
-    val = hv.composite_integral(counted, lo, hi, breakpoints, panels, quad_points)
-    ref, scale = composite_reference(fn, lo, hi, breakpoints, panels, quad_points)
+    val = hv.composite_integral(counted, breakpoints, panels, quad_points)
+    ref, scale = composite_reference(fn, breakpoints, panels, quad_points)
     assert len(calls) == 1
     assert abs(val - ref) <= 64 * np.finfo(float).eps * scale
