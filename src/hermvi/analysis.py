@@ -29,7 +29,7 @@ _LINF_NEWTON_STEPS = 3
 
 @dataclass
 class ErrorReport:
-    """Error norms of one discrete solve; ``qp_iterations`` counts that level's own PDAS."""
+    """Error norms of one discrete solve, with that level's KKT residuals."""
 
     n_elements: int
     h: float
@@ -38,7 +38,6 @@ class ErrorReport:
     h1: float
     h2: float
     control_l2: float
-    qp_iterations: int = 0
     kkt: KktResidual | None = None
 
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
@@ -104,7 +103,6 @@ def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
         h1=float(h1),
         h2=float(h2),
         control_l2=float(control),
-        qp_iterations=sol.iterations,
         kkt=sol.kkt,
     )
 

@@ -82,7 +82,7 @@ class SymmetricBandedMatrix:
 
     ``data[half_bandwidth + i - j, j]`` holds entry (i, j); both triangles
     are stored because :meth:`matvec`, :meth:`pinned` and :meth:`to_dense`
-    read them (and so does the benchmark's row-sum scale).  ``data`` is
+    read them (and so do the KKT residual's and the benchmark's norm ||A||_inf).  ``data`` is
     made read-only on construction, so the long-double copy of the band
     and the Cholesky factor are computed at most once per instance and
     never go stale; fill the array before constructing the matrix.

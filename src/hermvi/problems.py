@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import composite_integral
+from .mesh import DOMAIN, _cut, _gauss_points, composite_integral
 
 #: Location where the benchmark data changes branch.
 BREAK = 1.0 / 3.0
@@ -269,6 +269,27 @@ def _sample_points(n_samples: int, avoid: Sequence[float], margin: float = 1e-6)
     return xs
 
 
+def _integral_checks(spec: ProblemSpec):
+    """Weak stationarity residuals on q_0 .. q_19, int phi and int psi, by one composite
+    Gauss rule: 96 equal panels on [-1, 1] cut at every breakpoint, 12 points each.
+
+    The residual on the Legendre polynomial q is int p' q' +
+    (phi - f' + rho - lam) q dx + (f(1) + zeta) q(1) + (gamma - f(-1)) q(-1).
+    """
+    ex, leg = spec.exact, np.polynomial.legendre
+    bps = set(spec.breakpoints) | set(ex.breakpoints) | set(spec.psi_breakpoints)
+    x, w = _gauss_points(_cut(np.linspace(*DOMAIN, 96 + 1), bps), 12)
+    degree = _KKT_TEST_FUNCTIONS - 1
+    phi = ex.phi(x)
+    q_left, q_right = leg.legvander([-1.0, 1.0], degree)
+    residuals = (
+        (w * ex.p_prime(x)) @ leg.legvander(x, degree - 1) @ leg.legder(np.eye(degree + 1))
+        + (w * (phi - ex.f_prime(x) + ex.rho(x) - ex.lam)) @ leg.legvander(x, degree)
+        + (spec.f(1.0) + ex.zeta) * q_right + (ex.gamma - spec.f(-1.0)) * q_left
+    )
+    return residuals, float(w @ phi), float(w @ spec.psi(x))
+
+
 def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     """Check the exact bundle against the first-order optimality system.
 
@@ -277,75 +298,38 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     equal p'(-1) + f(-1) and -(p'(1) + f(1)) and are nonnegative, (c) the
     density vanishes off the contact set (complementarity), (d) the weak
     stationarity identity holds against a polynomial test basis, and (e) phi
-    has zero mean.  Failures produce a failed report, not an exception.
+    has zero mean; (d), (e) and the int psi > 0 check share one composite
+    Gauss rule.  Failures produce a failed report, not an exception.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle to verify")
     ex = spec.exact
-    bps = tuple(sorted(set(ex.breakpoints) | set(spec.breakpoints)))
-    xs = _sample_points(_KKT_SAMPLES, bps)
-    checks = []
-
+    xs = _sample_points(_KKT_SAMPLES, set(ex.breakpoints) | set(spec.breakpoints))
+    rho = ex.rho(xs)
     rho_recomputed = ex.p_dprime(xs) + ex.f_prime(xs) - ex.phi(xs) + ex.lam
-    mismatch = float(np.max(np.abs(rho_recomputed - ex.rho(xs))))
+    mismatch = float(np.max(np.abs(rho_recomputed - rho)))
     negativity = float(max(0.0, -np.min(rho_recomputed)))
-    checks.append(CheckResult(
-        "density formula p'' + f' - phi + lam", mismatch <= _POINTWISE_TOL,
-        mismatch, _POINTWISE_TOL,
-    ))
-    checks.append(CheckResult(
-        "density nonnegative", negativity <= _POINTWISE_TOL, negativity, _POINTWISE_TOL,
-    ))
-
     gamma = float(ex.p_prime(-1.0) + spec.f(-1.0))
     zeta = float(-(ex.p_prime(1.0) + spec.f(1.0)))
     worst_mass = max(abs(gamma - ex.gamma), abs(zeta - ex.zeta))
-    checks.append(CheckResult(
-        "endpoint masses gamma, zeta", worst_mass <= _INTEGRAL_TOL and min(gamma, zeta) >= -_INTEGRAL_TOL,
-        worst_mass, _INTEGRAL_TOL,
-        note=f"gamma={gamma:.12g}, zeta={zeta:.12g}",
-    ))
-
-    comp = float(np.max(np.abs(ex.rho(xs) * (ex.p(xs) - spec.psi(xs)))))
-    checks.append(CheckResult(
-        "complementarity rho * (p - psi)", comp <= _POINTWISE_TOL, comp, _POINTWISE_TOL,
-    ))
-
-    f_right = float(spec.f(1.0))
-    f_left = float(spec.f(-1.0))
-    worst_res = 0.0
-    quad_bps = tuple(sorted(set(bps) | set(spec.psi_breakpoints)))
-    for j in range(_KKT_TEST_FUNCTIONS):
-        q = np.polynomial.legendre.Legendre.basis(j, domain=[-1.0, 1.0])
-        dq = q.deriv()
-        integrand = lambda t: (
-            ex.p_prime(t) * dq(t)
-            + (ex.phi(t) - ex.f_prime(t)) * q(t)
-            + ex.rho(t) * q(t)
-            - ex.lam * q(t)
-        )
-        res = composite_integral(integrand, breakpoints=quad_bps, panels=96, quad_points=12)
-        res += f_right * q(1.0) - f_left * q(-1.0)
-        res += ex.gamma * q(-1.0) + ex.zeta * q(1.0)
-        worst_res = max(worst_res, abs(res))
-    checks.append(CheckResult(
-        f"weak stationarity on {_KKT_TEST_FUNCTIONS} polynomial test functions",
-        worst_res <= _STATIONARITY_TOL, worst_res, _STATIONARITY_TOL,
-    ))
-
-    phi_mean = composite_integral(ex.phi, breakpoints=bps, panels=256, quad_points=12)
-    checks.append(CheckResult(
-        "zero-mean potential int phi", abs(phi_mean) <= _INTEGRAL_TOL,
-        abs(phi_mean), _INTEGRAL_TOL,
-    ))
-
-    psi_mass = composite_integral(spec.psi, breakpoints=spec.psi_breakpoints, panels=256, quad_points=12)
-    checks.append(CheckResult(
-        "obstacle compatibility int psi > 0", psi_mass > 0.0, psi_mass, 0.0,
-        note=f"int psi = {psi_mass:.12g}",
-    ))
-
-    return KktVerificationReport(checks=checks)
+    comp = float(np.max(np.abs(rho * (ex.p(xs) - spec.psi(xs)))))
+    residuals, phi_mean, psi_mass = _integral_checks(spec)
+    worst_res = float(np.max(np.abs(residuals)))
+    return KktVerificationReport([
+        CheckResult("density formula p'' + f' - phi + lam", mismatch <= _POINTWISE_TOL,
+                    mismatch, _POINTWISE_TOL),
+        CheckResult("density nonnegative", negativity <= _POINTWISE_TOL, negativity, _POINTWISE_TOL),
+        CheckResult("endpoint masses gamma, zeta",
+                    worst_mass <= _INTEGRAL_TOL and min(gamma, zeta) >= -_INTEGRAL_TOL,
+                    worst_mass, _INTEGRAL_TOL, note=f"gamma={gamma:.12g}, zeta={zeta:.12g}"),
+        CheckResult("complementarity rho * (p - psi)", comp <= _POINTWISE_TOL, comp, _POINTWISE_TOL),
+        CheckResult(f"weak stationarity on {_KKT_TEST_FUNCTIONS} polynomial test functions",
+                    worst_res <= _STATIONARITY_TOL, worst_res, _STATIONARITY_TOL),
+        CheckResult("zero-mean potential int phi", abs(phi_mean) <= _INTEGRAL_TOL,
+                    abs(phi_mean), _INTEGRAL_TOL),
+        CheckResult("obstacle compatibility int psi > 0", psi_mass > 0.0, psi_mass, 0.0,
+                    note=f"int psi = {psi_mass:.12g}"),
+    ])
 
 
 #: Composite rule of :func:`objective`: panels over [-1, 1], Gauss points each.

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import hermvi as hv
-from hermvi.problems import BREAK
+from hermvi.problems import BREAK, _integral_checks
 
 
 # ------------------------------------------------------------- paper_example
@@ -134,6 +134,86 @@ def test_kkt_verification_flags_tampered_multiplier(paper):
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert any("density" in name for name in failed)
+
+
+#: The continuous checks of ``verify_continuous_kkt``, in report order.
+CONTINUOUS_CHECK_NAMES = [
+    "density formula p'' + f' - phi + lam",
+    "density nonnegative",
+    "endpoint masses gamma, zeta",
+    "complementarity rho * (p - psi)",
+    "weak stationarity on 20 polynomial test functions",
+    "zero-mean potential int phi",
+    "obstacle compatibility int psi > 0",
+]
+
+
+def test_kkt_verification_check_names_in_order(paper):
+    assert [c.name for c in hv.verify_continuous_kkt(paper).checks] == CONTINUOUS_CHECK_NAMES
+
+
+def with_exact(spec, **changes):
+    return dataclasses.replace(spec, exact=dataclasses.replace(spec.exact, **changes))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["paper", "perturbed"])
+def test_weak_stationarity_matches_per_function_quadrature(paper, perturbed):
+    # oracle: one composite_integral per Legendre test function, as a loop
+    spec = paper
+    if perturbed:  # residuals of order one on every test function and both boundary terms
+        base = paper.exact
+        spec = with_exact(
+            paper, p_prime=lambda x: base.p_prime(x) + np.exp(np.asarray(x, float)),
+            rho=lambda x: base.rho(x) + np.cos(5.0 * np.asarray(x, float)),
+            gamma=base.gamma - 0.2, zeta=base.zeta + 0.1,
+        )
+    ex = spec.exact
+    bps = set(spec.breakpoints) | set(ex.breakpoints) | set(spec.psi_breakpoints)
+    residuals, phi_mean, psi_mass = _integral_checks(spec)
+    assert residuals.shape == (20,)
+    oracle = []
+    for j in range(20):
+        q = np.polynomial.legendre.Legendre.basis(j)
+        dq = q.deriv()
+        integral = hv.composite_integral(
+            lambda t: ex.p_prime(t) * dq(t) + (ex.phi(t) - ex.f_prime(t) + ex.rho(t) - ex.lam) * q(t),
+            breakpoints=bps, panels=96, quad_points=12,
+        )
+        oracle.append(integral + (spec.f(1.0) + ex.zeta) * q(1.0) + (ex.gamma - spec.f(-1.0)) * q(-1.0))
+    assert np.max(np.abs(residuals - np.array(oracle))) <= 1e-13
+    if perturbed:
+        assert np.min(np.abs(oracle)) > 1e-8
+    assert phi_mean == pytest.approx(hv.composite_integral(ex.phi, bps, 96, 12), abs=1e-15)
+    assert psi_mass == pytest.approx(0.5, abs=1e-14)
+
+
+def test_kkt_verification_flags_tampered_slope_derivative(paper):
+    # 1e-6 (1 - x^2) vanishes at both ends, so only the weak form can see it:
+    # its residual on q_1 = x is 1e-6 * int (1 - x^2) dx = 4e-6 / 3
+    ex = paper.exact
+    tampered = with_exact(
+        paper, p_prime=lambda x: ex.p_prime(x) + 1e-6 * (1.0 - np.asarray(x, float) ** 2)
+    )
+    failed = [c for c in hv.verify_continuous_kkt(tampered).checks if not c.passed]
+    assert [c.name for c in failed] == ["weak stationarity on 20 polynomial test functions"]
+    assert failed[0].worst == pytest.approx(4e-6 / 3, rel=1e-6)
+    assert failed[0].worst > failed[0].tolerance == 1e-8
+
+
+def test_kkt_verification_evaluates_each_function_a_few_times(paper):
+    # one quadrature pass: a per-test-function loop calls each of these 21-22 times
+    calls = dict.fromkeys(("p_prime", "phi", "f_prime", "rho"), 0)
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    ex = paper.exact
+    spec = with_exact(paper, **{name: counted(name, getattr(ex, name)) for name in calls})
+    assert hv.verify_continuous_kkt(spec).passed
+    assert all(0 < n <= 3 for n in calls.values()), calls
 
 
 def test_kkt_verification_requires_bundle():

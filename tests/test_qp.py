@@ -153,7 +153,7 @@ def test_kkt_residual_zero_at_exact_solution():
     assert res.complementarity == 0.0
     # no constrained coordinate: only stationarity is left to measure
     free = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[])
-    assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0)
+    assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_kkt_residual_linear_in_perturbation(rng):
@@ -169,6 +169,25 @@ def test_kkt_residual_linear_in_perturbation(rng):
     res = hv.kkt_residual(qp, perturbed)
     col = qp.a.to_dense()[:, j]
     assert res.stationarity == pytest.approx(1e-3 * float(np.max(np.abs(col))), rel=1e-6)
+    assert res.stationarity_scaled > 1e-6
+
+
+@pytest.mark.parametrize("n", [4, 128, 1024, 4096])
+def test_scaled_stationarity_at_working_precision(solve_cache, n):
+    # the absolute residual grows like 1/h^3 (3.7e-8 at 4096 elements); the scaled one does not
+    assert solve_cache(n).solution.kkt.stationarity_scaled <= 1e-14
+
+
+def test_scaled_stationarity_matches_benchmark_harness(solve_cache):
+    from test_bench_contract import load_harness_module
+
+    result = solve_cache(64)
+    absolute, scaled = load_harness_module("workloads").scaled_stationarity(
+        result.qp, result.qp_solution.x, result.qp_solution.multipliers
+    )
+    kkt = result.solution.kkt
+    assert kkt.stationarity == absolute
+    assert kkt.stationarity_scaled == pytest.approx(scaled, rel=1e-12)
 
 
 def test_kkt_residual_on_benchmark_level(paper):
