@@ -10,11 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import DEFAULT_QUAD_POINTS
 from .mesh import DiscreteSolution, _cut, _element_evaluator, segment_quadrature
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
-from .qp import DEFAULT_MAX_ITER, KktResidual
+from .qp import KktResidual
 from .solver import solve_problem
 
 #: Gauss points per (split) element segment for the integrated norms.
@@ -138,13 +137,11 @@ def convergence_rates(reports: Sequence[ErrorReport]) -> ConvergenceReport:
 def run_convergence_study(
     spec: ProblemSpec,
     element_counts: Sequence[int],
-    quad_points: int = DEFAULT_QUAD_POINTS,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConvergenceReport:
     """Solve each level and collect error norms and rates.
 
-    The counts are checked before anything is solved: at least two, with
-    no duplicates, strictly increasing.  They are then walked from the
+    The counts are checked before anything is solved: at least two,
+    strictly increasing (so no duplicates).  They are then walked from the
     largest down, and ``solve_problem`` runs only for a count that no
     earlier solve's warm-start chain (``SolveResult.levels``) holds, so a
     dyadic study is one solve and other counts keep one solve each.
@@ -152,14 +149,12 @@ def run_convergence_study(
     counts = [int(n) for n in element_counts]
     if len(counts) < 2:
         raise ValueError("a convergence study needs at least two levels")
-    if len(set(counts)) != len(counts):
-        raise ValueError(f"duplicate element counts in {counts}")
     if any(b <= a for a, b in zip(counts[:-1], counts[1:])):
-        raise ValueError(f"element counts must strictly increase, got {counts}")
+        raise ValueError(f"element counts must strictly increase, without duplicates, got {counts}")
     solved = {}
     for n in reversed(counts):
         if n not in solved:
-            result = solve_problem(spec, n_elements=n, quad_points=quad_points, max_iter=max_iter)
+            result = solve_problem(spec, n_elements=n)
             solved.update((level.mesh.n_elements, level) for level in result.levels)
     return convergence_rates([error_norms(solved[n], spec) for n in counts])
 
@@ -208,4 +203,4 @@ def render_report(report: ConvergenceReport, format: str = "markdown") -> str:
         for r in rows:
             buf.write(",".join(r) + "\n")
         return buf.getvalue()
-    raise ValueError(f"unknown report format {format!r} (expected markdown or csv)")
+    raise ValueError(f"unknown report format {format!r} (expected markdown, md or csv)")

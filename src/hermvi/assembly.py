@@ -28,9 +28,9 @@ from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
 
-#: Default Gauss point count for the load; exact for polynomial y_d up to
+#: Gauss point count for the load; exact for polynomial y_d up to
 #: degree 8 and f up to degree 10, with headroom for smooth data.
-DEFAULT_QUAD_POINTS = 6
+LOAD_QUAD_POINTS = 6
 
 #: Mass and bending matrices of the unit element in local DOF order
 #: (value_left, slope_left, value_right, slope_right); an element of width h
@@ -245,7 +245,6 @@ def assemble_load(
     f: Callable,
     beta: float,
     breakpoints: Sequence[float] = (),
-    quad_points: int = DEFAULT_QUAD_POINTS,
 ) -> np.ndarray:
     """Assemble b[i] = int y_d phi_i dx - beta int f phi_i'' dx.
 
@@ -254,7 +253,7 @@ def assemble_load(
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    element, x, xi, w = segment_quadrature(mesh, breakpoints, quad_points)
+    element, x, xi, w = segment_quadrature(mesh, breakpoints, LOAD_QUAD_POINTS)
     h = mesh.h[element]
     wy = w * np.asarray(y_d(x), dtype=float)
     wf = w * np.asarray(f(x), dtype=float)

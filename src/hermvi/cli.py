@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from .analysis import render_report, run_convergence_study
-from .assembly import DEFAULT_QUAD_POINTS
 from .mesh import evaluate
 from .problems import CheckResult, KktVerificationReport, get_problem, verify_continuous_kkt
-from .qp import DEFAULT_MAX_ITER, NonConvergenceError, kkt_residual  # noqa: F401  (tracer target (hermvi.cli, "kkt_residual"))
+from .qp import NonConvergenceError, kkt_residual  # noqa: F401  (tracer target (hermvi.cli, "kkt_residual"))
 from .solver import solve_problem
 
 EXIT_OK = 0
@@ -67,11 +66,7 @@ def _emit(text: str, output):
 
 
 def cmd_solve(args, spec) -> int:
-    result = solve_problem(
-        spec, n_elements=args.elements,
-        quad_points=args.quad_points, max_iter=args.pdas_max_iter,
-    )
-    sol = result.solution
+    sol = solve_problem(spec, n_elements=args.elements).solution
     mesh = sol.mesh
     offsets = np.linspace(0.0, 1.0, SAMPLES_PER_ELEMENT, endpoint=False)
     xs = np.append((mesh.nodes[:-1, None] + mesh.h[:, None] * offsets[None, :]).ravel(), 1.0)
@@ -103,9 +98,7 @@ def cmd_convergence(args, spec) -> int:
         counts = [2**k for k in args.levels]
     else:
         counts = args.elements
-    report = run_convergence_study(
-        spec, counts, quad_points=args.quad_points, max_iter=args.pdas_max_iter,
-    )
+    report = run_convergence_study(spec, counts)
     _emit(render_report(report, format=args.format), args.output)
     return EXIT_OK
 
@@ -115,11 +108,8 @@ def cmd_verify(args, spec) -> int:
         return _fail("problem has no exact data; pass --elements for a discrete check")
     checks = verify_continuous_kkt(spec).checks if spec.exact is not None else []
     if args.elements is not None:
-        result = solve_problem(
-            spec, n_elements=args.elements,
-            quad_points=args.quad_points, max_iter=args.pdas_max_iter,
-        )
-        kkt, tol, at = result.solution.kkt, KKT_TOLERANCES, f"at {args.elements} elements"
+        kkt = solve_problem(spec, n_elements=args.elements).solution.kkt
+        tol, at = KKT_TOLERANCES, f"at {args.elements} elements"
         checks += [
             CheckResult(f"discrete stationarity {at}", kkt.stationarity_scaled <= tol["stationarity"],
                         kkt.stationarity_scaled, tol["stationarity"], note=f"absolute {kkt.stationarity:.3e}"),
@@ -147,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--problem", required=True, help="registered problem name")
-        p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS, dest="quad_points",
-                       help="Gauss points per element for the load (default %(default)s)")
-        p.add_argument("--pdas-max-iter", type=int, default=DEFAULT_MAX_ITER, dest="pdas_max_iter",
-                       help="active set iteration limit on each mesh level (default %(default)s)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     p_solve = sub.add_parser("solve", help="solve one mesh and dump solution samples as CSV")

@@ -5,8 +5,9 @@ with a primal-dual active set (PDAS) iteration: guess the active set, solve
 the equality-constrained system, update multipliers, repeat until the set is
 stable.  Finite termination is proved for M-matrices (Hintermüller, Ito and
 Kunisch, SIAM J. Optim. 13, 2002); the Hermite energy matrix has positive
-off-diagonal entries, so :func:`solve_pdas` raises on a cycle or at
-``max_iter``.  A brute-force oracle and KKT residuals complete the module.
+off-diagonal entries, so :func:`solve_pdas` raises on a cycle or after
+:data:`MAX_ITER` iterations.  A brute-force oracle and KKT residuals
+complete the module.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .assembly import MatrixNotSpdError, SymmetricBandedMatrix
 #: Refused above this many bounded coordinates (2^n candidate sets).
 BRUTEFORCE_LIMIT = 20
 
-#: Default PDAS iteration limit.
-DEFAULT_MAX_ITER = 100
+#: PDAS iteration limit on each call of :func:`solve_pdas`.
+MAX_ITER = 100
 
 
 class NonConvergenceError(Exception):
@@ -134,7 +135,7 @@ def _cold_start(qp: BoundQp) -> np.ndarray:
     return qp.a.solve(qp.b)[qp.constrained] > qp.bounds
 
 
-def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray | None = None) -> QpSolution:
+def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
     """Primal-dual active set iteration for the bound QP.
 
     Starts from ``active``, a boolean mask over ``qp.constrained``; without
@@ -144,11 +145,9 @@ def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray
     bound; this is the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0``
     for any c > 0, since x_i = u_i on the active set and lambda_i = 0 off it.
     Terminates when the active set repeats; an immediate repeat is
-    optimality, any longer cycle or hitting ``max_iter`` raises
+    optimality, any longer cycle or hitting :data:`MAX_ITER` raises
     :class:`NonConvergenceError`.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     active = np.asarray(_cold_start(qp) if active is None else active, dtype=bool)
     if active.shape != qp.constrained.shape:
         raise ValueError(
@@ -156,7 +155,7 @@ def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray
             f"({qp.constrained.size}), got shape {active.shape}"
         )
     seen = {active.tobytes()}
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         x, multipliers = _equality_step(qp, active)
         last = dict(x=x, multipliers=multipliers, iterations=it,
                     active_set=tuple(sorted(qp.constrained[active].tolist())))
@@ -167,7 +166,7 @@ def solve_pdas(qp: BoundQp, max_iter: int = DEFAULT_MAX_ITER, active: np.ndarray
             raise NonConvergenceError("active set cycled without converging", **last)
         seen.add(updated.tobytes())
         active = updated
-    raise NonConvergenceError(f"no stable active set within {max_iter} iterations", **last)
+    raise NonConvergenceError(f"no stable active set within {MAX_ITER} iterations", **last)
 
 
 def solve_bruteforce(qp: BoundQp) -> QpSolution:

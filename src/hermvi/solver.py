@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
-    DEFAULT_QUAD_POINTS,
     AssembledSystem,
     apply_dirichlet,
     assemble_energy,
@@ -16,7 +15,7 @@ from .assembly import (
 )
 from .mesh import DiscreteSolution, DofMap, Mesh, build_mesh
 from .problems import ProblemSpec
-from .qp import DEFAULT_MAX_ITER, BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
+from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
 
 @dataclass
@@ -33,13 +32,10 @@ class SolveResult:
     levels: tuple
 
 
-def assemble_system(spec: ProblemSpec, mesh: Mesh, quad_points: int = DEFAULT_QUAD_POINTS) -> AssembledSystem:
+def assemble_system(spec: ProblemSpec, mesh: Mesh) -> AssembledSystem:
     """Assemble the Dirichlet-pinned system with slope bounds for ``spec``."""
     a = assemble_energy(mesh, spec.beta)
-    b = assemble_load(
-        mesh, spec.y_d, spec.f, spec.beta,
-        breakpoints=spec.breakpoints, quad_points=quad_points,
-    )
+    b = assemble_load(mesh, spec.y_d, spec.f, spec.beta, breakpoints=spec.breakpoints)
     bounds = constraint_bounds(mesh, spec.psi)
     return apply_dirichlet(a, b, DofMap(mesh.n_nodes), bounds=bounds)
 
@@ -48,8 +44,6 @@ def solve_problem(
     spec: ProblemSpec,
     n_elements: int | None = None,
     mesh: Mesh | None = None,
-    quad_points: int = DEFAULT_QUAD_POINTS,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveResult:
     """Solve ``spec`` on a uniform mesh (or a supplied one).
 
@@ -69,13 +63,13 @@ def solve_problem(
         raise ValueError("pass exactly one of n_elements or mesh")
     if mesh is None:
         mesh = build_mesh(n_elements)
-    system = assemble_system(spec, mesh, quad_points=quad_points)
+    system = assemble_system(spec, mesh)
     qp = system.to_qp()
     active = _cold_start(qp)
     chain = [(mesh, system)]
     while active.any() and chain[-1][0].n_elements % 2 == 0:
         coarse = Mesh(chain[-1][0].nodes[::2])
-        chain.append((coarse, assemble_system(spec, coarse, quad_points=quad_points)))
+        chain.append((coarse, assemble_system(spec, coarse)))
     active = active if len(chain) == 1 else None  # the coarsest level of a chain starts cold
     levels = []
     while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
@@ -85,7 +79,7 @@ def solve_problem(
             active[1::2] &= active[2::2]
         level_qp = qp if level_mesh is mesh else level_system.to_qp()
         try:
-            qp_sol = solve_pdas(level_qp, max_iter=max_iter, active=active)
+            qp_sol = solve_pdas(level_qp, active=active)
         except NonConvergenceError as exc:
             if level_mesh is mesh:
                 raise

@@ -51,16 +51,15 @@ def test_solve_rejects_zero_elements(capsys):
     assert code == 2
 
 
-def test_solve_nonconvergence_exit_code(capsys):
-    code, _, stderr = run(
-        capsys, "solve", "--problem", "paper", "--elements", "16", "--pdas-max-iter", "1"
-    )
+def test_solve_nonconvergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
+    code, _, stderr = run(capsys, "solve", "--problem", "paper", "--elements", "16")
     assert code == 3
-    assert "converge" in stderr
+    assert "converge" in stderr and "on the 1-element coarse mesh" in stderr
 
 
 def test_solve_fine_mesh_converges(capsys, tmp_path):
-    # a cold-started PDAS needs more than the default 100 iterations here
+    # a cold-started PDAS needs more than MAX_ITER = 100 iterations here
     code, _, stderr = run(
         capsys, "solve", "--problem", "paper", "--elements", "4096",
         "--output", str(tmp_path / "sol.csv"),
@@ -232,9 +231,15 @@ def test_problem_config_error_message(capsys, argv, message):
 
 
 def test_unknown_flag_exits_two():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["solve", "--problem", "paper", "--frobnicate"])
-    assert excinfo.value.code == 2
+    # the load quadrature and PDAS limit are constants: their old flags must fail, not be ignored
+    for argv in (
+        ["solve", "--problem", "paper", "--frobnicate"],
+        ["verify", "--problem", "paper", "--quad-points", "0"],
+        ["verify", "--problem", "paper", "--pdas-max-iter", "0"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
 
 
 def test_verify_writes_its_report_to_output(capsys, tmp_path):
@@ -261,7 +266,7 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, command, target):
 # --------------------------------------------------------------------- options
 
 #: Settable-option budget; ROADMAP item 3 quotes the same number.
-OPTION_BUDGET = 38
+OPTION_BUDGET = 25
 
 
 def settable_options():

@@ -113,13 +113,14 @@ def test_pdas_iterations_do_not_grow_with_the_mesh(solve_cache, k):
     assert solve_cache(2**k).solution.iterations <= 2
 
 
-def test_coarse_level_nonconvergence_names_its_mesh(paper):
+def test_coarse_level_nonconvergence_names_its_mesh(paper, monkeypatch):
+    monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
     with pytest.raises(hv.NonConvergenceError, match="on the 1-element coarse mesh") as excinfo:
-        hv.solve_problem(paper, 16, max_iter=1)
+        hv.solve_problem(paper, 16)
     # the iterate is the coarse mesh's: one element, two nodes, four DOFs
     assert excinfo.value.x.shape == (4,)
     # an odd mesh has no chain, so the error is the mesh's own, unrenamed
     with pytest.raises(hv.NonConvergenceError, match="within 1 iterations") as excinfo:
-        hv.solve_problem(paper, 33, max_iter=1)
+        hv.solve_problem(paper, 33)
     assert "coarse mesh" not in str(excinfo.value)
     assert excinfo.value.x.shape == (68,)
