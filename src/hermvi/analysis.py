@@ -45,8 +45,7 @@ class ErrorReport:
 def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec):
     """One quadrature sweep accumulating all squared error norms."""
     ex = spec.exact
-    bps = set(spec.breakpoints) | set(ex.breakpoints)
-    element, xs, xi, ws = segment_quadrature(sol.mesh, bps, NORM_QUAD_POINTS)
+    element, xs, xi, ws = segment_quadrature(sol.mesh, spec.breakpoints, NORM_QUAD_POINTS)
     _, at = _element_evaluator(sol, element)
     y0, y1, y2 = (at(xi, k) for k in range(3))
     du = -(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs)
@@ -61,7 +60,7 @@ def _max_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
     from the segment's side), and its Newton iterates are clamped into it.
     """
     ex, mesh = spec.exact, sol.mesh
-    edges = _cut(mesh.nodes, set(spec.breakpoints) | set(ex.breakpoints))
+    edges = _cut(mesh.nodes, spec.breakpoints)
     element = mesh.element_of(edges[:-1])[:, None]
     lo, hi, left = edges[:-1, None], edges[1:, None], mesh.nodes[element]
     h, at = _element_evaluator(sol, element)
@@ -83,9 +82,8 @@ def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
     """L2/max/H1/H2 errors of the state plus the L2 control error.
 
     Integrated norms use :data:`NORM_QUAD_POINTS`-point Gauss quadrature on
-    every element segment split at the data and exact-solution
-    breakpoints; the control error -(y_h'' + f) - u_bar comes from the same
-    pass as the H2 error.  The max norm samples each of those split
+    every element segment split at ``spec.breakpoints``; the control error
+    -(y_h'' + f) - u_bar comes from the same pass as the H2 error.  The max norm samples each of those split
     segments at ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends
     included) and refines the segment's best sample by Newton steps on the
     error's slope, so it reads the local maximum instead of a grid value.
@@ -140,12 +138,15 @@ def run_convergence_study(
 ) -> ConvergenceReport:
     """Solve each level and collect error norms and rates.
 
-    The counts are checked before anything is solved: at least two,
-    strictly increasing (so no duplicates).  They are then walked from the
-    largest down, and ``solve_problem`` runs only for a count that no
-    earlier solve's warm-start chain (``SolveResult.levels``) holds, so a
-    dyadic study is one solve and other counts keep one solve each.
+    The exact bundle and the counts are checked before anything is solved:
+    at least two counts, strictly increasing (so no duplicates).  They are
+    then walked from the largest down, and ``solve_problem`` runs only for a
+    count that no earlier solve's warm-start chain (``SolveResult.levels``)
+    holds, so a dyadic study is one solve and other counts keep one solve
+    each.
     """
+    if spec.exact is None:
+        raise ValueError("problem has no exact solution bundle")
     counts = [int(n) for n in element_counts]
     if len(counts) < 2:
         raise ValueError("a convergence study needs at least two levels")

@@ -223,8 +223,8 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
 
     No boundary conditions are applied; use :func:`apply_dirichlet` next.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     h = mesh.h
     bending = beta / h**3
     scale = (1.0, h, 1.0, h)
@@ -251,8 +251,8 @@ def assemble_load(
     Elements containing a registered breakpoint of the data are integrated
     piecewise so kinks or jumps never sit inside a Gauss panel.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     element, x, xi, w = segment_quadrature(mesh, breakpoints, LOAD_QUAD_POINTS)
     h = mesh.h[element]
     wy = w * np.asarray(y_d(x), dtype=float)

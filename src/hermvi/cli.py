@@ -3,7 +3,7 @@ verify optimality conditions.
 
 Reports go to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 invalid configuration (an unwritable
---output too), 3 solver non-convergence.
+--output or a mesh too large to allocate too), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail(str(exc))
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import DOMAIN, _cut, _gauss_points, composite_integral
+from .mesh import _composite_rule, composite_integral
 
 #: Location where the benchmark data changes branch.
 BREAK = 1.0 / 3.0
@@ -34,6 +34,7 @@ class ExactBundle:
     and ``p_dprime`` its next two derivatives, ``phi`` the zero-mean
     potential with beta * phi' = y_d - y, and (lam, rho, gamma, zeta) the
     multiplier data: scalar mean multiplier, density, and endpoint masses.
+    Where these are nonsmooth is part of ``ProblemSpec.breakpoints``.
     """
 
     y_bar: Callable
@@ -47,17 +48,16 @@ class ExactBundle:
     rho: Callable
     gamma: float
     zeta: float
-    breakpoints: tuple = ()
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Data tuple (beta, f, psi, y_d) with optional exact-solution bundle.
 
-    ``breakpoints`` registers where f or y_d is nonsmooth and
-    ``psi_breakpoints`` where psi is, so quadrature can split there.
-    Construction checks the obstacle compatibility condition
-    int psi dx > 0, without which no admissible state exists.
+    ``breakpoints`` lists every point where f, y_d, psi or the exact
+    solution is nonsmooth; every quadrature cuts there.  Construction checks
+    that beta is positive and finite and the obstacle compatibility
+    condition int psi dx > 0, without which no admissible state exists.
     """
 
     name: str
@@ -66,13 +66,12 @@ class ProblemSpec:
     psi: Callable
     y_d: Callable
     breakpoints: tuple = ()
-    psi_breakpoints: tuple = ()
     exact: ExactBundle | None = None
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        mass = composite_integral(self.psi, breakpoints=self.psi_breakpoints, panels=128)
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        mass = composite_integral(self.psi, self.breakpoints)
         if mass <= 0.0:
             raise ValueError(
                 f"obstacle integral must be positive for a feasible problem, got {mass:.3e}"
@@ -173,7 +172,6 @@ def paper_example() -> ProblemSpec:
         rho=_paper_density,
         gamma=27.0 / 4.0,
         zeta=4.0 / 9.0,
-        breakpoints=(BREAK,),
     )
     return ProblemSpec(
         name="paper",
@@ -181,8 +179,7 @@ def paper_example() -> ProblemSpec:
         f=_paper_source,
         psi=paper_obstacle,
         y_d=_paper_target,
-        breakpoints=(BREAK,),
-        psi_breakpoints=(0.0,),
+        breakpoints=(0.0, BREAK),
         exact=bundle,
     )
 
@@ -215,10 +212,10 @@ def get_problem(name: str) -> ProblemSpec:
 
 
 def with_obstacle(spec: ProblemSpec, psi: Callable, breakpoints: tuple = ()) -> ProblemSpec:
-    """Copy of ``spec`` with ``psi`` and ``psi_breakpoints`` replaced by
-    ``psi`` and ``breakpoints`` (exact bundle dropped)."""
+    """Copy of ``spec`` with obstacle ``psi``, its ``breakpoints`` appended
+    to the spec's (exact bundle dropped)."""
     return dataclasses.replace(
-        spec, psi=psi, psi_breakpoints=breakpoints, exact=None,
+        spec, psi=psi, breakpoints=(*spec.breakpoints, *breakpoints), exact=None,
         name=f"{spec.name}+obstacle",
     )
 
@@ -227,8 +224,6 @@ def with_obstacle(spec: ProblemSpec, psi: Callable, breakpoints: tuple = ()) -> 
 # verification of the first-order optimality data
 # ---------------------------------------------------------------------------
 
-#: Midpoint samples on [-1, 1] for the pointwise checks.
-_KKT_SAMPLES = 1000
 #: Legendre polynomials tested in the weak stationarity identity.
 _KKT_TEST_FUNCTIONS = 20
 #: Tolerances of the weak stationarity, pointwise and integral checks.
@@ -262,58 +257,48 @@ class KktVerificationReport:
         return [c.line() for c in self.checks]
 
 
-def _sample_points(n_samples: int, avoid: Sequence[float], margin: float = 1e-6):
-    xs = -1.0 + (np.arange(n_samples) + 0.5) * (2.0 / n_samples)
-    for a in avoid:
-        xs = xs[np.abs(xs - a) > margin]
-    return xs
+def _rule_checks(spec: ProblemSpec):
+    """The bundle's checks on [-1, 1], each function evaluated once on the
+    composite rule cut at ``spec.breakpoints`` (no point is a breakpoint).
 
-
-def _integral_checks(spec: ProblemSpec):
-    """Weak stationarity residuals on q_0 .. q_19, int phi and int psi, by one composite
-    Gauss rule: 96 equal panels on [-1, 1] cut at every breakpoint, 12 points each.
-
-    The residual on the Legendre polynomial q is int p' q' +
-    (phi - f' + rho - lam) q dx + (f(1) + zeta) q(1) + (gamma - f(-1)) q(-1).
+    Returns the worst density mismatch, negativity and rho * (p - psi) over
+    the points, the weak stationarity residuals on q_0 .. q_19 (on q: int p' q'
+    + (phi - f' + rho - lam) q dx + (f(1) + zeta) q(1) + (gamma - f(-1)) q(-1)),
+    int phi and int psi.
     """
     ex, leg = spec.exact, np.polynomial.legendre
-    bps = set(spec.breakpoints) | set(ex.breakpoints) | set(spec.psi_breakpoints)
-    x, w = _gauss_points(_cut(np.linspace(*DOMAIN, 96 + 1), bps), 12)
+    x, w = _composite_rule(spec.breakpoints)
+    rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)
+    density = ex.p_dprime(x) + f_prime - phi + ex.lam
     degree = _KKT_TEST_FUNCTIONS - 1
-    phi = ex.phi(x)
     q_left, q_right = leg.legvander([-1.0, 1.0], degree)
     residuals = (
         (w * ex.p_prime(x)) @ leg.legvander(x, degree - 1) @ leg.legder(np.eye(degree + 1))
-        + (w * (phi - ex.f_prime(x) + ex.rho(x) - ex.lam)) @ leg.legvander(x, degree)
+        + (w * (phi - f_prime + rho - ex.lam)) @ leg.legvander(x, degree)
         + (spec.f(1.0) + ex.zeta) * q_right + (ex.gamma - spec.f(-1.0)) * q_left
     )
-    return residuals, float(w @ phi), float(w @ spec.psi(x))
+    return (float(np.max(np.abs(density - rho))), float(max(0.0, -np.min(density))),
+            float(np.max(np.abs(rho * (ex.p(x) - psi)))), residuals, float(w @ phi), float(w @ psi))
 
 
 def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     """Check the exact bundle against the first-order optimality system.
 
-    Verifies, at sample points and by quadrature: (a) the multiplier density
-    equals p'' + f' - phi + lam and is nonnegative, (b) the endpoint masses
-    equal p'(-1) + f(-1) and -(p'(1) + f(1)) and are nonnegative, (c) the
-    density vanishes off the contact set (complementarity), (d) the weak
-    stationarity identity holds against a polynomial test basis, and (e) phi
-    has zero mean; (d), (e) and the int psi > 0 check share one composite
-    Gauss rule.  Failures produce a failed report, not an exception.
+    Verifies: (a) the multiplier density equals p'' + f' - phi + lam and is
+    nonnegative, (b) the endpoint masses equal p'(-1) + f(-1) and -(p'(1) +
+    f(1)) and are nonnegative, (c) the density vanishes off the contact set
+    (complementarity), (d) the weak stationarity identity holds against a
+    polynomial test basis, and (e) phi has zero mean.  All but (b), and the
+    int psi > 0 check, read :func:`composite_integral`'s points cut at
+    ``spec.breakpoints``.  Failures produce a failed report, not an exception.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle to verify")
     ex = spec.exact
-    xs = _sample_points(_KKT_SAMPLES, set(ex.breakpoints) | set(spec.breakpoints))
-    rho = ex.rho(xs)
-    rho_recomputed = ex.p_dprime(xs) + ex.f_prime(xs) - ex.phi(xs) + ex.lam
-    mismatch = float(np.max(np.abs(rho_recomputed - rho)))
-    negativity = float(max(0.0, -np.min(rho_recomputed)))
+    mismatch, negativity, comp, residuals, phi_mean, psi_mass = _rule_checks(spec)
     gamma = float(ex.p_prime(-1.0) + spec.f(-1.0))
     zeta = float(-(ex.p_prime(1.0) + spec.f(1.0)))
     worst_mass = max(abs(gamma - ex.gamma), abs(zeta - ex.zeta))
-    comp = float(np.max(np.abs(rho * (ex.p(xs) - spec.psi(xs)))))
-    residuals, phi_mean, psi_mass = _integral_checks(spec)
     worst_res = float(np.max(np.abs(residuals)))
     return KktVerificationReport([
         CheckResult("density formula p'' + f' - phi + lam", mismatch <= _POINTWISE_TOL,
@@ -332,25 +317,19 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     ])
 
 
-#: Composite rule of :func:`objective`: panels over [-1, 1], Gauss points each.
-_OBJECTIVE_PANELS = 400
-_OBJECTIVE_QUAD_POINTS = 10
-
-
 def objective(
     spec: ProblemSpec,
     y: Callable,
     u: Callable,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """Cost 1/2 (||y - y_d||^2 + beta ||u||^2) by composite quadrature.
+    """Cost 1/2 (||y - y_d||^2 + beta ||u||^2) by :func:`composite_integral`.
 
     Extra breakpoints (for example mesh nodes, where a discrete control
     jumps) can be passed on top of the problem's registered ones.
     """
-    bps = tuple(sorted(set(spec.breakpoints) | set(breakpoints)))
     return 0.5 * composite_integral(
         lambda t: (np.asarray(y(t), dtype=float) - spec.y_d(t)) ** 2
         + spec.beta * np.asarray(u(t), dtype=float) ** 2,
-        breakpoints=bps, panels=_OBJECTIVE_PANELS, quad_points=_OBJECTIVE_QUAD_POINTS,
+        (*spec.breakpoints, *breakpoints),
     )

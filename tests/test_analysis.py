@@ -91,9 +91,10 @@ def test_max_norm_reads_a_kink_inside_an_element():
     exact = hv.ExactBundle(
         y_bar=lambda x: 1.0 - np.abs(x - 0.3), p=lambda x: -np.sign(x - 0.3),
         p_prime=zero, p_dprime=zero, u_bar=zero, phi=zero, f_prime=zero,
-        lam=0.0, rho=zero, gamma=0.0, zeta=0.0, breakpoints=(0.3,),
+        lam=0.0, rho=zero, gamma=0.0, zeta=0.0,
     )
-    spec = hv.ProblemSpec("kink", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero, exact=exact)
+    spec = hv.ProblemSpec("kink", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero,
+                          breakpoints=(0.3,), exact=exact)
     mesh = hv.build_mesh(4)
     sol = hv.DiscreteSolution(np.zeros(2 * mesh.n_nodes), mesh)
     assert hv.error_norms(sol, spec).linf == pytest.approx(1.0, abs=ROUNDING)
@@ -155,12 +156,16 @@ def test_rates_reject_non_refining_levels():
         hv.convergence_rates(reports[:1])
 
 
-@pytest.mark.parametrize("counts", [[8, 4], [4, 4], [4]], ids=["decreasing", "duplicate", "single"])
-def test_convergence_study_validates_before_solving(paper, monkeypatch, counts):
+@pytest.mark.parametrize(
+    "problem, counts",
+    [("paper", [8, 4]), ("paper", [4, 4]), ("paper", [4]), ("unconstrained-smoke", [2**10, 2**18])],
+    ids=["decreasing", "duplicate", "single", "no-exact-bundle"],
+)
+def test_convergence_study_validates_before_solving(monkeypatch, problem, counts):
     calls = []
     monkeypatch.setattr(hv.analysis, "solve_problem", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError):
-        hv.run_convergence_study(paper, counts)
+        hv.run_convergence_study(hv.get_problem(problem), counts)
     assert calls == []
 
 

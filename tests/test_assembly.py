@@ -59,11 +59,14 @@ def test_energy_of_sine_interpolant():
 
 
 def test_energy_rejects_nonpositive_beta():
+    # and the load: both reject a beta that is not positive and finite
     mesh = hv.build_mesh(2)
-    with pytest.raises(ValueError):
-        hv.assemble_energy(mesh, 0.0)
-    with pytest.raises(ValueError):
-        hv.assemble_energy(mesh, -1.0)
+    zero = lambda x: np.zeros_like(x)
+    for beta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            hv.assemble_energy(mesh, beta)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            hv.assemble_load(mesh, zero, zero, beta)
 
 
 def test_energy_consistency_under_refinement():

@@ -58,6 +58,19 @@ def test_solve_nonconvergence_exit_code(capsys, monkeypatch):
     assert "converge" in stderr and "on the 1-element coarse mesh" in stderr
 
 
+def test_unallocatable_mesh_is_a_config_error(capsys, monkeypatch):
+    # exit 2, not the traceback's 1 (which means a failed verify); no test allocates the mesh itself
+    message = "Unable to allocate 8.00 TiB for an array with shape (1099511627777,) and data type float64"
+
+    def unallocatable(spec, n_elements):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hermvi.cli.solve_problem", unallocatable)
+    code, stdout, stderr = run(capsys, "solve", "--problem", "paper", "--elements", str(2**40))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def test_solve_fine_mesh_converges(capsys, tmp_path):
     # a cold-started PDAS needs more than MAX_ITER = 100 iterations here
     code, _, stderr = run(
@@ -266,7 +279,7 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, command, target):
 # --------------------------------------------------------------------- options
 
 #: Settable-option budget; ROADMAP item 3 quotes the same number.
-OPTION_BUDGET = 25
+OPTION_BUDGET = 23
 
 
 def settable_options():

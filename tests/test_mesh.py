@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hermvi as hv
-from hermvi.mesh import split_segments
+from hermvi.mesh import COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, split_segments
 
 from conftest import nonuniform_mesh
 
@@ -42,6 +42,8 @@ def test_mesh_rejects_bad_nodes():
         hv.Mesh(np.array([-1.0, 0.5, 0.25, 1.0]))  # not increasing
     with pytest.raises(ValueError):
         hv.Mesh(np.array([-0.9, 0.0, 1.0]))  # wrong left endpoint
+    with pytest.raises(ValueError, match="finite"):
+        hv.Mesh(np.array([-1.0, np.nan, 1.0]))
 
 
 def test_nonuniform_mesh_allowed():
@@ -256,8 +258,6 @@ def test_composite_integral_polynomial_and_breakpoint():
     step = lambda x: np.where(x < 0.3, 1.0, 2.0)
     val = hv.composite_integral(step, breakpoints=(0.3,))
     assert val == pytest.approx(1.3 + 1.4, abs=1e-14)
-    with pytest.raises(ValueError, match="panels must be at least 1"):
-        hv.composite_integral(np.cos, panels=0)
 
 
 def composite_reference(fn, breakpoints, panels, quad_points):
@@ -276,34 +276,34 @@ def composite_reference(fn, breakpoints, panels, quad_points):
     return total, scale
 
 
-#: Half the cut tolerance (1e-12 of the panel width 0.05) below the edge 0.5
-#: of the 40-panel edge-cases rule.
-_SLIVER = 0.5 - 0.5e-12 * 0.05
+#: Half the cut tolerance (1e-12 of the panel width 2/96) below 0.5, an edge
+#: of the composite rule's panels.
+_SLIVER = 0.5 - 0.5e-12 * (2.0 / COMPOSITE_PANELS)
 
 
 @pytest.mark.parametrize(
-    "fn, breakpoints, panels, quad_points",
+    "fn, breakpoints",
     [
-        (lambda x: x**2, (), 64, 10),
-        (lambda x: np.where(x < 0.3, 1.0, 2.0), (0.3,), 64, 10),
-        (lambda x: np.exp(3.0 * x), (0.2, -0.4, 0.2, 0.2), 37, 2),
+        (lambda x: x**2, ()),
+        (lambda x: np.where(x < 0.3, 1.0, 2.0), (0.3,)),
+        (lambda x: np.exp(3.0 * x), (0.2, -0.4, 0.2, 0.2)),
         # at -1, outside [-1, 1], within 1e-12 h of the panel edge 0.5, and
         # inside; a cut at the sliver would put Gauss points on its 1e6 jump
         (lambda x: np.select([x < 0.1, x < _SLIVER, x < 0.5], [np.sin(x), np.cos(x), 1e6], np.cos(x)),
-         (-1.0, -2.0, 4.0, _SLIVER, 0.1), 40, 5),
-        (lambda x: 2.5, (0.5,), 16, 3),
-        (lambda x: np.abs(np.sin(16.0 * np.pi * x)), tuple(hv.build_mesh(32).nodes), 96, 12),
+         (-1.0, -2.0, 4.0, _SLIVER, 0.1)),
+        (lambda x: 2.5, (0.5,)),
+        (lambda x: np.abs(np.sin(16.0 * np.pi * x)), tuple(hv.build_mesh(32).nodes)),
     ],
     ids=["square", "step", "repeated", "edge-cases", "scalar", "mesh-nodes"],
 )
-def test_composite_integral_matches_panel_loop(fn, breakpoints, panels, quad_points):
+def test_composite_integral_matches_panel_loop(fn, breakpoints):
     calls = []
 
     def counted(x):
         calls.append(np.shape(x))
         return fn(x)
 
-    val = hv.composite_integral(counted, breakpoints, panels, quad_points)
-    ref, scale = composite_reference(fn, breakpoints, panels, quad_points)
+    val = hv.composite_integral(counted, breakpoints)
+    ref, scale = composite_reference(fn, breakpoints, COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS)
     assert len(calls) == 1
     assert abs(val - ref) <= 64 * np.finfo(float).eps * scale

@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 import hermvi as hv
-from hermvi.problems import BREAK, _integral_checks
+from hermvi.problems import BREAK, _rule_checks
 
 
 # ------------------------------------------------------------- paper_example
 
 def test_obstacle_integral_is_one_half(paper):
-    mass = hv.composite_integral(paper.psi, breakpoints=(0.0,), panels=128)
+    mass = hv.composite_integral(paper.psi, paper.breakpoints)
     assert mass == pytest.approx(0.5, abs=1e-12)
     assert mass > 0.0
 
@@ -70,8 +70,8 @@ def test_exact_solution_feasible_with_expected_contact_set(paper):
 
 def test_bundle_zero_mean_identities(paper):
     ex = paper.exact
-    p_mean = hv.composite_integral(ex.p, breakpoints=(BREAK,), panels=128)
-    phi_mean = hv.composite_integral(ex.phi, breakpoints=(BREAK,), panels=256, quad_points=12)
+    p_mean = hv.composite_integral(ex.p, paper.breakpoints)
+    phi_mean = hv.composite_integral(ex.phi, paper.breakpoints)
     assert abs(p_mean) <= 1e-12
     assert abs(phi_mean) <= 1e-12
     assert ex.lam >= 0.0 and ex.gamma >= 0.0 and ex.zeta >= 0.0
@@ -95,13 +95,14 @@ def test_spec_rejects_incompatible_obstacle():
             psi=lambda x: np.full_like(np.asarray(x, float), -1.0),
             y_d=lambda x: np.zeros_like(x),
         )
-    with pytest.raises(ValueError):
-        hv.ProblemSpec(
-            name="bad-beta", beta=0.0,
-            f=lambda x: np.zeros_like(x),
-            psi=lambda x: np.ones_like(np.asarray(x, float)),
-            y_d=lambda x: np.zeros_like(x),
-        )
+    for beta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            hv.ProblemSpec(
+                name="bad-beta", beta=beta,
+                f=lambda x: np.zeros_like(x),
+                psi=lambda x: np.ones_like(np.asarray(x, float)),
+                y_d=lambda x: np.zeros_like(x),
+            )
 
 
 # ------------------------------------------------------ verify_continuous_kkt
@@ -168,8 +169,7 @@ def test_weak_stationarity_matches_per_function_quadrature(paper, perturbed):
             gamma=base.gamma - 0.2, zeta=base.zeta + 0.1,
         )
     ex = spec.exact
-    bps = set(spec.breakpoints) | set(ex.breakpoints) | set(spec.psi_breakpoints)
-    residuals, phi_mean, psi_mass = _integral_checks(spec)
+    *_, residuals, phi_mean, psi_mass = _rule_checks(spec)
     assert residuals.shape == (20,)
     oracle = []
     for j in range(20):
@@ -177,13 +177,13 @@ def test_weak_stationarity_matches_per_function_quadrature(paper, perturbed):
         dq = q.deriv()
         integral = hv.composite_integral(
             lambda t: ex.p_prime(t) * dq(t) + (ex.phi(t) - ex.f_prime(t) + ex.rho(t) - ex.lam) * q(t),
-            breakpoints=bps, panels=96, quad_points=12,
+            spec.breakpoints,
         )
         oracle.append(integral + (spec.f(1.0) + ex.zeta) * q(1.0) + (ex.gamma - spec.f(-1.0)) * q(-1.0))
     assert np.max(np.abs(residuals - np.array(oracle))) <= 1e-13
     if perturbed:
         assert np.min(np.abs(oracle)) > 1e-8
-    assert phi_mean == pytest.approx(hv.composite_integral(ex.phi, bps, 96, 12), abs=1e-15)
+    assert phi_mean == pytest.approx(hv.composite_integral(ex.phi, spec.breakpoints), abs=1e-15)
     assert psi_mass == pytest.approx(0.5, abs=1e-14)
 
 
