@@ -80,20 +80,28 @@ def _require_finite(a: np.ndarray) -> None:
 class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
-    ``data[half_bandwidth + i - j, j]`` holds entry (i, j); both triangles
-    are stored because :meth:`matvec`, :meth:`pinned` and :meth:`to_dense`
-    read them (and so do the KKT residual's and the benchmark's norm ||A||_inf).  ``data`` is
-    made read-only on construction, so the long-double copy of the band
-    and the Cholesky factor are computed at most once per instance and
-    never go stale; fill the array before constructing the matrix.
+    ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
+    at ``[half_bandwidth + i - j, j]``; both triangles are stored because
+    :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and the norm ||A||_inf read
+    them.  ``data`` is made read-only on construction, so the long-double copy
+    of the band and the Cholesky factor are computed at most once per instance
+    and never go stale; fill the array before constructing the matrix.
     """
 
-    dim: int
-    half_bandwidth: int
     data: np.ndarray
 
     def __post_init__(self):
+        if self.data.ndim != 2 or self.data.shape[0] % 2 == 0:
+            raise ValueError("band data must be 2-D with an odd number of rows")
         self.data.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def half_bandwidth(self) -> int:
+        return self.data.shape[0] // 2
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SymmetricBandedMatrix":
@@ -106,7 +114,7 @@ class SymmetricBandedMatrix:
         hbw, data = _zero_band(a.shape[0], a.shape[0] - 1)
         i, j, valid = _band_slots(a.shape[0], hbw)
         data[valid] = a[i[valid], j[valid]]
-        return cls(a.shape[0], hbw, data)
+        return cls(data)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
@@ -129,11 +137,11 @@ class SymmetricBandedMatrix:
         products come from one multiplication of the cached long-double
         band; the diagonals are then summed in the order d = -hbw .. hbw.
         """
-        hbw = self.half_bandwidth
+        hbw, dim = self.data.shape[0] // 2, self.data.shape[1]
         products = self._longdouble * np.asarray(x, dtype=np.longdouble)
-        y = np.zeros(self.dim, dtype=np.longdouble)
+        y = np.zeros(dim, dtype=np.longdouble)
         for d in range(-hbw, hbw + 1):
-            j0, j1 = max(0, -d), min(self.dim, self.dim - d)
+            j0, j1 = max(0, -d), min(dim, dim - d)
             if j1 > j0:
                 y[j0 + d : j1 + d] += products[hbw + d, j0:j1]
         return y
@@ -188,18 +196,18 @@ class SymmetricBandedMatrix:
         there exactly.  Dimension and bandwidth stay those of ``self``;
         with nothing to pin the result is ``self``, cached factor included.
         """
-        mask = np.zeros(self.dim, dtype=bool)
+        hbw, dim = self.data.shape[0] // 2, self.data.shape[1]
+        mask = np.zeros(dim, dtype=bool)
         mask[fixed] = True
         if not mask.any():
             return self
-        hbw = self.half_bandwidth
         data = self.data.copy()
         for d in range(-hbw, hbw + 1):
             # diagonal d holds entries (j + d, j): hit where row or column is pinned
-            j0, j1 = max(0, -d), min(self.dim, self.dim - d)
+            j0, j1 = max(0, -d), min(dim, dim - d)
             data[hbw + d, j0:j1][mask[j0:j1] | mask[j0 + d : j1 + d]] = 0.0
         data[hbw, mask] = 1.0
-        return SymmetricBandedMatrix(self.dim, hbw, data)
+        return SymmetricBandedMatrix(data)
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the (sorted) retained indices.
@@ -215,7 +223,7 @@ class SymmetricBandedMatrix:
         row = hbw + keep[i[valid]] - keep[j[valid]]
         inband = (row >= 0) & (row <= 2 * hbw)
         data[valid] = np.where(inband, self.data[row.clip(0, 2 * hbw), keep[j[valid]]], 0.0)
-        return SymmetricBandedMatrix(keep.size, out_hbw, data)
+        return SymmetricBandedMatrix(data)
 
 
 def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
@@ -236,7 +244,7 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
         for j in range(4):
             local = scale[i] * scale[j] * (h * _MASS[i, j] + bending * _BENDING[i, j])
             data[HALF_BANDWIDTH + i - j, j : dim - 2 + j : 2] += local
-    return SymmetricBandedMatrix(dim, HALF_BANDWIDTH, data)
+    return SymmetricBandedMatrix(data)
 
 
 def assemble_load(
@@ -271,37 +279,32 @@ class AssembledSystem:
     """Energy matrix and load with the Dirichlet DOFs pinned to zero.
 
     Indices are global DOF indices; ``bounds`` holds one slope bound per
-    mesh node, aligned with ``dof_map.constrained_dofs``.
+    mesh node, so it gives the :class:`DofMap` of :meth:`to_qp`.
     """
 
     a: SymmetricBandedMatrix
     b: np.ndarray
-    dof_map: DofMap
     bounds: np.ndarray
 
     def to_qp(self):
         from .qp import BoundQp
 
-        return BoundQp(a=self.a, b=self.b, constrained=self.dof_map.constrained_dofs, bounds=self.bounds)
+        return BoundQp(self.a, self.b, DofMap(self.bounds.size).constrained_dofs, self.bounds)
 
 
-def apply_dirichlet(
-    a: SymmetricBandedMatrix,
-    b: np.ndarray,
-    dof_map: DofMap,
-    bounds: np.ndarray,
-) -> AssembledSystem:
+def apply_dirichlet(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarray) -> AssembledSystem:
     """Pin the endpoint value DOFs to zero (homogeneous boundary data).
 
-    Their rows and columns become the identity's and their load entries
-    zero, as PDAS pins active slopes, so every solve returns exactly 0.0
-    there and the system keeps the global DOF numbering.
+    One bound per node gives the :class:`DofMap`, and ``a`` and ``b`` must
+    have its two DOFs per node.  The Dirichlet rows and columns become the
+    identity's and their load entries zero, as PDAS pins active slopes, so
+    every solve returns exactly 0.0 there and the system keeps the global
+    DOF numbering.
     """
-    if a.dim != dof_map.n_dofs or len(b) != dof_map.n_dofs:
-        raise ValueError("system size does not match the DOF map")
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (dof_map.n_nodes,):
-        raise ValueError("expected one bound per node")
+    if bounds.ndim != 1 or a.dim != 2 * bounds.size or np.shape(b) != (a.dim,):
+        raise ValueError("matrix, load and bounds do not agree: need two DOFs and one bound per node")
+    dirichlet = DofMap(bounds.size).dirichlet_dofs
     b = np.array(b, dtype=float)
-    b[dof_map.dirichlet_dofs] = 0.0
-    return AssembledSystem(a=a.pinned(dof_map.dirichlet_dofs), b=b, dof_map=dof_map, bounds=bounds)
+    b[dirichlet] = 0.0
+    return AssembledSystem(a=a.pinned(dirichlet), b=b, bounds=bounds)

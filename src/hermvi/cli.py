@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import render_report, run_convergence_study
 from .mesh import evaluate
-from .problems import CheckResult, KktVerificationReport, get_problem, verify_continuous_kkt
+from .problems import CheckResult, get_problem, verify_continuous_kkt
 from .qp import NonConvergenceError, kkt_residual  # noqa: F401  (tracer target (hermvi.cli, "kkt_residual"))
 from .solver import solve_problem
 
@@ -40,18 +40,6 @@ SAMPLES_PER_ELEMENT = 20
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_CONFIG
-
-
-def _load_problem(args):
-    spec = get_problem(args.problem)
-    tamper = getattr(args, "tamper_lambda", None)
-    if tamper is not None:
-        if spec.exact is None:
-            raise KeyError("--tamper-lambda needs a problem with exact data")
-        spec = dataclasses.replace(
-            spec, exact=dataclasses.replace(spec.exact, lam=float(tamper))
-        )
-    return spec
 
 
 def _emit(text: str, output):
@@ -104,9 +92,13 @@ def cmd_convergence(args, spec) -> int:
 
 
 def cmd_verify(args, spec) -> int:
+    if args.tamper_lambda is not None:
+        if spec.exact is None:
+            return _fail("--tamper-lambda needs a problem with exact data")
+        spec = dataclasses.replace(spec, exact=dataclasses.replace(spec.exact, lam=args.tamper_lambda))
     if spec.exact is None and args.elements is None:
         return _fail("problem has no exact data; pass --elements for a discrete check")
-    checks = verify_continuous_kkt(spec).checks if spec.exact is not None else []
+    checks = verify_continuous_kkt(spec) if spec.exact is not None else []
     if args.elements is not None:
         kkt = solve_problem(spec, n_elements=args.elements).solution.kkt
         tol, at = KKT_TOLERANCES, f"at {args.elements} elements"
@@ -120,9 +112,8 @@ def cmd_verify(args, spec) -> int:
             CheckResult(f"discrete complementarity {at}", kkt.complementarity <= tol["complementarity"],
                         kkt.complementarity, tol["complementarity"]),
         ]
-    report = KktVerificationReport(checks)
-    _emit("".join(line + "\n" for line in report.lines()), args.output)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    _emit("".join(c.line() + "\n" for c in checks), args.output)
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,10 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        spec = _load_problem(args)
+        spec = get_problem(args.problem)
     except KeyError as exc:
         return _fail(exc.args[0])
     try:

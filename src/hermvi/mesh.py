@@ -172,37 +172,25 @@ def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"reference coordinate must lie in [0, 1], got {xi}")
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("element width must be positive")
     return _shape_matrix(np.asarray(xi), float(h), deriv_order)
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature points/weights on the reference element [0, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    order: int  # degree of exact polynomial integration
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(self.points))
-        object.__setattr__(self, "weights", _frozen(self.weights))
-
-
-def gauss_rule(m: int) -> QuadRule:
-    """m-point Gauss-Legendre rule on [0, 1], exact to degree 2m-1."""
+def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (points, weights) of the m-point Gauss-Legendre rule on
+    [0, 1], exact to degree 2m-1."""
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_GAUSS_POINTS:
         raise ValueError(f"point count must lie in [1, {MAX_GAUSS_POINTS}], got {m!r}")
     return _gauss_rule(int(m))
 
 
 @functools.cache
-def _gauss_rule(m: int) -> QuadRule:
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     # one rule per point count, shared: its arrays are read-only, and
     # computing it costs more than assembling a coarse mesh
     x, w = np.polynomial.legendre.leggauss(m)
-    return QuadRule(points=(x + 1.0) / 2.0, weights=w / 2.0, order=2 * m - 1)
+    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
 def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
@@ -230,9 +218,9 @@ def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
 
 def _gauss_points(edges: np.ndarray, quad_points: int):
     """Flat Gauss points and weights over (interval of ``edges``, point)."""
-    rule = gauss_rule(quad_points)
+    points, weights = gauss_rule(quad_points)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * rule.points).ravel(), (width * rule.weights).ravel()
+    return (lo + width * points).ravel(), (width * weights).ravel()
 
 
 def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
@@ -335,7 +323,7 @@ def evaluate(sol: DiscreteSolution, x, deriv_order: int = 0):
     interior nodes and is taken from the element to the right.
     """
     xs = np.asarray(x, dtype=float)
-    if xs.size and (xs.min() < DOMAIN[0] or xs.max() > DOMAIN[1]):
+    if xs.size and not (xs.min() >= DOMAIN[0] and xs.max() <= DOMAIN[1]):
         raise ValueError("evaluation point outside [-1, 1]")
     elem = sol.mesh.element_of(xs)
     h, at = _element_evaluator(sol, elem)

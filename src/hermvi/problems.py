@@ -72,7 +72,7 @@ class ProblemSpec:
         if not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         mass = composite_integral(self.psi, self.breakpoints)
-        if mass <= 0.0:
+        if not mass > 0.0:
             raise ValueError(
                 f"obstacle integral must be positive for a feasible problem, got {mass:.3e}"
             )
@@ -211,13 +211,13 @@ def get_problem(name: str) -> ProblemSpec:
     return factory()
 
 
-def with_obstacle(spec: ProblemSpec, psi: Callable, breakpoints: tuple = ()) -> ProblemSpec:
-    """Copy of ``spec`` with obstacle ``psi``, its ``breakpoints`` appended
-    to the spec's (exact bundle dropped)."""
-    return dataclasses.replace(
-        spec, psi=psi, breakpoints=(*spec.breakpoints, *breakpoints), exact=None,
-        name=f"{spec.name}+obstacle",
-    )
+def with_obstacle(spec: ProblemSpec, psi: Callable) -> ProblemSpec:
+    """Copy of ``spec`` with a smooth obstacle ``psi`` (exact bundle dropped).
+
+    A kinked obstacle also needs its kinks in ``breakpoints``: build it with
+    ``dataclasses.replace(spec, psi=..., breakpoints=..., exact=None)``.
+    """
+    return dataclasses.replace(spec, psi=psi, exact=None, name=f"{spec.name}+obstacle")
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +245,6 @@ class CheckResult:
         return msg + (f"  [{self.note}]" if self.note else "")
 
 
-@dataclass
-class KktVerificationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list:
-        return [c.line() for c in self.checks]
-
-
 def _rule_checks(spec: ProblemSpec):
     """The bundle's checks on [-1, 1], each function evaluated once on the
     composite rule cut at ``spec.breakpoints`` (no point is a breakpoint).
@@ -281,7 +269,7 @@ def _rule_checks(spec: ProblemSpec):
             float(np.max(np.abs(rho * (ex.p(x) - psi)))), residuals, float(w @ phi), float(w @ psi))
 
 
-def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
+def verify_continuous_kkt(spec: ProblemSpec) -> list[CheckResult]:
     """Check the exact bundle against the first-order optimality system.
 
     Verifies: (a) the multiplier density equals p'' + f' - phi + lam and is
@@ -290,7 +278,7 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     (complementarity), (d) the weak stationarity identity holds against a
     polynomial test basis, and (e) phi has zero mean.  All but (b), and the
     int psi > 0 check, read :func:`composite_integral`'s points cut at
-    ``spec.breakpoints``.  Failures produce a failed report, not an exception.
+    ``spec.breakpoints``.  Failures are failed checks, not exceptions.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle to verify")
@@ -300,7 +288,7 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
     zeta = float(-(ex.p_prime(1.0) + spec.f(1.0)))
     worst_mass = max(abs(gamma - ex.gamma), abs(zeta - ex.zeta))
     worst_res = float(np.max(np.abs(residuals)))
-    return KktVerificationReport([
+    return [
         CheckResult("density formula p'' + f' - phi + lam", mismatch <= _POINTWISE_TOL,
                     mismatch, _POINTWISE_TOL),
         CheckResult("density nonnegative", negativity <= _POINTWISE_TOL, negativity, _POINTWISE_TOL),
@@ -314,7 +302,7 @@ def verify_continuous_kkt(spec: ProblemSpec) -> KktVerificationReport:
                     abs(phi_mean), _INTEGRAL_TOL),
         CheckResult("obstacle compatibility int psi > 0", psi_mass > 0.0, psi_mass, 0.0,
                     note=f"int psi = {psi_mass:.12g}"),
-    ])
+    ]
 
 
 def objective(

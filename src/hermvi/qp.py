@@ -28,14 +28,11 @@ MAX_ITER = 100
 
 
 class NonConvergenceError(Exception):
-    """PDAS failed to settle; carries the last iterate for inspection."""
+    """PDAS failed to settle; ``last`` is its last iterate, a :class:`QpSolution`."""
 
-    def __init__(self, message, x=None, multipliers=None, active_set=(), iterations=0):
+    def __init__(self, message, last):
         super().__init__(message)
-        self.x = x
-        self.multipliers = multipliers
-        self.active_set = tuple(active_set)
-        self.iterations = iterations
+        self.last = last
 
 
 class KktResidual(NamedTuple):
@@ -157,16 +154,15 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
     seen = {active.tobytes()}
     for it in range(1, MAX_ITER + 1):
         x, multipliers = _equality_step(qp, active)
-        last = dict(x=x, multipliers=multipliers, iterations=it,
-                    active_set=tuple(sorted(qp.constrained[active].tolist())))
+        last = QpSolution(x, multipliers, tuple(sorted(qp.constrained[active].tolist())), it)
         updated = np.where(active, multipliers[qp.constrained] > 0, x[qp.constrained] > qp.bounds)
         if np.array_equal(updated, active):
-            return QpSolution(**last)
+            return last
         if updated.tobytes() in seen:
-            raise NonConvergenceError("active set cycled without converging", **last)
+            raise NonConvergenceError("active set cycled without converging", last)
         seen.add(updated.tobytes())
         active = updated
-    raise NonConvergenceError(f"no stable active set within {MAX_ITER} iterations", **last)
+    raise NonConvergenceError(f"no stable active set within {MAX_ITER} iterations", last)
 
 
 def solve_bruteforce(qp: BoundQp) -> QpSolution:

@@ -13,7 +13,7 @@ from .assembly import (
     assemble_load,
     constraint_bounds,
 )
-from .mesh import DiscreteSolution, DofMap, Mesh, build_mesh
+from .mesh import DiscreteSolution, Mesh, build_mesh
 from .problems import ProblemSpec
 from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
@@ -23,21 +23,25 @@ class SolveResult:
     """Discrete solution plus the QP artifacts used to produce it.
 
     ``levels`` holds the solution on every mesh of the warm-start chain,
-    coarsest first and ``solution`` last (``solution`` alone without one).
+    coarsest first (one level without a chain); ``qp`` and ``qp_solution``
+    are the finest level's.
     """
 
-    solution: DiscreteSolution
     qp: BoundQp
     qp_solution: QpSolution
     levels: tuple
+
+    @property
+    def solution(self) -> DiscreteSolution:
+        """The solution on the requested mesh, the finest level."""
+        return self.levels[-1]
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh) -> AssembledSystem:
     """Assemble the Dirichlet-pinned system with slope bounds for ``spec``."""
     a = assemble_energy(mesh, spec.beta)
     b = assemble_load(mesh, spec.y_d, spec.f, spec.beta, breakpoints=spec.breakpoints)
-    bounds = constraint_bounds(mesh, spec.psi)
-    return apply_dirichlet(a, b, DofMap(mesh.n_nodes), bounds=bounds)
+    return apply_dirichlet(a, b, constraint_bounds(mesh, spec.psi))
 
 
 def solve_problem(
@@ -84,11 +88,10 @@ def solve_problem(
             if level_mesh is mesh:
                 raise
             raise NonConvergenceError(
-                f"{exc} (on the {level_mesh.n_elements}-element coarse mesh of the warm start)",
-                exc.x, exc.multipliers, exc.active_set, exc.iterations,
+                f"{exc} (on the {level_mesh.n_elements}-element coarse mesh of the warm start)", exc.last
             ) from exc
         levels.append(DiscreteSolution(
             qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
             active_nodes=tuple((np.asarray(qp_sol.active_set) // 2).tolist()),
         ))
-    return SolveResult(levels[-1], qp, qp_sol, levels=tuple(levels))
+    return SolveResult(qp, qp_sol, tuple(levels))

@@ -14,12 +14,12 @@ from conftest import nonuniform_mesh
 
 def hermite_basis_integrals(mesh, quad_points=8):
     """Quadrature oracle for int phi_i dx over the global basis."""
-    rule = hv.gauss_rule(quad_points)
+    rule_points, rule_weights = hv.gauss_rule(quad_points)
     out = np.zeros(2 * mesh.n_nodes)
     for e in range(mesh.n_elements):
         h = float(mesh.h[e])
-        s0 = _shape_matrix(rule.points, h, 0)
-        out[2 * e : 2 * e + 4] += s0.T @ (rule.weights * h)
+        s0 = _shape_matrix(rule_points, h, 0)
+        out[2 * e : 2 * e + 4] += s0.T @ (rule_weights * h)
     return out
 
 
@@ -93,18 +93,18 @@ def test_symmetry_and_spd_across_sizes():
             a = hv.assemble_energy(mesh, beta)
             d = a.to_dense()
             assert np.array_equal(d, d.T)
-            system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes), np.ones(mesh.n_nodes))
+            system = hv.apply_dirichlet(a, np.zeros(a.dim), np.ones(mesh.n_nodes))
             system.a.factor()  # raises if not SPD
 
 
 def quadrature_energy(mesh, beta, quad_points=6):
     """Energy matrix from per-element Gauss quadrature of the mass and bending
     integrands, added element by element into a dense matrix."""
-    rule = hv.gauss_rule(quad_points)
+    rule_points, rule_weights = hv.gauss_rule(quad_points)
     h = mesh.h[:, None]
-    xi = np.broadcast_to(rule.points, (mesh.n_elements, rule.points.size))
+    xi = np.broadcast_to(rule_points, (mesh.n_elements, rule_points.size))
     s0, s2 = _shape_matrix(xi, h, 0), _shape_matrix(xi, h, 2)
-    w = rule.weights * h
+    w = rule_weights * h
     local = np.einsum("eq,eqi,eqj->eij", w, s0, s0) + beta * np.einsum("eq,eqi,eqj->eij", w, s2, s2)
     out = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
     for e in range(mesh.n_elements):
@@ -185,14 +185,14 @@ def load_reference(mesh, y_d, f, beta, breakpoints, quad_points=6):
     Also returns the sum of |terms| per entry (the roundoff scale) and the
     (element, point, weight) triples of every segment.
     """
-    rule = hv.gauss_rule(quad_points)
+    rule_points, rule_weights = hv.gauss_rule(quad_points)
     b, scale, points = np.zeros(2 * mesh.n_nodes), np.zeros(2 * mesh.n_nodes), []
     for e in range(mesh.n_elements):
         x0, x1 = float(mesh.nodes[e]), float(mesh.nodes[e + 1])
         h = x1 - x0
         for s0, s1 in split_segments(x0, x1, breakpoints):
-            xs = s0 + (s1 - s0) * rule.points
-            ws = rule.weights * (s1 - s0)
+            xs = s0 + (s1 - s0) * rule_points
+            ws = rule_weights * (s1 - s0)
             sv, sdd = _shape_matrix((xs - x0) / h, h, 0), _shape_matrix((xs - x0) / h, h, 2)
             wy, wf = ws * y_d(xs), ws * f(xs)
             b[2 * e : 2 * e + 4] += sv.T @ wy - beta * (sdd.T @ wf)
@@ -243,7 +243,7 @@ def test_dirichlet_pins_boundary_dofs(rng):
     a = hv.assemble_energy(mesh, 1.0)
     b = rng.normal(size=a.dim)
     b_before = b.copy()
-    system = hv.apply_dirichlet(a, b, dm, bounds=np.full(mesh.n_nodes, 0.1))
+    system = hv.apply_dirichlet(a, b, bounds=np.full(mesh.n_nodes, 0.1))
     pinned, eye = system.a.to_dense(), np.eye(a.dim)
     assert system.a.dim == a.dim == 6
     for d in (0, dm.n_dofs - 2):
@@ -263,7 +263,7 @@ def test_dirichlet_pins_boundary_dofs(rng):
 def test_eliminated_system_symmetric_and_spd():
     mesh = hv.build_mesh(5)
     a = hv.assemble_energy(mesh, 1.0)
-    system = hv.apply_dirichlet(a, np.zeros(a.dim), hv.DofMap(mesh.n_nodes), np.ones(mesh.n_nodes))
+    system = hv.apply_dirichlet(a, np.zeros(a.dim), np.ones(mesh.n_nodes))
     d = system.a.to_dense()
     assert np.array_equal(d, d.T)
     system.a.factor()
@@ -273,12 +273,15 @@ def test_dirichlet_rejects_mismatched_sizes():
     mesh = hv.build_mesh(3)
     dm = hv.DofMap(mesh.n_nodes)
     a, b = hv.assemble_energy(mesh, 1.0), np.zeros(dm.n_dofs)
-    hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes))
-    for bad_a, bad_b in ((hv.assemble_energy(hv.build_mesh(4), 1.0), b), (a, np.zeros(dm.n_dofs + 2))):
-        with pytest.raises(ValueError, match="does not match the DOF map"):
-            hv.apply_dirichlet(bad_a, bad_b, dm, np.ones(mesh.n_nodes))
-    with pytest.raises(ValueError, match="one bound per node"):
-        hv.apply_dirichlet(a, b, dm, bounds=np.ones(mesh.n_nodes - 1))
+    bounds = np.ones(mesh.n_nodes)
+    assert hv.apply_dirichlet(a, b, bounds).to_qp().constrained.tolist() == [1, 3, 5, 7]
+    for bad_a, bad_b, bad_bounds in (
+        (hv.assemble_energy(hv.build_mesh(4), 1.0), b, bounds),
+        (a, np.zeros(dm.n_dofs + 2), bounds),
+        (a, b, np.ones(mesh.n_nodes - 1)),
+    ):
+        with pytest.raises(ValueError, match="matrix, load and bounds do not agree"):
+            hv.apply_dirichlet(bad_a, bad_b, bad_bounds)
 
 
 def test_equality_resolve_matches_qp_solution(paper):
@@ -335,6 +338,18 @@ def test_banded_solve_matches_dense(rng):
     assert np.max(np.abs(np.linalg.solve(a.to_dense(), rhs) - x)) <= 1e-10
 
 
+def test_banded_shape_comes_from_its_data():
+    band = hv.SymmetricBandedMatrix(np.ones((3, 4)))
+    assert (band.dim, band.half_bandwidth) == (4, 1)
+    for bad in (np.ones(3), np.ones((2, 4)), np.ones((4, 4))):
+        with pytest.raises(ValueError, match="2-D with an odd number of rows"):
+            hv.SymmetricBandedMatrix(bad)
+    # a shape apart from the data, such as (5, 1) or (4, 2) here, cannot be passed
+    for dim, half_bandwidth in ((5, 1), (4, 2)):
+        with pytest.raises(TypeError):
+            hv.SymmetricBandedMatrix(dim, half_bandwidth, np.ones((3, 4)))
+
+
 def test_banded_factor_rejects_indefinite():
     bad = hv.SymmetricBandedMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(hv.MatrixNotSpdError):
@@ -346,7 +361,7 @@ def test_banded_solve_rejects_non_finite_input():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             a.solve(np.array([1.0, bad]))
-        band = hv.SymmetricBandedMatrix(2, 1, np.array([[0.0, 1.0], [4.0, bad], [1.0, 0.0]]))
+        band = hv.SymmetricBandedMatrix(np.array([[0.0, 1.0], [4.0, bad], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="infs or NaNs"):
             band.factor()
 
@@ -378,8 +393,7 @@ def banded_case(rng, kind, n):
         m = rng.normal(size=(n, n))
         return hv.SymmetricBandedMatrix.from_dense(m + m.T + 2.0 * n * np.eye(n))
     mesh = hv.build_mesh(n)
-    dm = hv.DofMap(mesh.n_nodes)
-    return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(dm.n_dofs), dm, np.ones(mesh.n_nodes)).a
+    return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)).a
 
 
 BANDED_CASES = [("dense", n) for n in range(1, 10)] + [("mesh", n) for n in (1, 2, 3, 7, 64, 1024)]

@@ -51,8 +51,8 @@ def test_pdas_max_iter_carries_iterate(paper, monkeypatch):
     qp = paper_qp(paper, 16)
     with pytest.raises(hv.NonConvergenceError) as excinfo:
         hv.solve_pdas(qp)
-    assert excinfo.value.x is not None
-    assert excinfo.value.iterations == 1
+    assert excinfo.value.last.x.shape == (qp.dim,)
+    assert excinfo.value.last.iterations == 1
 
 
 def test_qp_rejects_indefinite_matrix():
@@ -225,7 +225,7 @@ def test_active_set_scale_invariant(paper):
     reference = hv.solve_pdas(qp).active_set
     for s in (1e-3, 1e3, 7.0):
         scaled = hv.BoundQp(
-            a=SymmetricBandedMatrix(qp.a.dim, qp.a.half_bandwidth, qp.a.data * s),
+            a=SymmetricBandedMatrix(qp.a.data * s),
             b=qp.b * s,
             constrained=qp.constrained,
             bounds=qp.bounds,
