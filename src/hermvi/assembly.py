@@ -128,6 +128,20 @@ class SymmetricBandedMatrix:
         band.flags.writeable = False
         return band
 
+    @functools.cached_property
+    def _diagonals(self) -> tuple:
+        """(band row, row slice, column slice) of each nonempty diagonal d = -hbw .. hbw.
+
+        Diagonal d holds the entries (j + d, j) for j in the column slice.
+        """
+        hbw, dim = self.half_bandwidth, self.dim
+        diagonals = []
+        for d in range(-hbw, hbw + 1):
+            j0, j1 = max(0, -d), min(dim, dim - d)
+            if j1 > j0:
+                diagonals.append((hbw + d, slice(j0 + d, j1 + d), slice(j0, j1)))
+        return tuple(diagonals)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
 
@@ -137,13 +151,10 @@ class SymmetricBandedMatrix:
         products come from one multiplication of the cached long-double
         band; the diagonals are then summed in the order d = -hbw .. hbw.
         """
-        hbw, dim = self.data.shape[0] // 2, self.data.shape[1]
         products = self._longdouble * np.asarray(x, dtype=np.longdouble)
-        y = np.zeros(dim, dtype=np.longdouble)
-        for d in range(-hbw, hbw + 1):
-            j0, j1 = max(0, -d), min(dim, dim - d)
-            if j1 > j0:
-                y[j0 + d : j1 + d] += products[hbw + d, j0:j1]
+        y = np.zeros(self.dim, dtype=np.longdouble)
+        for row, rows, cols in self._diagonals:
+            y[rows] += products[row, cols]
         return y
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -196,17 +207,14 @@ class SymmetricBandedMatrix:
         there exactly.  Dimension and bandwidth stay those of ``self``;
         with nothing to pin the result is ``self``, cached factor included.
         """
-        hbw, dim = self.data.shape[0] // 2, self.data.shape[1]
-        mask = np.zeros(dim, dtype=bool)
+        mask = np.zeros(self.dim, dtype=bool)
         mask[fixed] = True
         if not mask.any():
             return self
         data = self.data.copy()
-        for d in range(-hbw, hbw + 1):
-            # diagonal d holds entries (j + d, j): hit where row or column is pinned
-            j0, j1 = max(0, -d), min(dim, dim - d)
-            data[hbw + d, j0:j1][mask[j0:j1] | mask[j0 + d : j1 + d]] = 0.0
-        data[hbw, mask] = 1.0
+        for row, rows, cols in self._diagonals:  # hit where row or column is pinned
+            data[row, cols][mask[rows] | mask[cols]] = 0.0
+        data[self.half_bandwidth, mask] = 1.0
         return SymmetricBandedMatrix(data)
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":

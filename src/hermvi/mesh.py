@@ -126,18 +126,20 @@ def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     if deriv_order == 0:
+        xi2, xi3 = xi**2, xi**3
         cols = (
-            1.0 - 3.0 * xi**2 + 2.0 * xi**3,
-            h * (xi - 2.0 * xi**2 + xi**3),
-            3.0 * xi**2 - 2.0 * xi**3,
-            h * (-(xi**2) + xi**3),
+            1.0 - 3.0 * xi2 + 2.0 * xi3,
+            h * (xi - 2.0 * xi2 + xi3),
+            3.0 * xi2 - 2.0 * xi3,
+            h * (-xi2 + xi3),
         )
     elif deriv_order == 1:
+        xi2 = xi**2
         cols = (
-            (-6.0 * xi + 6.0 * xi**2) / h,
-            1.0 - 4.0 * xi + 3.0 * xi**2,
-            (6.0 * xi - 6.0 * xi**2) / h,
-            -2.0 * xi + 3.0 * xi**2,
+            (-6.0 * xi + 6.0 * xi2) / h,
+            1.0 - 4.0 * xi + 3.0 * xi2,
+            (6.0 * xi - 6.0 * xi2) / h,
+            -2.0 * xi + 3.0 * xi2,
         )
     elif deriv_order == 2:
         cols = (

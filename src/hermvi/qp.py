@@ -12,6 +12,7 @@ complete the module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import MatrixNotSpdError, SymmetricBandedMatrix
+from .mesh import _frozen
 
 #: Refused above this many bounded coordinates (2^n candidate sets).
 BRUTEFORCE_LIMIT = 20
@@ -34,6 +36,10 @@ class NonConvergenceError(Exception):
         super().__init__(message)
         self.last = last
 
+    def __reduce__(self):
+        # the default replays only ``args``, which lacks ``last``
+        return type(self), (self.args[0], self.last)
+
 
 class KktResidual(NamedTuple):
     """Violations of the four KKT conditions, computed fresh from (x, lambda)."""
@@ -45,12 +51,16 @@ class KktResidual(NamedTuple):
     complementarity: float    # max |lambda_i * (x_i - u_i)|
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundQp:
     """SPD quadratic program with upper bounds on selected coordinates.
 
     ``a`` may be a SymmetricBandedMatrix or a dense symmetric array; bounds
     may include +inf for coordinates that are listed but unconstrained.
+    ``b``, ``constrained`` and ``bounds`` are stored as read-only copies and
+    no field can be reassigned, so the unconstrained minimizer, solved at
+    most once per instance and cached read-only, never goes stale: the cold
+    start and every PDAS step with nothing active share that one solve.
     """
 
     a: SymmetricBandedMatrix
@@ -59,25 +69,29 @@ class BoundQp:
     bounds: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.a, np.ndarray):
-            self.a = SymmetricBandedMatrix.from_dense(self.a)
-        self.b = np.asarray(self.b, dtype=float)
-        self.constrained = np.asarray(self.constrained, dtype=int)
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        dim = self.a.dim
-        if self.b.shape != (dim,):
+        a = SymmetricBandedMatrix.from_dense(self.a) if isinstance(self.a, np.ndarray) else self.a
+        b = _frozen(self.b)
+        constrained = _frozen(self.constrained, dtype=int)
+        bounds = _frozen(self.bounds)
+        if b.shape != (a.dim,):
             raise ValueError("load vector length does not match the matrix")
-        if not np.isfinite(self.b).all():
+        if not np.isfinite(b).all():
             raise ValueError("load vector must be finite")
-        if self.constrained.size != self.bounds.size:
+        if constrained.size != bounds.size:
             raise ValueError("need exactly one bound per constrained coordinate")
-        if self.constrained.size and (
-            self.constrained.min() < 0 or self.constrained.max() >= dim
-        ):
+        if constrained.size and (constrained.min() < 0 or constrained.max() >= a.dim):
             raise ValueError("constrained index out of range")
-        if np.any(np.isnan(self.bounds)) or np.any(self.bounds == -np.inf):
+        if np.any(np.isnan(bounds)) or np.any(bounds == -np.inf):
             raise ValueError("bounds must be finite or +inf")
-        self.a.factor()  # fail early if not SPD; the factor is cached for later solves
+        a.factor()  # fail early if not SPD; the factor is cached for later solves
+        for name, value in (("a", a), ("b", b), ("constrained", constrained), ("bounds", bounds)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _unconstrained(self) -> np.ndarray:
+        x = self.a.solve(self.b)
+        x.flags.writeable = False
+        return x
 
     @property
     def dim(self) -> int:
@@ -114,9 +128,14 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     move into the right-hand side, so the system keeps its dimension and
     bandwidth and x equals the bound exactly on the active set.  Returns
     (x, multipliers); stationarity holds on free rows by the solve and on
-    fixed rows by the definition of the multiplier.
+    fixed rows by the definition of the multiplier.  With nothing active, x
+    is the QP's cached unconstrained solve, read-only, and the multipliers
+    are zero: the same bits the pinned path computes, without its products.
     """
     fixed = qp.constrained[active]
+    if not fixed.size:
+        x = qp._unconstrained
+        return x, np.zeros_like(x)
     x = np.zeros(qp.dim)
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
@@ -128,8 +147,12 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
 
 
 def _cold_start(qp: BoundQp) -> np.ndarray:
-    """Mask over ``qp.constrained`` of the bounds the unconstrained minimizer violates."""
-    return qp.a.solve(qp.b)[qp.constrained] > qp.bounds
+    """Mask over ``qp.constrained`` of the bounds the unconstrained minimizer violates.
+
+    Reads the QP's cached unconstrained solve, so a PDAS step that starts
+    from the empty mask reuses it instead of solving again.
+    """
+    return qp._unconstrained[qp.constrained] > qp.bounds
 
 
 def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
@@ -137,10 +160,12 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
 
     Starts from ``active``, a boolean mask over ``qp.constrained``; without
     one, from the unconstrained solve with the violated bounds as the
-    initial active set.  An active coordinate stays active while its
-    multiplier is positive and an inactive one enters when it exceeds its
-    bound; this is the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0``
-    for any c > 0, since x_i = u_i on the active set and lambda_i = 0 off it.
+    initial active set.  That solve is the QP's cached one, also returned
+    by any iteration with nothing active, so an unconstrained QP is solved
+    once.  An active coordinate stays active while its multiplier is
+    positive and an inactive one enters when it exceeds its bound; this is
+    the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0`` for any
+    c > 0, since x_i = u_i on the active set and lambda_i = 0 off it.
     Terminates when the active set repeats; an immediate repeat is
     optimality, any longer cycle or hitting :data:`MAX_ITER` raises
     :class:`NonConvergenceError`.

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,41 @@ def test_pdas_max_iter_carries_iterate(paper, monkeypatch):
         hv.solve_pdas(qp)
     assert excinfo.value.last.x.shape == (qp.dim,)
     assert excinfo.value.last.iterations == 1
+
+
+def test_nonconvergence_error_survives_pickle(paper, monkeypatch):
+    monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
+    with pytest.raises(hv.NonConvergenceError) as excinfo:
+        hv.solve_problem(paper, 33)
+    exc = excinfo.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is hv.NonConvergenceError
+    assert str(back) == str(exc) == "no stable active set within 1 iterations"
+    # long doubles compared by value: their padding bytes are not part of it
+    assert np.array_equal(back.last.x, exc.last.x)
+    assert back.last.iterations == exc.last.iterations == 1
+
+
+def test_bound_qp_owns_read_only_copies():
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    b, constrained, bounds = np.array([1.0, 2.0]), np.array([0, 1]), np.array([5.0, 6.0])
+    expected = np.linalg.solve(a, b)
+    solved = hv.BoundQp(a=a, b=b, constrained=constrained, bounds=bounds)
+    solved._unconstrained  # cached before the caller's arrays change
+    unsolved = hv.BoundQp(a=a, b=b, constrained=constrained, bounds=bounds)
+    b[:], constrained[:], bounds[:], a[:] = -7.0, 0, -9.0, 0.0
+    for qp in (solved, unsolved):
+        assert qp.b.tolist() == [1.0, 2.0]
+        assert qp.constrained.tolist() == [0, 1] and qp.bounds.tolist() == [5.0, 6.0]
+        assert np.max(np.abs(np.asarray(qp._unconstrained, float) - expected)) <= 1e-15
+        for name in ("b", "constrained", "bounds"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(qp, name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            qp._unconstrained[0] = 0.0
+        for field in dataclasses.fields(qp):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(qp, field.name, getattr(qp, field.name))
 
 
 def test_qp_rejects_indefinite_matrix():

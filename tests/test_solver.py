@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import hermvi as hv
+from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import assemble_system
+
+
+def unbound_spec(paper):
+    """The paper's data under an obstacle far above any slope of its state."""
+    return hv.ProblemSpec(
+        name="unbound", beta=1.0, f=paper.f, y_d=paper.y_d,
+        psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3),
+    )
 
 
 def test_solution_coefficients_vanish_at_dirichlet_dofs(solve_cache):
@@ -94,18 +103,59 @@ def test_coarse_chain_runs_only_on_even_meshes_with_a_binding_bound(paper, monke
         return assemble_system(spec, mesh, **kwargs)
 
     monkeypatch.setattr("hermvi.solver.assemble_system", counting)
-    unbound = hv.ProblemSpec(
-        name="unbound", beta=1.0, f=paper.f, y_d=paper.y_d,
-        psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3),
-    )
     for spec, n, chain in [
         (paper, 96, [96, 48, 24, 12, 6, 3]),
         (paper, 33, [33]),
-        (unbound, 64, [64]),
+        (unbound_spec(paper), 64, [64]),
     ]:
         sizes.clear()
         hv.solve_problem(spec, n)
         assert sizes == chain
+
+
+@pytest.mark.parametrize(
+    "problem, n, factorizations, triangular_solves, matvecs",
+    [
+        # one refined solve (1 + 3 dpbtrs, 3 matvecs) serves the cold start and
+        # the one PDAS step; kkt_residual takes the fourth matvec
+        ("unconstrained-smoke", 64, 1, 4, 4),
+        ("paper", 1024, 33, 96, 127),
+    ],
+)
+def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
+    counts = dict.fromkeys(("dpbtrf", "dpbtrs", "matvec"), 0)
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(hv.assembly, "dpbtrf")
+    counting(hv.assembly, "dpbtrs")
+    counting(SymmetricBandedMatrix, "matvec")
+    hv.solve_problem(hv.get_problem(problem), n)
+    assert counts == {"dpbtrf": factorizations, "dpbtrs": triangular_solves, "matvec": matvecs}
+
+
+@pytest.mark.parametrize("problem", ["unconstrained-smoke", "unbound"])
+def test_unconstrained_pdas_step_is_the_plain_solve(paper, problem):
+    spec = unbound_spec(paper) if problem == "unbound" else hv.get_problem(problem)
+    qp = assemble_system(spec, hv.build_mesh(64)).to_qp()
+    sol = hv.solve_pdas(qp)
+    assert sol.active_set == () and sol.iterations == 1
+    # long doubles compared by value: their padding bytes are not part of it
+    fresh = SymmetricBandedMatrix(qp.a.data.copy()).solve(qp.b)
+    assert np.array_equal(sol.x, fresh)
+    # the pinned path with nothing pinned, as PDAS took it before the solve was cached
+    assert np.array_equal(sol.x, qp.a.pinned([]).solve(qp.a.residual(np.zeros(qp.dim), qp.b)))
+    assert sol.multipliers.dtype == fresh.dtype and not sol.multipliers.any()
+    plain = hv.QpSolution(fresh, np.zeros_like(fresh), (), 1)
+    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, plain)
+    assert np.array_equal(hv.solve_problem(spec, 64).qp_solution.x, fresh)
 
 
 @pytest.mark.parametrize("k", range(5, 13))
