@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, _cut, _element_evaluator, segment_quadrature
+from .mesh import DiscreteSolution, _cut, _element_evaluator, build_mesh, segment_quadrature
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import KktResidual
@@ -141,9 +141,9 @@ def run_convergence_study(
     The exact bundle and the counts are checked before anything is solved:
     at least two counts, strictly increasing (so no duplicates).  They are
     then walked from the largest down, and ``solve_problem`` runs only for a
-    count that no earlier solve's warm-start chain (``SolveResult.levels``)
-    holds, so a dyadic study is one solve and other counts keep one solve
-    each.
+    count whose uniform mesh, matched node for node, no earlier solve's
+    warm-start chain (``SolveResult.levels``) holds; a dyadic study is one
+    solve, and other counts keep one solve each.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
@@ -152,12 +152,13 @@ def run_convergence_study(
         raise ValueError("a convergence study needs at least two levels")
     if any(b <= a for a, b in zip(counts[:-1], counts[1:])):
         raise ValueError(f"element counts must strictly increase, without duplicates, got {counts}")
+    keys = [build_mesh(n).nodes.tobytes() for n in counts]
     solved = {}
-    for n in reversed(counts):
-        if n not in solved:
+    for n, key in zip(reversed(counts), reversed(keys)):
+        if key not in solved:
             result = solve_problem(spec, n_elements=n)
-            solved.update((level.mesh.n_elements, level) for level in result.levels)
-    return convergence_rates([error_norms(solved[n], spec) for n in counts])
+            solved.update((level.mesh.nodes.tobytes(), level) for level in result.levels)
+    return convergence_rates([error_norms(solved[key], spec) for key in keys])
 
 
 _COLUMNS = (

@@ -45,7 +45,7 @@ class KktResidual(NamedTuple):
     """Violations of the four KKT conditions, computed fresh from (x, lambda)."""
 
     stationarity: float       # ||Ax - b + lambda||_inf
-    stationarity_scaled: float  # the same over ||A||_inf ||x||_inf + ||b||_inf (0 when it is 0)
+    stationarity_scaled: float  # the same over ||A||_inf ||x||_inf + ||b||_inf (inf when only that is 0)
     primal_violation: float   # max(0, x_i - u_i) over bounded coordinates
     min_multiplier: float     # most negative multiplier (dual feasibility)
     complementarity: float    # max |lambda_i * (x_i - u_i)|
@@ -250,7 +250,7 @@ def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     stationarity = float(np.max(np.abs(r))) if r.size else 0.0
     # the band is symmetric with zero unused slots: its largest column sum is ||A||_inf
     scale = np.abs(qp.a.data).sum(axis=0).max() * float(np.max(np.abs(sol.x))) + np.max(np.abs(qp.b))
-    scaled = stationarity / float(scale) if stationarity else 0.0
+    scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)
     if qp.constrained.size:
         gap = sol.x[qp.constrained] - qp.bounds
         lam = sol.multipliers[qp.constrained]

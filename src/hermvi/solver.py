@@ -23,8 +23,8 @@ class SolveResult:
     """Discrete solution plus the QP artifacts used to produce it.
 
     ``levels`` holds the solution on every mesh of the warm-start chain,
-    coarsest first (one level without a chain); ``qp`` and ``qp_solution``
-    are the finest level's.
+    coarsest first (one level when no bound binds or the mesh has one
+    element); ``qp`` and ``qp_solution`` are the finest level's.
     """
 
     qp: BoundQp
@@ -54,13 +54,13 @@ def solve_problem(
     Returns the discrete state, whose boundary values are pinned to zero,
     the active slope constraints as node indices, and fresh KKT residuals
     of the underlying QP.  PDAS starts from the bounds that the
-    unconstrained solve violates.  When there are any and the element
-    count is even, the solve first goes down a chain of nested meshes,
-    ``Mesh(nodes[::2])`` while the count is even, and climbs back up: the
-    coarsest mesh starts cold and each finer one from the active set below
-    it, prolonged, so PDAS takes one or two iterations on any mesh (a cold
-    start takes a number that grows with the element count).  A
-    :class:`NonConvergenceError` raised on a coarser mesh names its
+    unconstrained solve violates.  When there are any, the solve goes down
+    a chain of meshes to one element, each made of every other node of the
+    one above and the last, and climbs back up: the coarsest starts cold
+    and each finer one from the active set below, prolonged by position (a
+    shared node keeps its flag, one inside a coarse element needs both
+    ends'), so PDAS takes one to three iterations per level on any mesh.
+    A :class:`NonConvergenceError` raised on a coarser mesh names its
     element count and carries that mesh's iterate.
     """
     if (n_elements is None) == (mesh is None):
@@ -71,16 +71,17 @@ def solve_problem(
     qp = system.to_qp()
     active = _cold_start(qp)
     chain = [(mesh, system)]
-    while active.any() and chain[-1][0].n_elements % 2 == 0:
-        coarse = Mesh(chain[-1][0].nodes[::2])
+    while active.any() and chain[-1][0].n_elements > 1:
+        coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
         chain.append((coarse, assemble_system(spec, coarse)))
     active = active if len(chain) == 1 else None  # the coarsest level of a chain starts cold
     levels = []
     while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
         level_mesh, level_system = chain.pop()
-        if levels:  # prolong the level below: fine node 2i takes its node i, 2i + 1 needs i and i + 1
-            active = np.repeat(np.isin(level_qp.constrained, qp_sol.active_set), 2)[:-1]
-            active[1::2] &= active[2::2]
+        if levels:  # prolong by position: onto coarse node j, or inside coarse element (j - 1, j)
+            coarse, below = levels[-1].mesh.nodes, np.isin(level_qp.constrained, qp_sol.active_set)
+            j = np.searchsorted(coarse, level_mesh.nodes)
+            active = below[j] & (below[j - 1] | (coarse[j] == level_mesh.nodes))
         level_qp = qp if level_mesh is mesh else level_system.to_qp()
         try:
             qp_sol = solve_pdas(level_qp, active=active)

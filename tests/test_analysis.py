@@ -184,10 +184,11 @@ def test_study_solves_one_chain(paper, monkeypatch):
     sizes = record_assembled_sizes(monkeypatch)
     hv.run_convergence_study(paper, [2**k for k in range(10)])
     assert sorted(sizes) == [2**k for k in range(10)]
-    # 6 brings its chain 6 -> 3 along; 5 is not in it and gets its own solve
+    # 6 brings its chain 6 -> 3 -> 2 -> 1 along; 5 is not in it and gets its own solve
     sizes.clear()
     study = hv.run_convergence_study(paper, [3, 5, 6])
-    assert sizes == [6, 3, 5]
+    assert sizes == [6, 3, 2, 1, 5, 3, 2, 1]
+    # levels are matched by mesh: 5's non-uniform 3-element level never stands in for 3
     assert study.reports[0] == hv.error_norms(hv.solve_problem(paper, 3).solution, paper)
 
 

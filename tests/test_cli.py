@@ -39,6 +39,13 @@ def test_solve_stdout_when_no_output(capsys):
     assert stdout.startswith("x,y,dy,d2y,u")
 
 
+def test_solve_odd_fine_mesh(capsys):
+    # an odd count warm-starts from its chain; a cold start finds no stable set here
+    code, stdout, stderr = run(capsys, "solve", "--problem", "paper", "--elements", "2047")
+    assert code == 0
+    assert int(re.search(r"elements: 2047  pdas iterations: (\d+)", stderr).group(1)) <= 3
+
+
 def test_solve_unknown_problem(capsys):
     code, stdout, stderr = run(capsys, "solve", "--problem", "nope", "--elements", "4")
     assert code == 2

@@ -61,7 +61,7 @@ def test_pdas_max_iter_carries_iterate(paper, monkeypatch):
 def test_nonconvergence_error_survives_pickle(paper, monkeypatch):
     monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
     with pytest.raises(hv.NonConvergenceError) as excinfo:
-        hv.solve_problem(paper, 33)
+        hv.solve_problem(paper, 1)
     exc = excinfo.value
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is hv.NonConvergenceError
@@ -191,6 +191,18 @@ def test_kkt_residual_zero_at_exact_solution():
     # no constrained coordinate: only stationarity is left to measure
     free = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[])
     assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_kkt_residual_with_zero_scale():
+    spec = hv.ProblemSpec(name="zero", beta=1.0, f=np.zeros_like, y_d=np.zeros_like, psi=np.ones_like)
+    qp = assemble_system(spec, hv.build_mesh(4)).to_qp()
+    x = np.zeros(qp.dim)
+    assert hv.kkt_residual(qp, hv.QpSolution(x, np.zeros(qp.dim), (), 1)) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    # x = 0 and b = 0 scale the residual by 0: a nonzero multiplier still reads as a violation
+    multipliers = np.zeros(qp.dim)
+    multipliers[1] = 1.0
+    res = hv.kkt_residual(qp, hv.QpSolution(x, multipliers, (1,), 1))
+    assert res.stationarity == 1.0 and res.stationarity_scaled == np.inf
 
 
 def test_kkt_residual_linear_in_perturbation(rng):

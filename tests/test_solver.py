@@ -74,7 +74,7 @@ def test_shared_structures_are_immutable(paper, solve_cache):
         a.data = np.zeros_like(a.data)
 
 
-def random_even_mesh(rng, n):
+def random_mesh(rng, n):
     widths = rng.uniform(0.2, 1.0, size=n)
     nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
     nodes[-1] = 1.0
@@ -82,8 +82,9 @@ def random_even_mesh(rng, n):
 
 
 WARM_START_MESHES = {
-    **{f"uniform-{n}": hv.build_mesh(n) for n in (6, 96, 768, 1000, 1024)},
-    **{f"nonuniform-seed{s}": random_even_mesh(np.random.default_rng(s), 200) for s in (1, 2)},
+    **{f"uniform-{n}": hv.build_mesh(n) for n in (6, 33, 96, 768, 1000, 1023, 1024)},
+    **{f"nonuniform-seed{s}": random_mesh(np.random.default_rng(s), 200) for s in (1, 2)},
+    "nonuniform-201": random_mesh(np.random.default_rng(3), 201),
 }
 
 
@@ -95,7 +96,7 @@ def test_warm_start_matches_cold_start(paper, mesh):
     assert np.array_equal(warm.x, cold.x)
 
 
-def test_coarse_chain_runs_only_on_even_meshes_with_a_binding_bound(paper, monkeypatch):
+def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
     sizes = []
 
     def counting(spec, mesh, **kwargs):
@@ -104,8 +105,9 @@ def test_coarse_chain_runs_only_on_even_meshes_with_a_binding_bound(paper, monke
 
     monkeypatch.setattr("hermvi.solver.assemble_system", counting)
     for spec, n, chain in [
-        (paper, 96, [96, 48, 24, 12, 6, 3]),
-        (paper, 33, [33]),
+        # every other node and the last: an odd count's coarse meshes are non-uniform
+        (paper, 96, [96, 48, 24, 12, 6, 3, 2, 1]),
+        (paper, 33, [33, 17, 9, 5, 3, 2, 1]),
         (unbound_spec(paper), 64, [64]),
     ]:
         sizes.clear()
@@ -163,14 +165,28 @@ def test_pdas_iterations_do_not_grow_with_the_mesh(solve_cache, k):
     assert solve_cache(2**k).solution.iterations <= 2
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [*(hv.build_mesh(n) for n in (2047, 2049, 4094, 4095, 8191)),
+     *(random_mesh(np.random.default_rng(1), n) for n in (1000, 2000, 3000))],
+    ids=[*(f"uniform-{n}" for n in (2047, 2049, 4094, 4095, 8191)),
+         *(f"nonuniform-seed1-{n}" for n in (1000, 2000, 3000))],
+)
+def test_every_mesh_warm_starts(paper, mesh):
+    # a cold start takes up to 69 iterations at 1023 elements and none settles from 2047 up
+    result = hv.solve_problem(paper, mesh=mesh)
+    assert len(result.levels) > 1
+    assert max(level.iterations for level in result.levels) <= 3
+
+
 def test_coarse_level_nonconvergence_names_its_mesh(paper, monkeypatch):
     monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
     with pytest.raises(hv.NonConvergenceError, match="on the 1-element coarse mesh") as excinfo:
         hv.solve_problem(paper, 16)
     # the iterate is the coarse mesh's: one element, two nodes, four DOFs
     assert excinfo.value.last.x.shape == (4,)
-    # an odd mesh has no chain, so the error is the mesh's own, unrenamed
+    # one element has no chain, so the error is the mesh's own, unrenamed
     with pytest.raises(hv.NonConvergenceError, match="within 1 iterations") as excinfo:
-        hv.solve_problem(paper, 33)
+        hv.solve_problem(paper, 1)
     assert "coarse mesh" not in str(excinfo.value)
-    assert excinfo.value.last.x.shape == (68,)
+    assert excinfo.value.last.x.shape == (4,)
