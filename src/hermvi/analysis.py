@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, _cut, _element_evaluator, build_mesh, segment_quadrature
+from .mesh import DiscreteSolution, _cut, _element_evaluator, _gauss_points, build_mesh
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import KktResidual
@@ -42,32 +42,45 @@ class ErrorReport:
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
 
 
-def _norm_pass(sol: DiscreteSolution, spec: ProblemSpec):
-    """One quadrature sweep accumulating all squared error norms."""
-    ex = spec.exact
-    element, xs, xi, ws = segment_quadrature(sol.mesh, spec.breakpoints, NORM_QUAD_POINTS)
-    _, at = _element_evaluator(sol, element)
-    y0, y1, y2 = (at(xi, k) for k in range(3))
-    du = -(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs)
-    d = np.stack([y0 - ex.y_bar(xs), y1 - ex.p(xs), y2 - ex.p_prime(xs), du])
-    return np.sqrt((d * d) @ ws)  # l2, h1, h2, control
+def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list[ErrorReport]:
+    """Error reports of every level, from one pass over all their segments.
 
-
-def _max_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
-    """max |y_h - y_bar| over samples of every split segment and Newton steps on e' = y_h' - p.
-
-    Each segment is evaluated on its own element (so y_h'' at a node comes
-    from the segment's side), and its Newton iterates are clamped into it.
+    Each level's elements are cut at ``spec.breakpoints``, and the segments
+    of all levels are concatenated, so every exact-bundle function and
+    ``spec.f`` is called once per use, whatever the number of levels.  Each
+    segment is evaluated on its own element (y_h'' at a node comes from the
+    segment's side).  Squared norms are summed per level in segment order by
+    ``bincount`` and maxima taken per level, so a level's report does not
+    depend on the levels beside it.
     """
-    ex, mesh = spec.exact, sol.mesh
-    edges = _cut(mesh.nodes, spec.breakpoints)
-    element = mesh.element_of(edges[:-1])[:, None]
-    lo, hi, left = edges[:-1, None], edges[1:, None], mesh.nodes[element]
-    h, at = _element_evaluator(sol, element)
+    ex = spec.exact
+    edges = [_cut(sol.mesh.nodes, spec.breakpoints) for sol in levels]
+    segments = [e.size - 1 for e in edges]
+    first_node = np.cumsum([0] + [sol.mesh.n_nodes for sol in levels[:-1]])
+    element = np.concatenate([
+        sol.mesh.element_of(e[:-1]) + first for sol, e, first in zip(levels, edges, first_node)
+    ])[:, None]
+    lo = np.concatenate([e[:-1] for e in edges])[:, None]
+    hi = np.concatenate([e[1:] for e in edges])[:, None]
+    nodes = np.concatenate([sol.mesh.nodes for sol in levels])
+    h, at = _element_evaluator(nodes, np.concatenate([sol.coefficients for sol in levels]), element)
+    left = nodes[element]
 
     def err(x, k):  # k-th derivative of the error at x of shape (segment, point)
         return at((x - left) / h, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
+    # integrated norms, one squared error at a time; the control error -(y_h'' + f) - u_bar shares y_h''
+    xs, ws = _gauss_points(lo[:, 0], hi[:, 0], NORM_QUAD_POINTS)
+    level_of = np.repeat(np.arange(len(levels)), [n * NORM_QUAD_POINTS for n in segments])
+
+    def norm(e):  # per level, summed in segment order
+        return np.sqrt(np.bincount(level_of, weights=(e * e * ws).ravel()))
+
+    y2 = at((xs - left) / h, 2)
+    l2, h1, h2 = norm(err(xs, 0)), norm(err(xs, 1)), norm(y2 - ex.p_prime(xs))
+    control = norm(-(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs))
+
+    # max norm: the best equispaced sample of each segment, refined by clamped Newton steps on e'
     x = lo + (hi - lo) * np.linspace(0.0, 1.0, LINF_SAMPLES_PER_ELEMENT + 1)
     seeded = np.abs(err(x, 0))
     x = np.take_along_axis(x, seeded.argmax(axis=1)[:, None], axis=1)
@@ -75,7 +88,17 @@ def _max_error(sol: DiscreteSolution, spec: ProblemSpec) -> float:
         curvature = err(x, 2)
         step = np.divide(err(x, 1), curvature, out=np.zeros_like(x), where=curvature != 0)
         x = np.clip(x - step, lo, hi)
-    return float(max(seeded.max(), np.abs(err(x, 0)).max()))
+    linf = np.maximum.reduceat(
+        np.maximum(seeded.max(axis=1), np.abs(err(x, 0))[:, 0]), np.cumsum([0] + segments[:-1])
+    )
+    return [
+        ErrorReport(
+            n_elements=sol.mesh.n_elements, h=sol.mesh.mesh_size,
+            l2=float(l2[k]), linf=float(linf[k]), h1=float(h1[k]), h2=float(h2[k]),
+            control_l2=float(control[k]), kkt=sol.kkt,
+        )
+        for k, sol in enumerate(levels)
+    ]
 
 
 def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
@@ -83,30 +106,30 @@ def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
 
     Integrated norms use :data:`NORM_QUAD_POINTS`-point Gauss quadrature on
     every element segment split at ``spec.breakpoints``; the control error
-    -(y_h'' + f) - u_bar comes from the same pass as the H2 error.  The max norm samples each of those split
-    segments at ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends
-    included) and refines the segment's best sample by Newton steps on the
-    error's slope, so it reads the local maximum instead of a grid value.
+    -(y_h'' + f) - u_bar comes from the same pass as the H2 error.  The max
+    norm samples each of those split segments at
+    ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends included) and
+    refines the segment's best sample by Newton steps on the error's slope,
+    clamped into the segment, so it reads the local maximum instead of a
+    grid value.  This is the one-level case of the pass that
+    :func:`run_convergence_study` makes over all its levels at once, and
+    gives the same report bit for bit.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
-    l2, h1, h2, control = _norm_pass(sol, spec)
-    mesh = sol.mesh
-    return ErrorReport(
-        n_elements=mesh.n_elements,
-        h=mesh.mesh_size,
-        l2=float(l2),
-        linf=_max_error(sol, spec),
-        h1=float(h1),
-        h2=float(h2),
-        control_l2=float(control),
-        kkt=sol.kkt,
-    )
+    return _level_errors([sol], spec)[0]
+
+
+def _rate(coarse: float, fine: float, h_ratio: float) -> float:
+    return math.log(coarse / fine) / math.log(h_ratio) if coarse > 0 and fine > 0 else math.nan
 
 
 @dataclass
 class ConvergenceReport:
-    """Ordered error reports plus per-norm observed rates between levels."""
+    """Ordered error reports plus per-norm observed rates between levels.
+
+    A rate next to an error of exactly zero is not defined and reads ``nan``.
+    """
 
     reports: list
     rates: dict = field(init=False)
@@ -114,7 +137,7 @@ class ConvergenceReport:
     def __post_init__(self):
         self.rates = {
             name: [
-                math.log(getattr(a, name) / getattr(b, name)) / math.log(a.h / b.h)
+                _rate(getattr(a, name), getattr(b, name), a.h / b.h)
                 for a, b in zip(self.reports[:-1], self.reports[1:])
             ]
             for name in ErrorReport.NORM_FIELDS
@@ -143,7 +166,10 @@ def run_convergence_study(
     then walked from the largest down, and ``solve_problem`` runs only for a
     count whose uniform mesh, matched node for node, no earlier solve's
     warm-start chain (``SolveResult.levels``) holds; a dyadic study is one
-    solve, and other counts keep one solve each.
+    solve, and other counts keep one solve each.  The errors of all levels
+    then come from one pass over all their element segments, so each
+    exact-bundle function and ``spec.f`` is called as often for ten levels
+    as for two; each level's report equals :func:`error_norms` on it.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
@@ -158,7 +184,7 @@ def run_convergence_study(
         if key not in solved:
             result = solve_problem(spec, n_elements=n)
             solved.update((level.mesh.nodes.tobytes(), level) for level in result.levels)
-    return convergence_rates([error_norms(solved[key], spec) for key in keys])
+    return convergence_rates(_level_errors([solved[key] for key in keys], spec))
 
 
 _COLUMNS = (

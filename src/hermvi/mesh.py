@@ -218,11 +218,11 @@ def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
     return np.sort(np.concatenate([edges, cuts]))
 
 
-def _gauss_points(edges: np.ndarray, quad_points: int):
-    """Flat Gauss points and weights over (interval of ``edges``, point)."""
+def _gauss_points(lo: np.ndarray, hi: np.ndarray, quad_points: int):
+    """Gauss points and weights of the intervals [lo, hi], shape ``(interval, point)``."""
     points, weights = gauss_rule(quad_points)
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * points).ravel(), (width * weights).ravel()
+    lo, width = lo[:, None], (hi - lo)[:, None]
+    return lo + width * points, width * weights
 
 
 def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
@@ -234,14 +234,15 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
     reference coordinate ``xi`` in that element, and the quadrature weight.
     """
     edges = _cut(mesh.nodes, breakpoints)
-    x, w = _gauss_points(edges, quad_points)
+    x, w = (a.ravel() for a in _gauss_points(edges[:-1], edges[1:], quad_points))
     element = np.repeat(mesh.element_of(edges[:-1]), quad_points)
     return element, x, (x - mesh.nodes[element]) / mesh.h[element], w
 
 
 def _composite_rule(breakpoints: Iterable[float]):
     """Points and weights of the composite rule, its panels cut at the breakpoints."""
-    return _gauss_points(_cut(np.linspace(*DOMAIN, COMPOSITE_PANELS + 1), breakpoints), COMPOSITE_QUAD_POINTS)
+    edges = _cut(np.linspace(*DOMAIN, COMPOSITE_PANELS + 1), breakpoints)
+    return tuple(a.ravel() for a in _gauss_points(edges[:-1], edges[1:], COMPOSITE_QUAD_POINTS))
 
 
 def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float:
@@ -283,14 +284,16 @@ class DiscreteSolution:
         return evaluate(self, x, deriv_order)
 
 
-def _element_evaluator(sol: DiscreteSolution, element):
+def _element_evaluator(nodes: np.ndarray, coefficients: np.ndarray, element):
     """Widths of ``element`` and ``(xi, k) ->`` the k-th derivative there.
 
+    Element e spans ``nodes[e]`` to ``nodes[e + 1]`` and owns coefficients
+    2e .. 2e + 3, so the arrays of several meshes may be concatenated.
     Gathers the widths and local coefficients once; each call contracts them
     with the shapes at ``xi`` (broadcast against ``element``) in one einsum.
     """
-    h = sol.mesh.h[element]
-    local = sol.coefficients[_element_dofs(element)]
+    h = nodes[element + 1] - nodes[element]
+    local = coefficients[_element_dofs(element)]
     return h, lambda xi, k: np.einsum("...i,...i->...", _shape_matrix(xi, h, k), local)
 
 
@@ -312,7 +315,7 @@ def evaluate_element(sol: DiscreteSolution, element: int, xi, deriv_order: int =
     element = int(element)
     if not 0 <= element < sol.mesh.n_elements:
         raise ValueError(f"element index out of range: {element}")
-    _, at = _element_evaluator(sol, element)
+    _, at = _element_evaluator(sol.mesh.nodes, sol.coefficients, element)
     out = at(xi, deriv_order)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -328,6 +331,6 @@ def evaluate(sol: DiscreteSolution, x, deriv_order: int = 0):
     if xs.size and not (xs.min() >= DOMAIN[0] and xs.max() <= DOMAIN[1]):
         raise ValueError("evaluation point outside [-1, 1]")
     elem = sol.mesh.element_of(xs)
-    h, at = _element_evaluator(sol, elem)
+    h, at = _element_evaluator(sol.mesh.nodes, sol.coefficients, elem)
     vals = at((xs - sol.mesh.nodes[elem]) / h, deriv_order)
     return float(vals) if np.ndim(vals) == 0 else vals

@@ -107,7 +107,8 @@ def _exact_state_deriv3(x):
 def exact_state(x):
     """Antiderivative of p vanishing at both endpoints (closed form)."""
     x = np.asarray(x, dtype=float)
-    left = (x + 1.0) - (27.0 / 32.0) * ((x - BREAK) ** 3 + (4.0 / 3.0) ** 3)
+    t = x - BREAK  # cubed by products: pow is slow and platform-rounded on negative bases
+    left = (x + 1.0) - (27.0 / 32.0) * (t * t * t + (4.0 / 3.0) ** 3)
     return np.where(x <= BREAK, left, x - 1.0)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -148,6 +149,24 @@ def test_rates_from_published_reference_values():
     assert l2_rate == pytest.approx(1.96, abs=0.02)
 
 
+def test_rates_next_to_a_zero_error_read_nan():
+    # a zero denominator, then a zero numerator
+    rates = hv.convergence_rates([synthetic_report(2, 0.5), synthetic_report(4, 0.0),
+                                  synthetic_report(8, 0.25)]).rates
+    assert all(math.isnan(r) for rs in rates.values() for r in rs)
+
+
+def test_study_of_an_exactly_solved_problem_reports_nan_rates():
+    # zero data, zero exact solution: every level's error is exactly zero
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    exact = hv.ExactBundle(*(zero,) * 7, lam=0.0, rho=zero, gamma=0.0, zeta=0.0)
+    spec = hv.ProblemSpec("zero", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero, exact=exact)
+    study = hv.run_convergence_study(spec, [1, 2])
+    assert all(getattr(rep, name) == 0.0 for rep in study.reports for name in hv.ErrorReport.NORM_FIELDS)
+    rows = list(csv.reader(io.StringIO(hv.render_report(study, format="csv"))))
+    assert rows[2][6:] == ["nan"] * 5
+
+
 def test_rates_reject_non_refining_levels():
     reports = [synthetic_report(4, 0.1), synthetic_report(2, 0.2)]
     with pytest.raises(ValueError):
@@ -203,6 +222,31 @@ def test_study_levels_equal_their_own_solves(paper, solve_cache):
         assert np.array_equal(chain[n].coefficients, own.coefficients)
         assert chain[n].iterations == own.iterations and chain[n].kkt == own.kkt
         assert report == hv.error_norms(own, paper)
+
+
+def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):
+    # the exact bundle and f are counted in the error pass only: the solves see the plain spec
+    names = ("y_bar", "p", "p_prime", "u_bar")
+    calls = dict.fromkeys((*names, "f"), 0)
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    solve = hv.solve_problem
+    monkeypatch.setattr(hv.analysis, "solve_problem", lambda spec, n_elements: solve(paper, n_elements))
+    spec = dataclasses.replace(
+        paper, f=counted("f", paper.f),
+        exact=dataclasses.replace(paper.exact, **{n: counted(n, getattr(paper.exact, n)) for n in names}),
+    )
+    per_study = []
+    for counts in ([1, 2], [2**k for k in range(10)]):
+        calls.update(dict.fromkeys(calls, 0))
+        hv.run_convergence_study(spec, counts)
+        per_study.append(dict(calls))
+    assert per_study[0] == per_study[1] == {"y_bar": 3, "p": 4, "p_prime": 4, "u_bar": 1, "f": 1}
 
 
 def test_rates_from_129_to_8193_nodes(paper):

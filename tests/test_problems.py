@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def test_exact_ops_published_values(paper):
     assert float(paper.f(1.0)) == pytest.approx(-4.0 / 9.0, abs=1e-15)
     assert float(paper.f(-1.0)) == pytest.approx(0.0, abs=1e-15)
     assert float(paper.f(BREAK)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_exact_state_against_rational_closed_form():
+    # the closed form in exact rationals at each float x; near x = -1 its two
+    # terms cancel, so the error is measured in epsilons of their magnitudes
+    third, c = Fraction(1, 3), Fraction(27, 32)
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 101), -1.0 + np.geomspace(1e-12, 0.5, 100)])
+    for x, got in zip(xs.tolist(), hv.exact_state(xs).tolist()):
+        r, t = Fraction(x), Fraction(x) - third
+        if r <= third:
+            exact = (r + 1) - c * (t**3 + Fraction(4, 3) ** 3)
+            scale = abs(r + 1) + c * (abs(t) ** 3 + Fraction(4, 3) ** 3)
+        else:
+            exact, scale = r - 1, abs(r) + 1
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(np.finfo(float).eps) * scale, x
 
 
 def test_state_derivative_consistency_by_finite_differences(paper):
