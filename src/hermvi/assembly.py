@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import dia_array
 
 from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
 
@@ -57,17 +58,11 @@ class MatrixNotSpdError(Exception):
     """Raised when a Cholesky factorization of a system matrix fails."""
 
 
-def _band_slots(dim: int, hbw: int):
-    """Row index, column index and in-range mask of every band storage slot."""
-    j = np.broadcast_to(np.arange(dim), (2 * hbw + 1, dim))
-    i = j + np.arange(-hbw, hbw + 1)[:, None]
-    return i, j, (i >= 0) & (i < dim)
-
-
-def _zero_band(dim: int, half_bandwidth: int):
-    """Half-bandwidth clamped to ``[0, dim - 1]`` and zero band storage for it."""
-    hbw = max(0, min(half_bandwidth, dim - 1))
-    return hbw, np.zeros((2 * hbw + 1, dim))
+def _slot_rows(hbw: int, dim: int):
+    """Row ``j + r - hbw`` of the entry in every band slot ``[r, j]``, clipped, and whether it exists."""
+    rows = np.arange(dim) + np.arange(-hbw, hbw + 1)[:, None]
+    inside = (rows >= 0) & (rows < dim)
+    return rows.clip(0, max(dim - 1, 0)), inside
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -83,9 +78,12 @@ class SymmetricBandedMatrix:
     ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
     at ``[half_bandwidth + i - j, j]``; both triangles are stored because
     :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and the norm ||A||_inf read
-    them.  ``data`` is made read-only on construction, so the long-double copy
-    of the band and the Cholesky factor are computed at most once per instance
-    and never go stale; fill the array before constructing the matrix.
+    them.  That is scipy's DIA layout with offsets ``half_bandwidth`` down to
+    ``-half_bandwidth``, one per band row in storage order; the order fixes
+    the summation order of :meth:`matvec`.  ``data`` is made read-only on
+    construction, so the long-double DIA array and the Cholesky factor are
+    computed at most once per instance and never go stale; fill the array
+    before constructing the matrix.
     """
 
     data: np.ndarray
@@ -111,51 +109,28 @@ class SymmetricBandedMatrix:
         # matvec reads both triangles but factor only the upper one
         if np.max(np.abs(a - a.T), initial=0.0) > 1e-14 * np.max(np.abs(a), initial=0.0):
             raise ValueError("expected a symmetric matrix")
-        hbw, data = _zero_band(a.shape[0], a.shape[0] - 1)
-        i, j, valid = _band_slots(a.shape[0], hbw)
-        data[valid] = a[i[valid], j[valid]]
-        return cls(data)
+        # not scipy's dense-to-DIA: it warns past 100 diagonals and trims trailing zero columns
+        rows, inside = _slot_rows(max(a.shape[0] - 1, 0), a.shape[0])
+        return cls(np.where(inside, a[rows, np.arange(a.shape[0])], 0.0))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        i, j, valid = _band_slots(self.dim, self.half_bandwidth)
-        out[i[valid], j[valid]] = self.data[valid]
-        return out
+        return self._dia.toarray().astype(float)
 
     @functools.cached_property
-    def _longdouble(self) -> np.ndarray:
-        band = self.data.astype(np.longdouble)
-        band.flags.writeable = False
-        return band
-
-    @functools.cached_property
-    def _diagonals(self) -> tuple:
-        """(band row, row slice, column slice) of each nonempty diagonal d = -hbw .. hbw.
-
-        Diagonal d holds the entries (j + d, j) for j in the column slice.
-        """
-        hbw, dim = self.half_bandwidth, self.dim
-        diagonals = []
-        for d in range(-hbw, hbw + 1):
-            j0, j1 = max(0, -d), min(dim, dim - d)
-            if j1 > j0:
-                diagonals.append((hbw + d, slice(j0 + d, j1 + d), slice(j0, j1)))
-        return tuple(diagonals)
+    def _dia(self) -> dia_array:
+        offsets = self.half_bandwidth - np.arange(self.data.shape[0])  # band row r has offset hbw - r
+        return dia_array((self.data.astype(np.longdouble), offsets), shape=(self.dim, self.dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
 
         The bending block scales like 1/h^3, so double-precision products
         lose enough bits on fine meshes to drown KKT residuals; carrying the
-        product in long double (80-bit on x86) keeps them measurable.  All
-        products come from one multiplication of the cached long-double
-        band; the diagonals are then summed in the order d = -hbw .. hbw.
+        product in long double (80-bit on x86) keeps them measurable.  It is
+        one product of the cached long-double DIA array, which adds the
+        diagonals in the order of its offsets: d = i - j from -hbw to hbw.
         """
-        products = self._longdouble * np.asarray(x, dtype=np.longdouble)
-        y = np.zeros(self.dim, dtype=np.longdouble)
-        for row, rows, cols in self._diagonals:
-            y[rows] += products[row, cols]
-        return y
+        return self._dia @ np.asarray(x, dtype=np.longdouble)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - A @ x in long double."""
@@ -211,28 +186,28 @@ class SymmetricBandedMatrix:
         mask[fixed] = True
         if not mask.any():
             return self
-        data = self.data.copy()
-        for row, rows, cols in self._diagonals:  # hit where row or column is pinned
-            data[row, cols][mask[rows] | mask[cols]] = 0.0
-        data[self.half_bandwidth, mask] = 1.0
-        return SymmetricBandedMatrix(data)
+        # slots whose row or column is pinned; those outside the matrix stay as they are
+        rows, inside = _slot_rows(self.half_bandwidth, self.dim)
+        hit = inside & (mask[rows] | mask)
+        return SymmetricBandedMatrix(np.where(hit, rows == np.arange(self.dim), self.data))
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
-        """Principal submatrix on the (sorted) retained indices.
+        """Principal submatrix on the retained indices, which must be strictly increasing.
 
         Removing rows/columns never widens the band: retained indices that
         end up adjacent were at least as close originally, and any pair that
         was outside the band contributes an exact zero.
         """
         keep = np.asarray(keep, dtype=int)
+        increasing = keep.ndim == 1 and np.all(np.diff(keep) > 0)
+        if not increasing or (keep.size and (keep[0] < 0 or keep[-1] >= self.dim)):
+            raise ValueError("retained indices must be strictly increasing and inside [0, dim)")
         hbw = self.half_bandwidth
-        out_hbw, data = _zero_band(keep.size, hbw)
-        i, j, valid = _band_slots(keep.size, out_hbw)
-        row = hbw + keep[i[valid]] - keep[j[valid]]
-        inband = (row >= 0) & (row <= 2 * hbw)
-        data[valid] = np.where(inband, self.data[row.clip(0, 2 * hbw), keep[j[valid]]], 0.0)
-        return SymmetricBandedMatrix(data)
-
+        rows, inside = _slot_rows(min(hbw, max(keep.size - 1, 0)), keep.size)
+        # band row of the source entry (keep[row], keep[j]) in self.data
+        source = hbw + keep[rows] - keep
+        inband = inside & (source >= 0) & (source <= 2 * hbw)
+        return SymmetricBandedMatrix(np.where(inband, self.data[source.clip(0, 2 * hbw), keep], 0.0))
 
 def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     """Assemble int v w + beta int v'' w'' over the global Hermite basis.

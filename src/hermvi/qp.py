@@ -107,7 +107,9 @@ class QpSolution:
 
     ``x`` and ``multipliers`` are long-double arrays so the stationarity
     residual of fine-mesh systems stays resolvable; cast to float for
-    downstream double-precision work.  ``iterations`` counts the PDAS
+    downstream double-precision work.  Compare them by value, as
+    ``np.array_equal`` does, not by ``tobytes()``: on x86-64 each element
+    carries uninitialised padding bytes.  ``iterations`` counts the PDAS
     iterations of this QP alone (the candidate sets tried, for
     :func:`solve_bruteforce`); in a ``solve_problem`` result each level of
     the warm-start chain counts its own PDAS, and ``qp_solution`` is the
@@ -247,9 +249,10 @@ def solve_bruteforce(qp: BoundQp) -> QpSolution:
 def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     """Recompute the four KKT residuals, stationarity also scaled, for a candidate solution."""
     r = sol.multipliers - qp.a.residual(sol.x, qp.b)
-    stationarity = float(np.max(np.abs(r))) if r.size else 0.0
+    stationarity = float(np.max(np.abs(r), initial=0.0))
     # the band is symmetric with zero unused slots: its largest column sum is ||A||_inf
-    scale = np.abs(qp.a.data).sum(axis=0).max() * float(np.max(np.abs(sol.x))) + np.max(np.abs(qp.b))
+    norm_a = np.abs(qp.a.data).sum(axis=0).max(initial=0.0)
+    scale = norm_a * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
     scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)
     if qp.constrained.size:
         gap = sol.x[qp.constrained] - qp.bounds

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 import hermvi as hv
 from hermvi import assembly
-from hermvi.assembly import _band_slots
 from hermvi.mesh import _shape_matrix, segment_quadrature, split_segments
 
 from conftest import nonuniform_mesh
@@ -328,6 +327,22 @@ def test_banded_roundtrip_and_matvec(rng):
     for empty in (banded.submatrix([]), hv.SymmetricBandedMatrix.from_dense(np.zeros((0, 0)))):
         assert empty.dim == 0 and empty.to_dense().shape == (0, 0)
         assert np.asarray(empty.matvec(np.zeros(0))).shape == (0,)
+    # unsorted, repeated or out-of-range indices would drop entries beyond the kept band
+    energy = hv.assemble_energy(hv.build_mesh(3), 1.0)
+    for bad in ([0, 5, 1, 6, 2], [1, 1], [-1, 2], [0, energy.dim], [[0, 1]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            energy.submatrix(bad)
+
+
+def test_banded_from_dense_round_trips(rng):
+    # filled by the slot rule: no SparseEfficiencyWarning (an error in this
+    # suite) past 100 diagonals, and trailing zero columns keep their slots
+    m = rng.normal(size=(60, 60))
+    for dense in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 3.0, 0.0]), np.zeros((3, 3)),
+                  np.zeros((0, 0)), m @ m.T + 60.0 * np.eye(60)):
+        banded = hv.SymmetricBandedMatrix.from_dense(dense)
+        assert banded.half_bandwidth == max(dense.shape[0] - 1, 0)
+        assert banded.to_dense().dtype == float and np.array_equal(banded.to_dense(), dense)
 
 
 def test_banded_solve_matches_dense(rng):
@@ -383,7 +398,10 @@ def pinned_by_slots(a, fixed):
     from the row and column of every storage slot: the oracle for pinned."""
     mask = np.zeros(a.dim, dtype=bool)
     mask[fixed] = True
-    i, j, valid = _band_slots(a.dim, a.half_bandwidth)
+    hbw = a.half_bandwidth
+    j = np.broadcast_to(np.arange(a.dim), (2 * hbw + 1, a.dim))
+    i = j + np.arange(-hbw, hbw + 1)[:, None]
+    valid = (i >= 0) & (i < a.dim)
     hit = valid & (mask[np.clip(i, 0, a.dim - 1)] | mask[j])
     return np.where(hit, i == j, a.data)
 
@@ -418,6 +436,29 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
         assert p.dim == a.dim and p.half_bandwidth == a.half_bandwidth
         assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
     assert a.pinned([]) is a
+
+
+def test_pinned_leaves_unused_slots():
+    # slots outside the matrix hold ones here; pinning must not touch them
+    a = hv.SymmetricBandedMatrix(np.ones((3, 4)))
+    for fixed in ([0], [3], [0, 3], [1, 2]):
+        assert np.array_equal(a.pinned(fixed).data, pinned_by_slots(a, fixed)), fixed
+
+
+@pytest.mark.parametrize(
+    "where", [{"n_elements": 1024}, {"mesh": nonuniform_mesh(1, 1000)}], ids=["uniform-1024", "nonuniform-1000"]
+)
+def test_solve_bits_match_per_diagonal_matvec(paper, where, monkeypatch):
+    # the library product must add the diagonals in the oracle's order, or
+    # the refined solves of the whole chain move by rounding
+    shipped = hv.solve_problem(paper, **where)
+    monkeypatch.setattr(hv.SymmetricBandedMatrix, "matvec", matvec_per_diagonal)
+    oracle = hv.solve_problem(paper, **where)
+    assert np.array_equal(shipped.qp_solution.x, oracle.qp_solution.x)
+    assert np.array_equal(shipped.qp_solution.multipliers, oracle.qp_solution.multipliers)
+    assert len(shipped.levels) == len(oracle.levels)
+    for ours, theirs in zip(shipped.levels, oracle.levels):
+        assert np.array_equal(ours.coefficients, theirs.coefficients)
 
 
 def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):

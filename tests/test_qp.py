@@ -191,6 +191,9 @@ def test_kkt_residual_zero_at_exact_solution():
     # no constrained coordinate: only stationarity is left to measure
     free = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[])
     assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    # no coordinate at all: every maximum runs over an empty array
+    empty = hv.BoundQp(a=np.zeros((0, 0)), b=np.zeros(0), constrained=[], bounds=[])
+    assert hv.kkt_residual(empty, hv.solve_pdas(empty)) == hv.KktResidual(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_kkt_residual_with_zero_scale():
