@@ -173,7 +173,7 @@ def run_convergence_study(
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
-    counts = [int(n) for n in element_counts]
+    counts = list(element_counts)
     if len(counts) < 2:
         raise ValueError("a convergence study needs at least two levels")
     if any(b <= a for a, b in zip(counts[:-1], counts[1:])):

@@ -179,13 +179,10 @@ class SymmetricBandedMatrix:
 
         The pinned coordinates decouple from the rest, in the Cholesky
         factor too, so :meth:`solve` returns the right-hand side's values
-        there exactly.  Dimension and bandwidth stay those of ``self``;
-        with nothing to pin the result is ``self``, cached factor included.
+        there exactly.  Dimension and bandwidth stay those of ``self``.
         """
         mask = np.zeros(self.dim, dtype=bool)
         mask[fixed] = True
-        if not mask.any():
-            return self
         # slots whose row or column is pinned; those outside the matrix stay as they are
         rows, inside = _slot_rows(self.half_bandwidth, self.dim)
         hit = inside & (mask[rows] | mask)

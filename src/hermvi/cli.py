@@ -9,7 +9,6 @@ Reports go to stdout (or --output), diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -92,10 +91,6 @@ def cmd_convergence(args, spec) -> int:
 
 
 def cmd_verify(args, spec) -> int:
-    if args.tamper_lambda is not None:
-        if spec.exact is None:
-            return _fail("--tamper-lambda needs a problem with exact data")
-        spec = dataclasses.replace(spec, exact=dataclasses.replace(spec.exact, lam=args.tamper_lambda))
     if spec.exact is None and args.elements is None:
         return _fail("problem has no exact data; pass --elements for a discrete check")
     checks = verify_continuous_kkt(spec) if spec.exact is not None else []
@@ -148,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--elements", type=int, default=None,
                           help="also run the discrete KKT check at this element count")
-    p_verify.add_argument("--tamper-lambda", type=float, default=None, dest="tamper_lambda",
-                          help="debug: override the exact multiplier before verifying")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -179,18 +179,18 @@ def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
     return _shape_matrix(np.asarray(xi), float(h), deriv_order)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (points, weights) of the m-point Gauss-Legendre rule on
-    [0, 1], exact to degree 2m-1."""
+    [0, 1], exact to degree 2m-1.
+
+    One rule per point count is computed and shared: its arrays are
+    read-only, and computing it costs more than assembling a coarse mesh.
+    A count that raises is never cached, and the cache is typed, so 4.0
+    is checked (and refused) even once the rule for 4 is cached.
+    """
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_GAUSS_POINTS:
         raise ValueError(f"point count must lie in [1, {MAX_GAUSS_POINTS}], got {m!r}")
-    return _gauss_rule(int(m))
-
-
-@functools.cache
-def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # one rule per point count, shared: its arrays are read-only, and
-    # computing it costs more than assembling a coarse mesh
     x, w = np.polynomial.legendre.leggauss(m)
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
@@ -312,7 +312,8 @@ def hermite_interpolant(g: Callable, dg: Callable, mesh: Mesh) -> DiscreteSoluti
 
 def evaluate_element(sol: DiscreteSolution, element: int, xi, deriv_order: int = 0):
     """Evaluate on a single element at reference coordinates ``xi``."""
-    element = int(element)
+    if not isinstance(element, (int, np.integer)):
+        raise ValueError(f"element index must be an integer, got {element!r}")
     if not 0 <= element < sol.mesh.n_elements:
         raise ValueError(f"element index out of range: {element}")
     _, at = _element_evaluator(sol.mesh.nodes, sol.coefficients, element)

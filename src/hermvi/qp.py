@@ -71,7 +71,10 @@ class BoundQp:
     def __post_init__(self):
         a = SymmetricBandedMatrix.from_dense(self.a) if isinstance(self.a, np.ndarray) else self.a
         b = _frozen(self.b)
-        constrained = _frozen(self.constrained, dtype=int)
+        constrained = np.asarray(self.constrained)
+        if constrained.size and not np.issubdtype(constrained.dtype, np.integer):
+            raise ValueError(f"constrained indices must be integers, got {constrained.dtype}")
+        constrained = _frozen(constrained, dtype=int)
         bounds = _frozen(self.bounds)
         if b.shape != (a.dim,):
             raise ValueError("load vector length does not match the matrix")
@@ -81,6 +84,8 @@ class BoundQp:
             raise ValueError("need exactly one bound per constrained coordinate")
         if constrained.size and (constrained.min() < 0 or constrained.max() >= a.dim):
             raise ValueError("constrained index out of range")
+        if constrained.size and np.bincount(constrained).max() > 1:
+            raise ValueError("constrained indices must be distinct")
         if np.any(np.isnan(bounds)) or np.any(bounds == -np.inf):
             raise ValueError("bounds must be finite or +inf")
         a.factor()  # fail early if not SPD; the factor is cached for later solves

@@ -69,13 +69,12 @@ def solve_problem(
         mesh = build_mesh(n_elements)
     system = assemble_system(spec, mesh)
     qp = system.to_qp()
-    active = _cold_start(qp)
+    binds = _cold_start(qp).any()
     chain = [(mesh, system)]
-    while active.any() and chain[-1][0].n_elements > 1:
+    while binds and chain[-1][0].n_elements > 1:
         coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
         chain.append((coarse, assemble_system(spec, coarse)))
-    active = active if len(chain) == 1 else None  # the coarsest level of a chain starts cold
-    levels = []
+    levels, active = [], None  # the coarsest level starts cold
     while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
         level_mesh, level_system = chain.pop()
         if levels:  # prolong by position: onto coarse node j, or inside coarse element (j - 1, j)

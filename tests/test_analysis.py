@@ -177,8 +177,9 @@ def test_rates_reject_non_refining_levels():
 
 @pytest.mark.parametrize(
     "problem, counts",
-    [("paper", [8, 4]), ("paper", [4, 4]), ("paper", [4]), ("unconstrained-smoke", [2**10, 2**18])],
-    ids=["decreasing", "duplicate", "single", "no-exact-bundle"],
+    [("paper", [8, 4]), ("paper", [4, 4]), ("paper", [4]), ("unconstrained-smoke", [2**10, 2**18]),
+     ("paper", [2.7, 8])],
+    ids=["decreasing", "duplicate", "single", "no-exact-bundle", "fractional"],
 )
 def test_convergence_study_validates_before_solving(monkeypatch, problem, counts):
     calls = []

@@ -435,7 +435,6 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
         p = a.pinned(fixed)
         assert p.dim == a.dim and p.half_bandwidth == a.half_bandwidth
         assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
-    assert a.pinned([]) is a
 
 
 def test_pinned_leaves_unused_slots():

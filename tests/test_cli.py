@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import io
 import re
@@ -196,13 +197,23 @@ def test_verify_fine_mesh_passes_on_scaled_stationarity(capsys):
     assert "[absolute " in stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--problem", "paper", "--elements", "8"),
-    ("verify", "--problem", "paper", "--tamper-lambda", "5"),
-    ("verify", "--problem", "unconstrained-smoke", "--elements", "8"),
+def tamper_multiplier(monkeypatch):
+    """Make the CLI's registry return the paper problem with a wrong exact multiplier."""
+    paper = hv.get_problem("paper")
+    tampered = dataclasses.replace(paper, exact=dataclasses.replace(paper.exact, lam=5.0))
+    monkeypatch.setattr("hermvi.cli.get_problem", lambda name: tampered)
+
+
+@pytest.mark.parametrize("argv, tampered", [
+    (("verify", "--problem", "paper", "--elements", "8"), False),
+    (("verify", "--problem", "paper"), True),
+    (("verify", "--problem", "unconstrained-smoke", "--elements", "8"), False),
 ], ids=["paper", "tampered", "no-exact-data"])
-def test_verify_lines_share_one_format(capsys, argv):
-    _, stdout, _ = run(capsys, *argv)
+def test_verify_lines_share_one_format(capsys, monkeypatch, argv, tampered):
+    if tampered:
+        tamper_multiplier(monkeypatch)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == (1 if tampered else 0) and ("FAIL" in stdout) == tampered
     lines = stdout.splitlines()
     assert lines and all(
         re.fullmatch(r"(PASS|FAIL)  [^:]+: worst \S+ \(tol \S+\)(  \[.+\])?", line) for line in lines
@@ -221,8 +232,9 @@ def test_verify_reports_the_solve_kkt_record(capsys, monkeypatch):
     assert expected[0] == 0 and "discrete stationarity" in expected[1]
 
 
-def test_verify_tampered_multiplier_fails(capsys):
-    code, stdout, _ = run(capsys, "verify", "--problem", "paper", "--tamper-lambda", "5")
+def test_verify_tampered_multiplier_fails(capsys, monkeypatch):
+    tamper_multiplier(monkeypatch)
+    code, stdout, _ = run(capsys, "verify", "--problem", "paper")
     assert code == 1
     assert "FAIL" in stdout
 
@@ -239,10 +251,8 @@ def test_verify_requires_bundle_or_level(capsys):
     [
         (("solve", "--problem", "nope", "--elements", "4"),
          "unknown problem 'nope'; known problems: paper, unconstrained-smoke"),
-        (("verify", "--problem", "unconstrained-smoke", "--tamper-lambda", "1"),
-         "--tamper-lambda needs a problem with exact data"),
     ],
-    ids=["unknown-problem", "tamper-without-exact-data"],
+    ids=["unknown-problem"],
 )
 def test_problem_config_error_message(capsys, argv, message):
     code, stdout, stderr = run(capsys, *argv)
@@ -251,11 +261,12 @@ def test_problem_config_error_message(capsys, argv, message):
 
 
 def test_unknown_flag_exits_two():
-    # the load quadrature and PDAS limit are constants: their old flags must fail, not be ignored
+    # the load quadrature, PDAS limit and exact multiplier are fixed: their old flags must fail, not be ignored
     for argv in (
         ["solve", "--problem", "paper", "--frobnicate"],
         ["verify", "--problem", "paper", "--quad-points", "0"],
         ["verify", "--problem", "paper", "--pdas-max-iter", "0"],
+        ["verify", "--problem", "paper", "--tamper-lambda", "5"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -286,7 +297,7 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, command, target):
 # --------------------------------------------------------------------- options
 
 #: Settable-option budget; ROADMAP item 3 quotes the same number.
-OPTION_BUDGET = 28
+OPTION_BUDGET = 27
 
 
 def _parameters(obj):

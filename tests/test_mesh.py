@@ -125,8 +125,9 @@ def test_gauss_monomial_exactness():
             assert val == pytest.approx(1.0 / (d + 1), rel=2e-14)
 
 
-@pytest.mark.parametrize("bad", [0, 17, -1])
+@pytest.mark.parametrize("bad", [0, 17, -1, 4.0])
 def test_gauss_rejects_unsupported_counts(bad):
+    hv.gauss_rule(4)  # 4.0 == 4 and hashes alike: the cached rule for 4 must not answer it
     with pytest.raises(ValueError):
         hv.gauss_rule(bad)
 
@@ -163,6 +164,8 @@ def test_evaluate_rejects_outside_domain():
     for element in (-1, 2):
         with pytest.raises(ValueError, match="element index out of range"):
             hv.evaluate_element(sol, element, 0.5)
+    with pytest.raises(ValueError, match="element index must be an integer"):
+        hv.evaluate_element(sol, 1.7, 0.5)
 
 
 def test_discrete_solution_needs_two_coefficients_per_node():

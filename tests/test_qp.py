@@ -121,9 +121,11 @@ def test_qp_rejects_nonsymmetric_matrix():
         (dict(bounds=[-np.inf]), r"finite or \+inf"),
         (dict(b=[np.inf, 0.0]), "load vector must be finite"),
         (dict(b=[0.0, np.nan]), "load vector must be finite"),
+        (dict(constrained=[0, 0], bounds=[0.5, 1.0]), "distinct"),
+        (dict(constrained=[0.9, 2.2], bounds=[0.5, 1.0]), "integers"),
     ],
     ids=["load-length", "bound-count", "index-above", "index-below", "nan-bound", "minus-inf-bound",
-         "inf-load", "nan-load"],
+         "inf-load", "nan-load", "repeated-index", "fractional-index"],
 )
 def test_qp_rejects_malformed_inputs(change, message):
     valid = dict(a=np.eye(2), b=np.ones(2), constrained=[0], bounds=[1.0])
