@@ -69,16 +69,16 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
     def err(x, k):  # k-th derivative of the error at x of shape (segment, point)
         return at((x - left) / h, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
-    # integrated norms, one squared error at a time; the control error -(y_h'' + f) - u_bar shares y_h''
+    # integrated norms, one squared error at a time; the control error shares y_h'' and p' with H2
     xs, ws = _gauss_points(lo[:, 0], hi[:, 0], NORM_QUAD_POINTS)
     level_of = np.repeat(np.arange(len(levels)), [n * NORM_QUAD_POINTS for n in segments])
 
     def norm(e):  # per level, summed in segment order
         return np.sqrt(np.bincount(level_of, weights=(e * e * ws).ravel()))
 
-    y2 = at((xs - left) / h, 2)
-    l2, h1, h2 = norm(err(xs, 0)), norm(err(xs, 1)), norm(y2 - ex.p_prime(xs))
-    control = norm(-(y2 + np.asarray(spec.f(xs), dtype=float)) - ex.u_bar(xs))
+    y2, p2, f = at((xs - left) / h, 2), ex.p_prime(xs), np.asarray(spec.f(xs), dtype=float)
+    l2, h1, h2 = norm(err(xs, 0)), norm(err(xs, 1)), norm(y2 - p2)
+    control = norm(-(y2 + f) + (p2 + f))
 
     # max norm: the best equispaced sample of each segment, refined by clamped Newton steps on e'
     x = lo + (hi - lo) * np.linspace(0.0, 1.0, LINF_SAMPLES_PER_ELEMENT + 1)
@@ -106,14 +106,14 @@ def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
 
     Integrated norms use :data:`NORM_QUAD_POINTS`-point Gauss quadrature on
     every element segment split at ``spec.breakpoints``; the control error
-    -(y_h'' + f) - u_bar comes from the same pass as the H2 error.  The max
-    norm samples each of those split segments at
-    ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends included) and
-    refines the segment's best sample by Newton steps on the error's slope,
-    clamped into the segment, so it reads the local maximum instead of a
-    grid value.  This is the one-level case of the pass that
-    :func:`run_convergence_study` makes over all its levels at once, and
-    gives the same report bit for bit.
+    -(y_h'' + f) + (p' + f), against the state equation's exact control,
+    comes from the same pass as the H2 error.  The max norm samples each
+    of those segments at ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points
+    (ends included) and refines the segment's best sample by Newton steps
+    on the error's slope, clamped into the segment, so it reads the local
+    maximum instead of a grid value.  This is the one-level case of the
+    pass that :func:`run_convergence_study` makes over all its levels at
+    once, and gives the same report bit for bit.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")

@@ -71,7 +71,7 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
@@ -254,7 +254,7 @@ def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
     return np.broadcast_to(np.asarray(psi(mesh.nodes), dtype=float), mesh.nodes.shape).copy()
 
 
-@dataclass
+@dataclass(eq=False)
 class AssembledSystem:
     """Energy matrix and load with the Dirichlet DOFs pinned to zero.
 

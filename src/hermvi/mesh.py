@@ -34,7 +34,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     """Partition of [-1, 1] into intervals.
 
@@ -257,7 +257,7 @@ def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float
     return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteSolution:
     """Coefficient vector over all Hermite DOFs plus solve metadata.
 

@@ -28,7 +28,7 @@ BREAK = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class ExactBundle:
-    """Closed-form solution data: state derivatives, control, multipliers.
+    """Closed-form state derivatives and multipliers; the control is -(p_prime + f).
 
     ``p`` is the state derivative (the constrained quantity), ``p_prime``
     and ``p_dprime`` its next two derivatives, ``phi`` the zero-mean
@@ -41,7 +41,6 @@ class ExactBundle:
     p: Callable
     p_prime: Callable
     p_dprime: Callable
-    u_bar: Callable
     phi: Callable
     f_prime: Callable
     lam: float
@@ -166,7 +165,6 @@ def paper_example() -> ProblemSpec:
         p=exact_state_deriv,
         p_prime=_exact_state_deriv2,
         p_dprime=_exact_state_deriv3,
-        u_bar=exact_control,
         phi=_paper_potential,
         f_prime=_paper_source_deriv,
         lam=81.0 / 16.0,

@@ -51,7 +51,7 @@ class KktResidual(NamedTuple):
     complementarity: float    # max |lambda_i * (x_i - u_i)|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundQp:
     """SPD quadratic program with upper bounds on selected coordinates.
 
@@ -106,7 +106,7 @@ class BoundQp:
         return 0.5 * float(x @ self.a.matvec(x)) - float(self.b @ x)
 
 
-@dataclass
+@dataclass(eq=False)
 class QpSolution:
     """Minimizer, multipliers (nonzero only on the active set), and counts.
 
@@ -165,23 +165,23 @@ def _cold_start(qp: BoundQp) -> np.ndarray:
 def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
     """Primal-dual active set iteration for the bound QP.
 
-    Starts from ``active``, a boolean mask over ``qp.constrained``; without
-    one, from the unconstrained solve with the violated bounds as the
-    initial active set.  That solve is the QP's cached one, also returned
-    by any iteration with nothing active, so an unconstrained QP is solved
-    once.  An active coordinate stays active while its multiplier is
-    positive and an inactive one enters when it exceeds its bound; this is
-    the semismooth Newton rule ``lambda_i + c (x_i - u_i) > 0`` for any
-    c > 0, since x_i = u_i on the active set and lambda_i = 0 off it.
-    Terminates when the active set repeats; an immediate repeat is
-    optimality, any longer cycle or hitting :data:`MAX_ITER` raises
-    :class:`NonConvergenceError`.
+    Starts from ``active``, a boolean mask over ``qp.constrained`` (indices
+    raise); without one, from the unconstrained solve with the violated
+    bounds as the initial active set.  That solve is the QP's cached one,
+    also returned by any iteration with nothing active, so an unconstrained
+    QP is solved once.  An active coordinate stays active while its
+    multiplier is positive and an inactive one enters when it exceeds its
+    bound; this is the semismooth Newton rule
+    ``lambda_i + c (x_i - u_i) > 0`` for any c > 0, since x_i = u_i on the
+    active set and lambda_i = 0 off it.  Terminates when the active set
+    repeats; an immediate repeat is optimality, any longer cycle or hitting
+    :data:`MAX_ITER` raises :class:`NonConvergenceError`.
     """
-    active = np.asarray(_cold_start(qp) if active is None else active, dtype=bool)
-    if active.shape != qp.constrained.shape:
+    active = _cold_start(qp) if active is None else np.asarray(active)
+    if active.dtype != bool or active.shape != qp.constrained.shape:
         raise ValueError(
-            f"initial active set needs one entry per constrained coordinate "
-            f"({qp.constrained.size}), got shape {active.shape}"
+            f"initial active set needs a boolean mask, one entry per constrained coordinate "
+            f"({qp.constrained.size}), got {active.dtype} of shape {active.shape}"
         )
     seen = {active.tobytes()}
     for it in range(1, MAX_ITER + 1):

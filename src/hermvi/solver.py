@@ -18,7 +18,7 @@ from .problems import ProblemSpec
 from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Discrete solution plus the QP artifacts used to produce it.
 
@@ -57,9 +57,9 @@ def solve_problem(
     unconstrained solve violates.  When there are any, the solve goes down
     a chain of meshes to one element, each made of every other node of the
     one above and the last, and climbs back up: the coarsest starts cold
-    and each finer one from the active set below, prolonged by position (a
-    shared node keeps its flag, one inside a coarse element needs both
-    ends'), so PDAS takes one to three iterations per level on any mesh.
+    and each finer one from the active nodes below, prolonged by position
+    (a shared node keeps its flag, one inside a coarse element needs both
+    ends'), so PDAS takes a few iterations per level on most meshes.
     A :class:`NonConvergenceError` raised on a coarser mesh names its
     element count and carries that mesh's iterate.
     """
@@ -67,21 +67,19 @@ def solve_problem(
         raise ValueError("pass exactly one of n_elements or mesh")
     if mesh is None:
         mesh = build_mesh(n_elements)
-    system = assemble_system(spec, mesh)
-    qp = system.to_qp()
+    qp = assemble_system(spec, mesh).to_qp()
     binds = _cold_start(qp).any()
-    chain = [(mesh, system)]
+    chain = [(mesh, qp)]
     while binds and chain[-1][0].n_elements > 1:
         coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
-        chain.append((coarse, assemble_system(spec, coarse)))
+        chain.append((coarse, assemble_system(spec, coarse).to_qp()))
     levels, active = [], None  # the coarsest level starts cold
     while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
-        level_mesh, level_system = chain.pop()
+        level_mesh, level_qp = chain.pop()
         if levels:  # prolong by position: onto coarse node j, or inside coarse element (j - 1, j)
-            coarse, below = levels[-1].mesh.nodes, np.isin(level_qp.constrained, qp_sol.active_set)
+            coarse = levels[-1].mesh.nodes
             j = np.searchsorted(coarse, level_mesh.nodes)
-            active = below[j] & (below[j - 1] | (coarse[j] == level_mesh.nodes))
-        level_qp = qp if level_mesh is mesh else level_system.to_qp()
+            active = flags[j] & (flags[j - 1] | (coarse[j] == level_mesh.nodes))
         try:
             qp_sol = solve_pdas(level_qp, active=active)
         except NonConvergenceError as exc:
@@ -90,8 +88,11 @@ def solve_problem(
             raise NonConvergenceError(
                 f"{exc} (on the {level_mesh.n_elements}-element coarse mesh of the warm start)", exc.last
             ) from exc
+        flags = np.zeros(level_qp.dim, dtype=bool)  # one per node: is its slope DOF active?
+        flags[list(qp_sol.active_set)] = True
+        flags = flags[level_qp.constrained]
         levels.append(DiscreteSolution(
             qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
-            active_nodes=tuple((np.asarray(qp_sol.active_set) // 2).tolist()),
+            active_nodes=tuple(np.flatnonzero(flags).tolist()),
         ))
     return SolveResult(qp, qp_sol, tuple(levels))

@@ -91,7 +91,7 @@ def test_max_norm_reads_a_kink_inside_an_element():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     exact = hv.ExactBundle(
         y_bar=lambda x: 1.0 - np.abs(x - 0.3), p=lambda x: -np.sign(x - 0.3),
-        p_prime=zero, p_dprime=zero, u_bar=zero, phi=zero, f_prime=zero,
+        p_prime=zero, p_dprime=zero, phi=zero, f_prime=zero,
         lam=0.0, rho=zero, gamma=0.0, zeta=0.0,
     )
     spec = hv.ProblemSpec("kink", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero,
@@ -159,7 +159,7 @@ def test_rates_next_to_a_zero_error_read_nan():
 def test_study_of_an_exactly_solved_problem_reports_nan_rates():
     # zero data, zero exact solution: every level's error is exactly zero
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    exact = hv.ExactBundle(*(zero,) * 7, lam=0.0, rho=zero, gamma=0.0, zeta=0.0)
+    exact = hv.ExactBundle(*(zero,) * 6, lam=0.0, rho=zero, gamma=0.0, zeta=0.0)
     spec = hv.ProblemSpec("zero", 1.0, f=zero, psi=lambda x: zero(x) + 1.0, y_d=zero, exact=exact)
     study = hv.run_convergence_study(spec, [1, 2])
     assert all(getattr(rep, name) == 0.0 for rep in study.reports for name in hv.ErrorReport.NORM_FIELDS)
@@ -227,7 +227,7 @@ def test_study_levels_equal_their_own_solves(paper, solve_cache):
 
 def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):
     # the exact bundle and f are counted in the error pass only: the solves see the plain spec
-    names = ("y_bar", "p", "p_prime", "u_bar")
+    names = ("y_bar", "p", "p_prime")
     calls = dict.fromkeys((*names, "f"), 0)
 
     def counted(name, fn):
@@ -247,7 +247,7 @@ def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         hv.run_convergence_study(spec, counts)
         per_study.append(dict(calls))
-    assert per_study[0] == per_study[1] == {"y_bar": 3, "p": 4, "p_prime": 4, "u_bar": 1, "f": 1}
+    assert per_study[0] == per_study[1] == {"y_bar": 3, "p": 4, "p_prime": 4, "f": 1}
 
 
 def test_rates_from_129_to_8193_nodes(paper):

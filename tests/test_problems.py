@@ -260,7 +260,7 @@ def test_discrete_objective_approaches_exact_value(paper, solve_cache):
     # the discrete feasible set only enforces the bound at nodes, so the
     # discrete cost sits below the exact one and climbs toward it
     ex = paper.exact
-    j_star = hv.objective(paper, ex.y_bar, ex.u_bar)
+    j_star = hv.objective(paper, ex.y_bar, hv.exact_control)
     gaps = []
     for n in (4, 8, 16, 32):
         sol = solve_cache(n).solution

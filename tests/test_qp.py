@@ -139,6 +139,10 @@ def test_pdas_validates_parameters(paper):
     for start in (np.ones(qp.constrained.size - 1, bool), np.ones((1, qp.constrained.size), bool)):
         with pytest.raises(ValueError, match="one entry per constrained coordinate"):
             hv.solve_pdas(qp, active=start)
+    for start in (np.zeros(qp.constrained.size, int), np.zeros(qp.constrained.size)):
+        with pytest.raises(ValueError, match="needs a boolean mask"):
+            hv.solve_pdas(qp, active=start)
+    assert hv.solve_pdas(qp, active=[False] * qp.constrained.size).active_set == hv.solve_pdas(qp).active_set
 
 
 # ------------------------------------------------------------- solve_bruteforce

@@ -7,6 +7,8 @@ import hermvi as hv
 from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import assemble_system
 
+from conftest import nonuniform_mesh
+
 
 def unbound_spec(paper):
     """The paper's data under an obstacle far above any slope of its state."""
@@ -74,17 +76,10 @@ def test_shared_structures_are_immutable(paper, solve_cache):
         a.data = np.zeros_like(a.data)
 
 
-def random_mesh(rng, n):
-    widths = rng.uniform(0.2, 1.0, size=n)
-    nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
-    nodes[-1] = 1.0
-    return hv.Mesh(nodes)
-
-
 WARM_START_MESHES = {
     **{f"uniform-{n}": hv.build_mesh(n) for n in (6, 33, 96, 768, 1000, 1023, 1024)},
-    **{f"nonuniform-seed{s}": random_mesh(np.random.default_rng(s), 200) for s in (1, 2)},
-    "nonuniform-201": random_mesh(np.random.default_rng(3), 201),
+    **{f"nonuniform-seed{s}": nonuniform_mesh(s, 200) for s in (1, 2)},
+    "nonuniform-201": nonuniform_mesh(3, 201),
 }
 
 
@@ -168,7 +163,7 @@ def test_pdas_iterations_do_not_grow_with_the_mesh(solve_cache, k):
 @pytest.mark.parametrize(
     "mesh",
     [*(hv.build_mesh(n) for n in (2047, 2049, 4094, 4095, 8191)),
-     *(random_mesh(np.random.default_rng(1), n) for n in (1000, 2000, 3000))],
+     *(nonuniform_mesh(1, n) for n in (1000, 2000, 3000))],
     ids=[*(f"uniform-{n}" for n in (2047, 2049, 4094, 4095, 8191)),
          *(f"nonuniform-seed1-{n}" for n in (1000, 2000, 3000))],
 )
@@ -177,6 +172,33 @@ def test_every_mesh_warm_starts(paper, mesh):
     result = hv.solve_problem(paper, mesh=mesh)
     assert len(result.levels) > 1
     assert max(level.iterations for level in result.levels) <= 3
+
+
+@pytest.mark.parametrize(
+    "mesh", [hv.build_mesh(33), hv.build_mesh(96), nonuniform_mesh(1, 1000)],
+    ids=["uniform-33", "uniform-96", "nonuniform-seed1-1000"],
+)
+def test_chain_levels_equal_their_own_solves(paper, mesh):
+    # odd and non-uniform chains: each coarse level's hand-off gives what a solve on its mesh gives
+    levels = hv.solve_problem(paper, mesh=mesh).levels
+    assert len(levels) > 1
+    for level in levels[:-1]:
+        own = hv.solve_problem(paper, mesh=level.mesh).solution
+        assert level.active_nodes == own.active_nodes
+        assert np.array_equal(level.coefficients, own.coefficients)
+        assert level.iterations == own.iterations and level.kkt == own.kkt
+
+
+def test_records_holding_arrays_compare_by_identity(paper):
+    # a field-wise == over ndarray fields raises "truth value ... is ambiguous"
+    def records(result):
+        mesh = result.solution.mesh
+        return (mesh, result.solution, result.qp.a, result.qp, result.qp_solution,
+                assemble_system(paper, mesh), result)
+
+    for one, other in zip(records(hv.solve_problem(paper, 4)), records(hv.solve_problem(paper, 4))):
+        assert (one == one) is True and (one == other) is False
+        assert len({one, other}) == 2
 
 
 def test_coarse_level_nonconvergence_names_its_mesh(paper, monkeypatch):
