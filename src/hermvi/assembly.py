@@ -17,12 +17,14 @@ integrand.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import dia_array
+from scipy.sparse import csr_array
 
 from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
 
@@ -65,10 +67,56 @@ def _slot_rows(hbw: int, dim: int):
     return rows.clip(0, max(dim - 1, 0)), inside
 
 
+def _strided(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view of the 1-D array ``flat`` whose element ``idx`` is ``flat[sum(idx[k] * steps[k])]``."""
+    return as_strided(flat, shape, tuple(step * flat.strides[0] for step in steps), writeable=False)
+
+
+def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
+    """The top rows ``band`` of a band, with the rows and columns ``mask`` the identity's.
+
+    Slot ``[r, j]`` holds entry ``(j + r - hbw, j)``.  It is hit when its row
+    or its column is pinned and its row lies inside the matrix, so slots
+    outside the matrix keep their values.  :meth:`SymmetricBandedMatrix.pinned`
+    pins the whole band and :meth:`SymmetricBandedMatrix.pinned_solve` only
+    the upper rows, by this one rule.
+    """
+    dim = mask.size
+    flags = np.zeros(dim + 2 * hbw, dtype=np.int8)  # 0 outside the matrix, 1 inside, 2 pinned
+    inner = flags[hbw : hbw + dim]
+    inner[:] = mask
+    inner += 1
+    row_flags = _strided(flags, (band.shape[0], dim), (1, 1))  # [r, j] = flags[r + j], the flag of the slot's row
+    return np.where(row_flags + inner >= 3, (np.arange(band.shape[0]) == hbw)[:, None], band)
+
+
 def _require_finite(a: np.ndarray) -> None:
     # LAPACK runs on through infs and NaNs, so check as scipy's wrappers do
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(upper: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor of the upper band rows ``upper``."""
+    _require_finite(upper)
+    factor, info = dpbtrf(upper, lower=0)
+    if info > 0:
+        raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
+    return factor
+
+
+def _refine(factor: np.ndarray, rhs: np.ndarray, residual: Callable) -> np.ndarray:
+    """Solve from ``factor`` with :data:`REFINE_STEPS` corrections against ``residual(x)``, rhs - A @ x.
+
+    The corrections run in double precision but the iterate is carried in
+    long double; an inf or NaN in ``rhs`` raises ValueError.
+    """
+    b = np.asarray(rhs, dtype=float)
+    _require_finite(b)
+    x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
+    for _ in range(REFINE_STEPS):
+        x = x + dpbtrs(factor, residual(x).astype(float), lower=0)[0]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +126,11 @@ class SymmetricBandedMatrix:
     ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
     at ``[half_bandwidth + i - j, j]``; both triangles are stored because
     :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and the norm ||A||_inf read
-    them.  That is scipy's DIA layout with offsets ``half_bandwidth`` down to
-    ``-half_bandwidth``, one per band row in storage order; the order fixes
-    the summation order of :meth:`matvec`.  ``data`` is made read-only on
-    construction, so the long-double DIA array and the Cholesky factor are
-    computed at most once per instance and never go stale; fill the array
-    before constructing the matrix.
+    them, while the Cholesky factors read only the upper rows.  ``data`` is
+    made read-only on construction, so the long-double CSR copy behind
+    :meth:`matvec` and the Cholesky factor are computed at most once per
+    instance and never go stale; fill the array before constructing the
+    matrix.
     """
 
     data: np.ndarray
@@ -114,12 +161,33 @@ class SymmetricBandedMatrix:
         return cls(np.where(inside, a[rows, np.arange(a.shape[0])], 0.0))
 
     def to_dense(self) -> np.ndarray:
-        return self._dia.toarray().astype(float)
+        return self._csr.toarray().astype(float)
 
     @functools.cached_property
-    def _dia(self) -> dia_array:
-        offsets = self.half_bandwidth - np.arange(self.data.shape[0])  # band row r has offset hbw - r
-        return dia_array((self.data.astype(np.longdouble), offsets), shape=(self.dim, self.dim))
+    def _csr(self) -> csr_array:
+        hbw, dim = self.half_bandwidth, self.dim
+        width = 2 * hbw + 1
+        index = np.int32 if width * dim < 2**31 else np.int64
+        # [i, r] is row i's r-th term: column i + hbw - r, from band slot [r, i + hbw - r]
+        cols = _strided(np.arange(-hbw, dim + hbw, dtype=index)[2 * hbw :], (dim, width), (1, -1))
+        band = _strided(np.ascontiguousarray(self.data).ravel()[hbw:], (dim, width), (1, dim - 1))
+        # rows a .. b - 1 keep all their terms, copied in one strided pass with the
+        # cast; the first and last hbw rows keep only the terms inside the matrix
+        a = min(hbw, dim)
+        b = max(a, dim - hbw)
+        edge = {i: slice(max(0, i + hbw - dim + 1), min(width, i + hbw + 1)) for i in (*range(a), *range(b, dim))}
+        counts = np.full(dim, width, dtype=index)
+        for i, terms in edge.items():
+            counts[i] = terms.stop - terms.start
+        indptr = np.zeros(dim + 1, dtype=index)
+        np.cumsum(counts, out=indptr[1:])
+        values, indices = np.empty(indptr[-1], dtype=np.longdouble), np.empty(indptr[-1], dtype=index)
+        values[indptr[a] : indptr[b]].reshape(-1, width)[...] = band[a:b]
+        indices[indptr[a] : indptr[b]].reshape(-1, width)[...] = cols[a:b]
+        for i, terms in edge.items():
+            values[indptr[i] : indptr[i + 1]] = band[i, terms]
+            indices[indptr[i] : indptr[i + 1]] = cols[i, terms]
+        return csr_array((values, indices, indptr), shape=(dim, dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -127,10 +195,11 @@ class SymmetricBandedMatrix:
         The bending block scales like 1/h^3, so double-precision products
         lose enough bits on fine meshes to drown KKT residuals; carrying the
         product in long double (80-bit on x86) keeps them measurable.  It is
-        one product of the cached long-double DIA array, which adds the
-        diagonals in the order of its offsets: d = i - j from -hbw to hbw.
+        one product of the cached long-double CSR copy, whose row i adds
+        columns i + hbw down to i - hbw in turn: the diagonals d = i - j
+        from -hbw to hbw, the order that fixes every solve's bits.
         """
-        return self._dia @ np.asarray(x, dtype=np.longdouble)
+        return self._csr @ np.asarray(x, dtype=np.longdouble)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - A @ x in long double."""
@@ -138,11 +207,7 @@ class SymmetricBandedMatrix:
 
     @functools.cached_property
     def _factor(self) -> np.ndarray:
-        upper = self.data[: self.half_bandwidth + 1]
-        _require_finite(upper)
-        factor, info = dpbtrf(upper, lower=0)
-        if info > 0:
-            raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
+        factor = _cholesky(self.data[: self.half_bandwidth + 1])
         factor.flags.writeable = False
         return factor
 
@@ -165,14 +230,7 @@ class SymmetricBandedMatrix:
         solve of one instance reuses its :meth:`factor`; an inf or NaN in
         ``rhs`` raises ValueError.
         """
-        factor = self.factor()
-        b = np.asarray(rhs, dtype=float)
-        _require_finite(b)
-        x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
-        for _ in range(REFINE_STEPS):
-            r = self.residual(x, rhs).astype(float)
-            x = x + dpbtrs(factor, r, lower=0)[0]
-        return x
+        return _refine(self.factor(), rhs, lambda x: self.residual(x, rhs))
 
     def pinned(self, fixed: np.ndarray) -> "SymmetricBandedMatrix":
         """Matrix with the rows and columns ``fixed`` replaced by the identity's.
@@ -183,10 +241,22 @@ class SymmetricBandedMatrix:
         """
         mask = np.zeros(self.dim, dtype=bool)
         mask[fixed] = True
-        # slots whose row or column is pinned; those outside the matrix stay as they are
-        rows, inside = _slot_rows(self.half_bandwidth, self.dim)
-        hit = inside & (mask[rows] | mask)
-        return SymmetricBandedMatrix(np.where(hit, rows == np.arange(self.dim), self.data))
+        return SymmetricBandedMatrix(_pinned_band(self.data, self.half_bandwidth, mask))
+
+    def pinned_solve(self, fixed: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``self.pinned(fixed).solve(rhs)``, bit for bit, without building the pinned matrix.
+
+        Only a pinned copy of the upper band is made, for its Cholesky
+        factor.  Refinement reads this matrix's own product with the fixed
+        coordinates zeroed, which adds exact zeros where the pinned copy's
+        product adds its zeroed entries, and takes x itself on the fixed
+        rows, where the pinned copy has identity rows.
+        """
+        mask = np.zeros(self.dim, dtype=bool)
+        mask[fixed] = True
+        factor = _cholesky(_pinned_band(self.data[: self.half_bandwidth + 1], self.half_bandwidth, mask))
+        target = np.asarray(rhs, dtype=np.longdouble)
+        return _refine(factor, rhs, lambda x: target - np.where(mask, x, self.matvec(np.where(mask, 0.0, x))))
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the retained indices, which must be strictly increasing.
@@ -215,15 +285,17 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     h = mesh.h
     bending = beta / h**3
-    scale = (1.0, h, 1.0, h)
+    scale = (1.0, h, h * h)  # by the number of slope DOFs among the entry's row and column
+    slopes = (0, 1, 0, 1)
     # local (i, j) of element e is entry (2e + i, 2e + j): band row
-    # hbw + i - j, columns 2e + j over all e
+    # hbw + i - j, columns 2e + j over all e; the element matrices are
+    # symmetric, so each of their 10 distinct entries is computed once
     dim = 2 * mesh.n_nodes
     data = np.zeros((2 * HALF_BANDWIDTH + 1, dim))
-    for i in range(4):
-        for j in range(4):
-            local = scale[i] * scale[j] * (h * _MASS[i, j] + bending * _BENDING[i, j])
-            data[HALF_BANDWIDTH + i - j, j : dim - 2 + j : 2] += local
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        local = scale[slopes[i] + slopes[j]] * (h * _MASS[i, j] + bending * _BENDING[i, j])
+        for r, c in {(i, j), (j, i)}:
+            data[HALF_BANDWIDTH + r - c, c : dim - 2 + c : 2] += local
     return SymmetricBandedMatrix(data)
 
 

@@ -130,14 +130,15 @@ class QpSolution:
 def _equality_step(qp: BoundQp, active: np.ndarray):
     """Solve with x pinned to its bound on the active coordinates.
 
-    ``active`` is a boolean mask over ``qp.constrained``.  The active rows
-    and columns of a copy of the band become the identity's and the bounds
-    move into the right-hand side, so the system keeps its dimension and
-    bandwidth and x equals the bound exactly on the active set.  Returns
-    (x, multipliers); stationarity holds on free rows by the solve and on
-    fixed rows by the definition of the multiplier.  With nothing active, x
-    is the QP's cached unconstrained solve, read-only, and the multipliers
-    are zero: the same bits the pinned path computes, without its products.
+    ``active`` is a boolean mask over ``qp.constrained``.  The bounds move
+    into the right-hand side and :meth:`SymmetricBandedMatrix.pinned_solve`
+    treats the active rows and columns as the identity's, on the QP's own
+    matrix, so the system keeps its dimension and bandwidth and x equals the
+    bound exactly on the active set.  Returns (x, multipliers); stationarity
+    holds on free rows by the solve and on fixed rows by the definition of
+    the multiplier.  With nothing active, x is the QP's cached unconstrained
+    solve, read-only, and the multipliers are zero: the same bits the pinned
+    path computes, without its products.
     """
     fixed = qp.constrained[active]
     if not fixed.size:
@@ -147,7 +148,7 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
     rhs[fixed] = x[fixed]
-    x = qp.a.pinned(fixed).solve(rhs)
+    x = qp.a.pinned_solve(fixed, rhs)
     multipliers = np.zeros_like(x)
     multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
     return x, multipliers

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (
     AssembledSystem,
+    MatrixNotSpdError,
     apply_dirichlet,
     assemble_energy,
     assemble_load,
@@ -44,6 +46,29 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh) -> AssembledSystem:
     return apply_dirichlet(a, b, constraint_bounds(mesh, spec.psi))
 
 
+@contextlib.contextmanager
+def _naming(level: Mesh, fine: bool):
+    """Re-raise a failure on one level of the chain with that level's mesh in the message.
+
+    A failed factorization names the level's element count and its
+    smallest and largest element widths; a coarse level's
+    :class:`NonConvergenceError` names its element count and keeps its iterate.
+    """
+    try:
+        yield
+    except MatrixNotSpdError as exc:
+        raise MatrixNotSpdError(
+            f"{exc} (on the {level.n_elements}-element mesh of the warm-start chain, "
+            f"element widths {level.h.min():.3g} to {level.h.max():.3g})"
+        ) from exc
+    except NonConvergenceError as exc:
+        if fine:
+            raise
+        raise NonConvergenceError(
+            f"{exc} (on the {level.n_elements}-element coarse mesh of the warm start)", exc.last
+        ) from exc
+
+
 def solve_problem(
     spec: ProblemSpec,
     n_elements: int | None = None,
@@ -61,18 +86,22 @@ def solve_problem(
     (a shared node keeps its flag, one inside a coarse element needs both
     ends'), so PDAS takes a few iterations per level on most meshes.
     A :class:`NonConvergenceError` raised on a coarser mesh names its
-    element count and carries that mesh's iterate.
+    element count and carries that mesh's iterate; a
+    :class:`MatrixNotSpdError` on any level names its element count and
+    element widths.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")
     if mesh is None:
         mesh = build_mesh(n_elements)
-    qp = assemble_system(spec, mesh).to_qp()
-    binds = _cold_start(qp).any()
+    with _naming(mesh, fine=True):
+        qp = assemble_system(spec, mesh).to_qp()
+        binds = _cold_start(qp).any()
     chain = [(mesh, qp)]
     while binds and chain[-1][0].n_elements > 1:
         coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
-        chain.append((coarse, assemble_system(spec, coarse).to_qp()))
+        with _naming(coarse, fine=False):
+            chain.append((coarse, assemble_system(spec, coarse).to_qp()))
     levels, active = [], None  # the coarsest level starts cold
     while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
         level_mesh, level_qp = chain.pop()
@@ -80,14 +109,8 @@ def solve_problem(
             coarse = levels[-1].mesh.nodes
             j = np.searchsorted(coarse, level_mesh.nodes)
             active = flags[j] & (flags[j - 1] | (coarse[j] == level_mesh.nodes))
-        try:
+        with _naming(level_mesh, fine=level_mesh is mesh):
             qp_sol = solve_pdas(level_qp, active=active)
-        except NonConvergenceError as exc:
-            if level_mesh is mesh:
-                raise
-            raise NonConvergenceError(
-                f"{exc} (on the {level_mesh.n_elements}-element coarse mesh of the warm start)", exc.last
-            ) from exc
         flags = np.zeros(level_qp.dim, dtype=bool)  # one per node: is its slope DOF active?
         flags[list(qp_sol.active_set)] = True
         flags = flags[level_qp.constrained]

@@ -124,6 +124,21 @@ def test_closed_form_energy_matches_quadrature(mesh, beta):
     assert np.array_equal(a, a.T)
 
 
+@pytest.mark.parametrize("mesh", [hv.build_mesh(1), nonuniform_mesh(7, 37), hv.build_mesh(1000)],
+                         ids=["uniform-1", "nonuniform-37", "uniform-1000"])
+def test_energy_band_matches_per_entry_scatter(mesh):
+    # all 16 local entries computed and added one by one: a slot takes at most
+    # two element contributions, so the band must come out bit for bit
+    beta, h, dim = 0.7, mesh.h, 2 * mesh.n_nodes
+    scale = (1.0, h, 1.0, h)
+    ref = np.zeros((7, dim))
+    for i in range(4):
+        for j in range(4):
+            local = scale[i] * scale[j] * (h * assembly._MASS[i, j] + beta / h**3 * assembly._BENDING[i, j])
+            ref[3 + i - j, j : dim - 2 + j : 2] += local
+    assert np.array_equal(hv.assemble_energy(mesh, beta).data, ref)
+
+
 # -------------------------------------------------------------- assemble_load
 
 def test_load_zero_data():
@@ -437,6 +452,23 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
         assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
 
 
+@pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
+def test_pinned_solve_matches_pinned_copy(rng, kind, n):
+    # the seam PDAS calls, against the path it replaces: factor and refine on a pinned copy
+    a = banded_case(rng, kind, n)
+    rhs = np.asarray(rng.normal(size=a.dim), dtype=np.longdouble)
+    rhs += np.asarray(rng.normal(size=a.dim), dtype=np.longdouble) * np.longdouble(2.0) ** -60
+    masks = {
+        "empty": np.array([], dtype=int),
+        "all": np.arange(a.dim),
+        "endpoints": np.array([0, a.dim - 1]),
+        "random": np.flatnonzero(rng.random(a.dim) < 0.3),
+    }
+    for name, fixed in masks.items():
+        x = a.pinned_solve(fixed, rhs)
+        assert x.dtype == np.longdouble and np.array_equal(x, a.pinned(fixed).solve(rhs)), name
+
+
 def test_pinned_leaves_unused_slots():
     # slots outside the matrix hold ones here; pinning must not touch them
     a = hv.SymmetricBandedMatrix(np.ones((3, 4)))
@@ -458,6 +490,24 @@ def test_solve_bits_match_per_diagonal_matvec(paper, where, monkeypatch):
     assert len(shipped.levels) == len(oracle.levels)
     for ours, theirs in zip(shipped.levels, oracle.levels):
         assert np.array_equal(ours.coefficients, theirs.coefficients)
+
+
+@pytest.mark.parametrize(
+    "where", [{"n_elements": 1024}, {"n_elements": 2047}, {"mesh": nonuniform_mesh(1, 1000)}],
+    ids=["uniform-1024", "uniform-2047", "nonuniform-1000"],
+)
+def test_solve_bits_match_pinned_copy_solves(paper, where, monkeypatch):
+    # every PDAS step of the chain, solved on a pinned copy of the band as before the seam
+    shipped = hv.solve_problem(paper, **where)
+    monkeypatch.setattr(hv.SymmetricBandedMatrix, "pinned_solve", lambda a, fixed, rhs: a.pinned(fixed).solve(rhs))
+    copies = hv.solve_problem(paper, **where)
+    assert np.array_equal(shipped.qp_solution.x, copies.qp_solution.x)
+    assert np.array_equal(shipped.qp_solution.multipliers, copies.qp_solution.multipliers)
+    assert len(shipped.levels) == len(copies.levels)
+    for ours, theirs in zip(shipped.levels, copies.levels):
+        assert np.array_equal(ours.coefficients, theirs.coefficients)
+        assert ours.active_nodes == theirs.active_nodes
+        assert ours.iterations == theirs.iterations and ours.kkt == theirs.kkt
 
 
 def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):

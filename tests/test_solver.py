@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -212,3 +213,17 @@ def test_coarse_level_nonconvergence_names_its_mesh(paper, monkeypatch):
         hv.solve_problem(paper, 1)
     assert "coarse mesh" not in str(excinfo.value)
     assert excinfo.value.last.x.shape == (4,)
+
+
+def test_failed_factorization_names_its_level(paper):
+    # node 32 of 64 moved 1e-6 right of node 31: the bending entries of that element reach 1e18
+    nodes = hv.build_mesh(64).nodes.copy()
+    nodes[32] = nodes[31] + 1e-6
+    with pytest.raises(hv.MatrixNotSpdError) as excinfo:
+        hv.solve_problem(paper, mesh=hv.Mesh(nodes))
+    assert re.fullmatch(
+        r"\d+-th leading minor not positive definite "
+        r"\(on the 64-element mesh of the warm-start chain, element widths 1e-06 to 0.0625\)",
+        str(excinfo.value),
+    )
+    assert isinstance(excinfo.value.__cause__, hv.MatrixNotSpdError)
