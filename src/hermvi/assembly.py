@@ -78,8 +78,8 @@ def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
     Slot ``[r, j]`` holds entry ``(j + r - hbw, j)``.  It is hit when its row
     or its column is pinned and its row lies inside the matrix, so slots
     outside the matrix keep their values.  :meth:`SymmetricBandedMatrix.pinned`
-    pins the whole band and :meth:`SymmetricBandedMatrix.pinned_solve` only
-    the upper rows, by this one rule.
+    pins the whole band and :meth:`SymmetricBandedMatrix.factor` only the
+    upper rows, by this one rule.
     """
     dim = mask.size
     flags = np.zeros(dim + 2 * hbw, dtype=np.int8)  # 0 outside the matrix, 1 inside, 2 pinned
@@ -96,41 +96,17 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _cholesky(upper: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor of the upper band rows ``upper``."""
-    _require_finite(upper)
-    factor, info = dpbtrf(upper, lower=0)
-    if info > 0:
-        raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
-    return factor
-
-
-def _refine(factor: np.ndarray, rhs: np.ndarray, residual: Callable) -> np.ndarray:
-    """Solve from ``factor`` with :data:`REFINE_STEPS` corrections against ``residual(x)``, rhs - A @ x.
-
-    The corrections run in double precision but the iterate is carried in
-    long double; an inf or NaN in ``rhs`` raises ValueError.
-    """
-    b = np.asarray(rhs, dtype=float)
-    _require_finite(b)
-    x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
-    for _ in range(REFINE_STEPS):
-        x = x + dpbtrs(factor, residual(x).astype(float), lower=0)[0]
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
     ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
     at ``[half_bandwidth + i - j, j]``; both triangles are stored because
-    :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and the norm ||A||_inf read
-    them, while the Cholesky factors read only the upper rows.  ``data`` is
+    :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and :attr:`norm_inf`
+    read them, while :meth:`factor` reads only the upper rows.  ``data`` is
     made read-only on construction, so the long-double CSR copy behind
-    :meth:`matvec` and the Cholesky factor are computed at most once per
-    instance and never go stale; fill the array before constructing the
-    matrix.
+    :meth:`matvec` is built at most once per instance and never goes stale;
+    fill the array before constructing the matrix.  No factor is cached.
     """
 
     data: np.ndarray
@@ -205,58 +181,82 @@ class SymmetricBandedMatrix:
         """rhs - A @ x in long double."""
         return np.asarray(rhs, dtype=np.longdouble) - self.matvec(x)
 
-    @functools.cached_property
-    def _factor(self) -> np.ndarray:
-        factor = _cholesky(self.data[: self.half_bandwidth + 1])
-        factor.flags.writeable = False
+    @property
+    def norm_inf(self) -> float:
+        """||A||_inf: by symmetry the largest column sum of |band|, over the slots inside the matrix."""
+        hbw, dim = self.half_bandwidth, self.dim
+        band = np.abs(self.data)
+        for r in range(hbw):  # slots [r, j] and [-1 - r, j] hold rows j + r - hbw and j + hbw - r
+            band[r, : hbw - r] = 0.0
+            band[-1 - r, max(0, dim - hbw + r) :] = 0.0
+        return float(band.sum(axis=0).max(initial=0.0))
+
+    def _mask(self, fixed) -> np.ndarray:
+        """Boolean mask of the coordinates ``fixed``, checked by the rule of :meth:`factor`."""
+        fixed = np.asarray(fixed)
+        mask = np.zeros(self.dim, dtype=bool)
+        if fixed.size:
+            if fixed.dtype.kind not in "iu" or fixed.min() < 0 or fixed.max() >= self.dim:
+                raise ValueError(f"fixed must hold integer indices in [0, {self.dim})")
+            mask[fixed] = True
+        return mask
+
+    def factor(self, fixed=()) -> np.ndarray:
+        """Upper banded Cholesky factor of ``self.pinned(fixed)``, from the upper band rows alone.
+
+        ``fixed`` holds integer indices in [0, dim); an empty one pins
+        nothing, and a mask, a float or an index outside that range raises
+        ValueError.  Nothing is cached: each call runs one LAPACK
+        factorization.  Raises MatrixNotSpdError if the matrix is not
+        positive definite and ValueError if its band holds an inf or NaN.
+        """
+        upper = self.data[: self.half_bandwidth + 1]
+        mask = self._mask(fixed)
+        if mask.any():  # else the stored rows as they are
+            upper = _pinned_band(upper, self.half_bandwidth, mask)
+        _require_finite(upper)
+        factor, info = dpbtrf(upper, lower=0)
+        if info > 0:
+            raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
         return factor
 
-    def factor(self) -> np.ndarray:
-        """Upper banded Cholesky factor, computed once per instance.
+    def solve(self, rhs: np.ndarray, fixed=()) -> np.ndarray:
+        """Solve ``self.pinned(fixed)`` x = rhs from one :meth:`factor` and :data:`REFINE_STEPS` refinement steps.
 
-        Raises MatrixNotSpdError if the matrix is not positive definite and
-        ValueError if its band holds an inf or NaN; a failed factorization
-        is not cached, so every later call raises again.
+        The corrections run in double precision but the iterate and its
+        residual are carried in long double, so x satisfies the system beyond
+        double-precision roundoff in A @ x; a long-double ``rhs`` keeps its
+        extra bits.  The pinned copy's residual is read, bit for bit, from
+        this matrix's product with the fixed coordinates zeroed, and x itself
+        on the fixed rows, which :meth:`factor` has checked.  An inf or NaN
+        in ``rhs`` raises ValueError.
         """
-        return self._factor
+        factor = self.factor(fixed)
+        fixed = np.asarray(fixed, dtype=np.intp)
+        b = np.asarray(rhs, dtype=float)
+        _require_finite(b)
+        target = np.asarray(rhs, dtype=np.longdouble)
+        x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
+        for _ in range(REFINE_STEPS):
+            if fixed.size:
+                y = x.copy()
+                y[fixed] = 0.0
+                product = self.matvec(y)
+                product[fixed] = x[fixed]
+            else:
+                product = self.matvec(x)
+            x = x + dpbtrs(factor, (target - product).astype(float), lower=0)[0]
+        return x
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs with :data:`REFINE_STEPS` refinement steps.
-
-        The correction steps run in double precision but the iterate and its
-        residual are carried in long double, so the returned solution
-        satisfies the system beyond double-precision roundoff in A @ x.  A
-        long-double ``rhs`` keeps its extra bits in those residuals.  Every
-        solve of one instance reuses its :meth:`factor`; an inf or NaN in
-        ``rhs`` raises ValueError.
-        """
-        return _refine(self.factor(), rhs, lambda x: self.residual(x, rhs))
-
-    def pinned(self, fixed: np.ndarray) -> "SymmetricBandedMatrix":
+    def pinned(self, fixed) -> "SymmetricBandedMatrix":
         """Matrix with the rows and columns ``fixed`` replaced by the identity's.
 
         The pinned coordinates decouple from the rest, in the Cholesky
         factor too, so :meth:`solve` returns the right-hand side's values
-        there exactly.  Dimension and bandwidth stay those of ``self``.
+        there exactly.  Dimension and bandwidth stay those of ``self``;
+        ``fixed`` follows the rule of :meth:`factor`.
         """
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[fixed] = True
-        return SymmetricBandedMatrix(_pinned_band(self.data, self.half_bandwidth, mask))
-
-    def pinned_solve(self, fixed: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``self.pinned(fixed).solve(rhs)``, bit for bit, without building the pinned matrix.
-
-        Only a pinned copy of the upper band is made, for its Cholesky
-        factor.  Refinement reads this matrix's own product with the fixed
-        coordinates zeroed, which adds exact zeros where the pinned copy's
-        product adds its zeroed entries, and takes x itself on the fixed
-        rows, where the pinned copy has identity rows.
-        """
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[fixed] = True
-        factor = _cholesky(_pinned_band(self.data[: self.half_bandwidth + 1], self.half_bandwidth, mask))
-        target = np.asarray(rhs, dtype=np.longdouble)
-        return _refine(factor, rhs, lambda x: target - np.where(mask, x, self.matvec(np.where(mask, 0.0, x))))
+        return SymmetricBandedMatrix(_pinned_band(self.data, self.half_bandwidth, self._mask(fixed)))
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the retained indices, which must be strictly increasing.

@@ -61,6 +61,8 @@ class BoundQp:
     no field can be reassigned, so the unconstrained minimizer, solved at
     most once per instance and cached read-only, never goes stale: the cold
     start and every PDAS step with nothing active share that one solve.
+    Nothing is factored here: a matrix that is not positive definite raises
+    :class:`MatrixNotSpdError` at its first solve, in :func:`solve_pdas` or the cold start.
     """
 
     a: SymmetricBandedMatrix
@@ -88,7 +90,6 @@ class BoundQp:
             raise ValueError("constrained indices must be distinct")
         if np.any(np.isnan(bounds)) or np.any(bounds == -np.inf):
             raise ValueError("bounds must be finite or +inf")
-        a.factor()  # fail early if not SPD; the factor is cached for later solves
         for name, value in (("a", a), ("b", b), ("constrained", constrained), ("bounds", bounds)):
             object.__setattr__(self, name, value)
 
@@ -131,10 +132,10 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     """Solve with x pinned to its bound on the active coordinates.
 
     ``active`` is a boolean mask over ``qp.constrained``.  The bounds move
-    into the right-hand side and :meth:`SymmetricBandedMatrix.pinned_solve`
-    treats the active rows and columns as the identity's, on the QP's own
-    matrix, so the system keeps its dimension and bandwidth and x equals the
-    bound exactly on the active set.  Returns (x, multipliers); stationarity
+    into the right-hand side and :meth:`SymmetricBandedMatrix.solve` treats
+    the active rows and columns as the identity's, on the QP's own matrix,
+    so the system keeps its dimension and bandwidth and x equals the bound
+    exactly on the active set.  Returns (x, multipliers); stationarity
     holds on free rows by the solve and on fixed rows by the definition of
     the multiplier.  With nothing active, x is the QP's cached unconstrained
     solve, read-only, and the multipliers are zero: the same bits the pinned
@@ -148,7 +149,7 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
     rhs[fixed] = x[fixed]
-    x = qp.a.pinned_solve(fixed, rhs)
+    x = qp.a.solve(rhs, fixed)
     multipliers = np.zeros_like(x)
     multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
     return x, multipliers
@@ -256,16 +257,15 @@ def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     """Recompute the four KKT residuals, stationarity also scaled, for a candidate solution."""
     r = sol.multipliers - qp.a.residual(sol.x, qp.b)
     stationarity = float(np.max(np.abs(r), initial=0.0))
-    # the band is symmetric with zero unused slots: its largest column sum is ||A||_inf
-    norm_a = np.abs(qp.a.data).sum(axis=0).max(initial=0.0)
-    scale = norm_a * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
+    scale = qp.a.norm_inf * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
     scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)
     if qp.constrained.size:
         gap = sol.x[qp.constrained] - qp.bounds
         lam = sol.multipliers[qp.constrained]
         primal = float(max(0.0, np.max(gap)))
         min_mult = float(np.min(lam))
-        comp = float(np.max(np.abs(lam * gap)))
+        finite = np.isfinite(qp.bounds)  # lambda * (x - inf) is 0 * -inf
+        comp = float(np.max(np.abs(lam[finite] * gap[finite]), initial=0.0))
     else:
         primal, min_mult, comp = 0.0, 0.0, 0.0
     return KktResidual(stationarity, scaled, primal, min_mult, comp)

@@ -100,10 +100,9 @@ def solve_problem(
     chain = [(mesh, qp)]
     while binds and chain[-1][0].n_elements > 1:
         coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
-        with _naming(coarse, fine=False):
-            chain.append((coarse, assemble_system(spec, coarse).to_qp()))
+        chain.append((coarse, assemble_system(spec, coarse).to_qp()))
     levels, active = [], None  # the coarsest level starts cold
-    while chain:  # coarsest first; popping frees each solved level's matrices and cached factor
+    while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
         level_mesh, level_qp = chain.pop()
         if levels:  # prolong by position: onto coarse node j, or inside coarse element (j - 1, j)
             coarse = levels[-1].mesh.nodes

@@ -465,7 +465,7 @@ def test_pinned_solve_matches_pinned_copy(rng, kind, n):
         "random": np.flatnonzero(rng.random(a.dim) < 0.3),
     }
     for name, fixed in masks.items():
-        x = a.pinned_solve(fixed, rhs)
+        x = a.solve(rhs, fixed)
         assert x.dtype == np.longdouble and np.array_equal(x, a.pinned(fixed).solve(rhs)), name
 
 
@@ -474,6 +474,34 @@ def test_pinned_leaves_unused_slots():
     a = hv.SymmetricBandedMatrix(np.ones((3, 4)))
     for fixed in ([0], [3], [0, 3], [1, 2]):
         assert np.array_equal(a.pinned(fixed).data, pinned_by_slots(a, fixed)), fixed
+
+
+def test_fixed_indices_follow_one_rule(rng):
+    a = banded_case(rng, "mesh", 2)
+    rhs = np.arange(a.dim) + 1.0
+    # an empty tuple or list pins nothing, as an empty index array does
+    for empty in ((), [], np.array([], dtype=int)):
+        assert np.array_equal(a.pinned(empty).data, a.data)
+        assert np.array_equal(a.factor(empty), a.factor())
+        assert np.array_equal(a.solve(rhs, empty), a.solve(rhs))
+    # a negative index is not read from the end, and a mask or float is not an index
+    for bad in ([-1], [a.dim], np.arange(a.dim) == 0, np.array([1.0])):
+        for call in (lambda: a.pinned(bad), lambda: a.factor(bad), lambda: a.solve(rhs, bad)):
+            with pytest.raises(ValueError, match="integer indices"):
+                call()
+
+
+def test_norm_inf_reads_only_slots_inside_the_matrix():
+    # the two corner slots hold 99, but the matrix is tridiag(1, 4, 1)
+    a = hv.SymmetricBandedMatrix(np.array([[99.0, 1, 1], [4, 4, 4], [1, 1, 99]]))
+    assert a.norm_inf == np.abs(a.to_dense()).sum(axis=1).max() == 6.0
+    x = np.ones(3)
+    res = hv.kkt_residual(hv.BoundQp(a, np.zeros(3), [], []), hv.QpSolution(x, np.zeros(3), (), 1))
+    assert res.stationarity == 6.0 and res.stationarity_scaled == 1.0
+    # half-bandwidth 3 on a 2 x 2 matrix [[5, -2], [-2, 3]]: ten of the 14 slots lie outside
+    wide = hv.SymmetricBandedMatrix(np.array([[99.0, 99], [99, 99], [99, -2], [5, 3], [-2, 99], [99, 99], [99, 99]]))
+    assert np.array_equal(wide.to_dense(), [[5.0, -2.0], [-2.0, 3.0]])
+    assert wide.norm_inf == 7.0
 
 
 @pytest.mark.parametrize(
@@ -499,7 +527,8 @@ def test_solve_bits_match_per_diagonal_matvec(paper, where, monkeypatch):
 def test_solve_bits_match_pinned_copy_solves(paper, where, monkeypatch):
     # every PDAS step of the chain, solved on a pinned copy of the band as before the seam
     shipped = hv.solve_problem(paper, **where)
-    monkeypatch.setattr(hv.SymmetricBandedMatrix, "pinned_solve", lambda a, fixed, rhs: a.pinned(fixed).solve(rhs))
+    solve = hv.SymmetricBandedMatrix.solve
+    monkeypatch.setattr(hv.SymmetricBandedMatrix, "solve", lambda a, rhs, fixed=(): solve(a.pinned(fixed), rhs))
     copies = hv.solve_problem(paper, **where)
     assert np.array_equal(shipped.qp_solution.x, copies.qp_solution.x)
     assert np.array_equal(shipped.qp_solution.multipliers, copies.qp_solution.multipliers)
@@ -520,12 +549,9 @@ def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
     factorize = assembly.dpbtrf
     monkeypatch.setattr(assembly, "dpbtrf", counting)
     result = hv.solve_problem(paper, 1024)
-    # each level's QP factors its matrix once, which also serves the cold
-    # and unconstrained solves, and each PDAS step factors its pinned copy
-    assert len(calls) == len(result.levels) + sum(s.iterations for s in result.levels) == 33
-    assert result.qp.a.factor() is result.qp.a.factor() and len(calls) == 33
-    with pytest.raises(ValueError):
-        result.qp.a.factor()[0, 0] = 1.0
+    # the finest and the coarsest level each solve their QP unconstrained once,
+    # for the cold starts, and each PDAS step factors its pinned band
+    assert len(calls) == 2 + sum(s.iterations for s in result.levels) == 24
     unbound = dataclasses.replace(paper, psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3))
     calls.clear()
     result = hv.solve_problem(unbound, 64)

@@ -94,11 +94,13 @@ def test_bound_qp_owns_read_only_copies():
 
 
 def test_qp_rejects_indefinite_matrix():
-    with pytest.raises(hv.MatrixNotSpdError):
-        hv.BoundQp(
-            a=np.array([[1.0, 3.0], [3.0, 1.0]]),
-            b=np.zeros(2), constrained=[0], bounds=[0.0],
-        )
+    # nothing is factored on construction; the first solve raises, whatever the start:
+    # pinning coordinate 0 leaves the indefinite block [[1, 3], [3, 1]]
+    a = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
+    qp = hv.BoundQp(a=a, b=np.zeros(3), constrained=[0], bounds=[0.0])
+    for active in (None, np.array([False]), np.array([True])):
+        with pytest.raises(hv.MatrixNotSpdError):
+            hv.solve_pdas(qp, active=active)
 
 
 def test_qp_rejects_nonsymmetric_matrix():
@@ -200,6 +202,15 @@ def test_kkt_residual_zero_at_exact_solution():
     # no coordinate at all: every maximum runs over an empty array
     empty = hv.BoundQp(a=np.zeros((0, 0)), b=np.zeros(0), constrained=[], bounds=[])
     assert hv.kkt_residual(empty, hv.solve_pdas(empty)) == hv.KktResidual(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_kkt_residual_skips_infinite_bounds_in_complementarity(paper):
+    # lambda (x - u) is 0 * -inf on an unconstrained coordinate; only finite bounds count
+    qp = hv.BoundQp(a=np.eye(2), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0])
+    res = hv.kkt_residual(qp, hv.QpSolution(np.array([0.0, 0.5]), np.array([0.0, 2.0]), (1,), 1))
+    assert res.complementarity == 1.0 and res.primal_violation == 0.0
+    spec = dataclasses.replace(paper, psi=lambda x: np.where(np.asarray(x) < 0, np.inf, paper.psi(x)))
+    assert hv.solve_problem(spec, 64).solution.kkt.complementarity == 0.0
 
 
 def test_kkt_residual_with_zero_scale():

@@ -117,7 +117,7 @@ def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
         # one refined solve (1 + 3 dpbtrs, 3 matvecs) serves the cold start and
         # the one PDAS step; kkt_residual takes the fourth matvec
         ("unconstrained-smoke", 64, 1, 4, 4),
-        ("paper", 1024, 33, 96, 127),
+        ("paper", 1024, 24, 96, 127),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
