@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_array
 
-from .mesh import DofMap, Mesh, _element_dofs, _shape_matrix, segment_quadrature
+from .mesh import DofMap, Mesh, _element_dofs, _shape_columns, segment_quadrature
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
@@ -67,9 +66,28 @@ def _slot_rows(hbw: int, dim: int):
     return rows.clip(0, max(dim - 1, 0)), inside
 
 
-def _strided(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
-    """Read-only view of the 1-D array ``flat`` whose element ``idx`` is ``flat[sum(idx[k] * steps[k])]``."""
-    return as_strided(flat, shape, tuple(step * flat.strides[0] for step in steps), writeable=False)
+@functools.lru_cache(maxsize=32)
+def _csr_layout(hbw: int, dim: int):
+    """Read-only (indptr, indices, gather) of the CSR copy of a band: row i adds
+    columns i + hbw down to i - hbw, those inside the matrix, read from the
+    flattened band at ``gather``.
+
+    Built once per shape: every later matrix of that shape, such as the
+    same chain level of the next solve, only gathers and casts its values.
+    """
+    index = np.int32 if (2 * hbw + 1) * dim < 2**31 else np.int64
+    row = np.arange(dim, dtype=index)
+    first = np.minimum(row + hbw, dim - 1)  # row i adds columns first[i] down to max(i - hbw, 0)
+    count = first - np.maximum(row - hbw, 0) + 1
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(count, out=indptr[1:])
+    step = np.arange(indptr[-1], dtype=index) - np.repeat(indptr[:-1], count)  # each term's place in its row
+    # the entry (i, c) sits in band slot [i + hbw - c, c], flat (i + hbw - c) * dim + c: a step adds dim - 1
+    start = (row + hbw - first).astype(np.intp) * dim + first
+    layout = indptr, np.repeat(first, count) - step, np.repeat(start, count) + step * (dim - 1)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
@@ -86,8 +104,11 @@ def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
     inner = flags[hbw : hbw + dim]
     inner[:] = mask
     inner += 1
-    row_flags = _strided(flags, (band.shape[0], dim), (1, 1))  # [r, j] = flags[r + j], the flag of the slot's row
-    return np.where(row_flags + inner >= 3, (np.arange(band.shape[0]) == hbw)[:, None], band)
+    hit = np.empty(band.shape, dtype=np.int8)
+    for r in range(band.shape[0]):  # [r, j] = flags[r + j], the flag of the slot's row
+        hit[r] = flags[r : r + dim]
+    hit += inner
+    return np.where(hit >= 3, (np.arange(band.shape[0]) == hbw)[:, None], band)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -141,29 +162,9 @@ class SymmetricBandedMatrix:
 
     @functools.cached_property
     def _csr(self) -> csr_array:
-        hbw, dim = self.half_bandwidth, self.dim
-        width = 2 * hbw + 1
-        index = np.int32 if width * dim < 2**31 else np.int64
-        # [i, r] is row i's r-th term: column i + hbw - r, from band slot [r, i + hbw - r]
-        cols = _strided(np.arange(-hbw, dim + hbw, dtype=index)[2 * hbw :], (dim, width), (1, -1))
-        band = _strided(np.ascontiguousarray(self.data).ravel()[hbw:], (dim, width), (1, dim - 1))
-        # rows a .. b - 1 keep all their terms, copied in one strided pass with the
-        # cast; the first and last hbw rows keep only the terms inside the matrix
-        a = min(hbw, dim)
-        b = max(a, dim - hbw)
-        edge = {i: slice(max(0, i + hbw - dim + 1), min(width, i + hbw + 1)) for i in (*range(a), *range(b, dim))}
-        counts = np.full(dim, width, dtype=index)
-        for i, terms in edge.items():
-            counts[i] = terms.stop - terms.start
-        indptr = np.zeros(dim + 1, dtype=index)
-        np.cumsum(counts, out=indptr[1:])
-        values, indices = np.empty(indptr[-1], dtype=np.longdouble), np.empty(indptr[-1], dtype=index)
-        values[indptr[a] : indptr[b]].reshape(-1, width)[...] = band[a:b]
-        indices[indptr[a] : indptr[b]].reshape(-1, width)[...] = cols[a:b]
-        for i, terms in edge.items():
-            values[indptr[i] : indptr[i + 1]] = band[i, terms]
-            indices[indptr[i] : indptr[i + 1]] = cols[i, terms]
-        return csr_array((values, indices, indptr), shape=(dim, dim))
+        indptr, indices, gather = _csr_layout(self.half_bandwidth, self.dim)
+        values = np.ascontiguousarray(self.data).ravel()[gather].astype(np.longdouble)
+        return csr_array((values, indices, indptr), shape=(self.dim, self.dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -317,7 +318,9 @@ def assemble_load(
     h = mesh.h[element]
     wy = w * np.asarray(y_d(x), dtype=float)
     wf = w * np.asarray(f(x), dtype=float)
-    vals = _shape_matrix(xi, h, 0) * wy[:, None] - beta * (_shape_matrix(xi, h, 2) * wf[:, None])
+    vals = np.empty((xi.size, 4))  # (point, local DOF), the order bincount sums in
+    for k, (value, curvature) in enumerate(zip(_shape_columns(xi, h, 0), _shape_columns(xi, h, 2))):
+        vals[:, k] = value * wy - beta * (curvature * wf)
     return np.bincount(_element_dofs(element).ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
 
 

@@ -79,7 +79,7 @@ class Mesh:
 
 def build_mesh(n_elements: int) -> Mesh:
     """Uniform mesh of ``n_elements`` intervals on [-1, 1] (h = 2/n)."""
-    if not isinstance(n_elements, (int, np.integer)) or n_elements < 1:
+    if not isinstance(n_elements, (int, np.integer)) or isinstance(n_elements, bool) or n_elements < 1:
         raise ValueError(f"n_elements must be a positive integer, got {n_elements!r}")
     return Mesh(np.linspace(-1.0, 1.0, int(n_elements) + 1))
 
@@ -117,8 +117,8 @@ def _element_dofs(element) -> np.ndarray:
     return 2 * np.asarray(element)[..., None] + np.arange(4)
 
 
-def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
-    """Hermite shape values at reference points, shape ``(..., 4)``.
+def _shape_columns(xi, h, deriv_order: int) -> tuple:
+    """The four Hermite shape functions (or derivatives) at reference points, one array each.
 
     Local DOF order is (value_left, slope_left, value_right, slope_right).
     The slope functions carry a factor h so that global slope DOFs are
@@ -127,30 +127,33 @@ def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if deriv_order == 0:
         xi2, xi3 = xi**2, xi**3
-        cols = (
+        return (
             1.0 - 3.0 * xi2 + 2.0 * xi3,
             h * (xi - 2.0 * xi2 + xi3),
             3.0 * xi2 - 2.0 * xi3,
             h * (-xi2 + xi3),
         )
-    elif deriv_order == 1:
+    if deriv_order == 1:
         xi2 = xi**2
-        cols = (
+        return (
             (-6.0 * xi + 6.0 * xi2) / h,
             1.0 - 4.0 * xi + 3.0 * xi2,
             (6.0 * xi - 6.0 * xi2) / h,
             -2.0 * xi + 3.0 * xi2,
         )
-    elif deriv_order == 2:
-        cols = (
+    if deriv_order == 2:
+        return (
             (-6.0 + 12.0 * xi) / (h * h),
             (-4.0 + 6.0 * xi) / h,
             (6.0 - 12.0 * xi) / (h * h),
             (-2.0 + 6.0 * xi) / h,
         )
-    else:
-        raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
-    return np.stack(cols, axis=-1)
+    raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
+
+
+def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
+    """:func:`_shape_columns` stacked, shape ``(..., 4)``."""
+    return np.stack(_shape_columns(xi, h, deriv_order), axis=-1)
 
 
 def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
@@ -187,9 +190,10 @@ def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     One rule per point count is computed and shared: its arrays are
     read-only, and computing it costs more than assembling a coarse mesh.
     A count that raises is never cached, and the cache is typed, so 4.0
-    is checked (and refused) even once the rule for 4 is cached.
+    and True are checked (and refused) even once the rules for 4 and 1
+    are cached.
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_GAUSS_POINTS:
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 1 <= m <= MAX_GAUSS_POINTS:
         raise ValueError(f"point count must lie in [1, {MAX_GAUSS_POINTS}], got {m!r}")
     x, w = np.polynomial.legendre.leggauss(m)
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ class NonConvergenceError(Exception):
 
 
 class KktResidual(NamedTuple):
-    """Violations of the four KKT conditions, computed fresh from (x, lambda)."""
+    """Violations of the four KKT conditions, computed from (x, lambda)."""
 
     stationarity: float       # ||Ax - b + lambda||_inf
     stationarity_scaled: float  # the same over ||A||_inf ||x||_inf + ||b||_inf (inf when only that is 0)
@@ -119,13 +119,17 @@ class QpSolution:
     iterations of this QP alone (the candidate sets tried, for
     :func:`solve_bruteforce`); in a ``solve_problem`` result each level of
     the warm-start chain counts its own PDAS, and ``qp_solution`` is the
-    finest level's.
+    finest level's.  A solution that :func:`solve_pdas` returns has a
+    read-only ``x`` and keeps the residual b - Ax of its last equality
+    step, which :func:`kkt_residual` reuses on the same QP.
     """
 
     x: np.ndarray
     multipliers: np.ndarray
     active_set: tuple
     iterations: int
+    #: (qp, x, b - Ax) of the equality step that produced ``x``, or None
+    _step: tuple | None = field(default=None, init=False, repr=False)
 
 
 def _equality_step(qp: BoundQp, active: np.ndarray):
@@ -135,24 +139,27 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     into the right-hand side and :meth:`SymmetricBandedMatrix.solve` treats
     the active rows and columns as the identity's, on the QP's own matrix,
     so the system keeps its dimension and bandwidth and x equals the bound
-    exactly on the active set.  Returns (x, multipliers); stationarity
-    holds on free rows by the solve and on fixed rows by the definition of
-    the multiplier.  With nothing active, x is the QP's cached unconstrained
-    solve, read-only, and the multipliers are zero: the same bits the pinned
+    exactly on the active set.  Returns (x, multipliers, residual), x
+    read-only and the residual b - Ax; stationarity holds on free rows by
+    the solve and on fixed rows by the definition of the multiplier.  With
+    nothing active, x is the QP's cached unconstrained solve, the
+    multipliers are zero and the residual is None: the same bits the pinned
     path computes, without its products.
     """
     fixed = qp.constrained[active]
     if not fixed.size:
         x = qp._unconstrained
-        return x, np.zeros_like(x)
+        return x, np.zeros_like(x), None
     x = np.zeros(qp.dim)
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
     rhs[fixed] = x[fixed]
     x = qp.a.solve(rhs, fixed)
+    x.flags.writeable = False
+    residual = qp.a.residual(x, qp.b)
     multipliers = np.zeros_like(x)
-    multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
-    return x, multipliers
+    multipliers[fixed] = residual[fixed]
+    return x, multipliers, residual
 
 
 def _cold_start(qp: BoundQp) -> np.ndarray:
@@ -187,10 +194,12 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
         )
     seen = {active.tobytes()}
     for it in range(1, MAX_ITER + 1):
-        x, multipliers = _equality_step(qp, active)
+        x, multipliers, residual = _equality_step(qp, active)
         last = QpSolution(x, multipliers, tuple(sorted(qp.constrained[active].tolist())), it)
         updated = np.where(active, multipliers[qp.constrained] > 0, x[qp.constrained] > qp.bounds)
         if np.array_equal(updated, active):
+            if residual is not None:
+                last._step = (qp, x, residual)
             return last
         if updated.tobytes() in seen:
             raise NonConvergenceError("active set cycled without converging", last)
@@ -254,8 +263,18 @@ def solve_bruteforce(qp: BoundQp) -> QpSolution:
 
 
 def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
-    """Recompute the four KKT residuals, stationarity also scaled, for a candidate solution."""
-    r = sol.multipliers - qp.a.residual(sol.x, qp.b)
+    """The four KKT residuals, stationarity also scaled, of a candidate solution.
+
+    The residual b - Ax is computed afresh, unless ``sol`` came from
+    :func:`solve_pdas` on this ``qp`` and still holds its read-only ``x``:
+    then it is the one its last equality step took, the same bits.
+    """
+    step = sol._step
+    if step is not None and step[0] is qp and step[1] is sol.x:
+        residual = step[2]
+    else:
+        residual = qp.a.residual(sol.x, qp.b)
+    r = sol.multipliers - residual
     stationarity = float(np.max(np.abs(r), initial=0.0))
     scale = qp.a.norm_inf * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
     scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)

@@ -15,7 +15,7 @@ from .assembly import (
     assemble_load,
     constraint_bounds,
 )
-from .mesh import DiscreteSolution, Mesh, build_mesh
+from .mesh import DiscreteSolution, Mesh, _element_evaluator, build_mesh
 from .problems import ProblemSpec
 from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
@@ -69,6 +69,23 @@ def _naming(level: Mesh, fine: bool):
         ) from exc
 
 
+def _prolong(coarse: DiscreteSolution, flags: np.ndarray, mesh: Mesh, bounds: np.ndarray) -> np.ndarray:
+    """PDAS start mask, one flag per node of ``mesh``, from the solved level below it.
+
+    ``flags`` marks the active nodes of ``coarse``.  A node shared with the
+    coarse mesh keeps its flag; a new node starts active where the coarse
+    state's slope there, as :func:`evaluate` gives it, reaches its bound.
+    """
+    nodes = coarse.mesh.nodes
+    j = np.searchsorted(nodes, mesh.nodes)
+    active = flags[j]
+    new = np.flatnonzero(nodes[j] != mesh.nodes)
+    element = j[new] - 1  # the coarse element the new node lies inside
+    h, at = _element_evaluator(nodes, coarse.coefficients, element)
+    active[new] = at((mesh.nodes[new] - nodes[element]) / h, 1) >= bounds[new]
+    return active
+
+
 def solve_problem(
     spec: ProblemSpec,
     n_elements: int | None = None,
@@ -82,9 +99,8 @@ def solve_problem(
     unconstrained solve violates.  When there are any, the solve goes down
     a chain of meshes to one element, each made of every other node of the
     one above and the last, and climbs back up: the coarsest starts cold
-    and each finer one from the active nodes below, prolonged by position
-    (a shared node keeps its flag, one inside a coarse element needs both
-    ends'), so PDAS takes a few iterations per level on most meshes.
+    and each finer one from the solution below (see :func:`_prolong`), so
+    PDAS takes one or two iterations per level on most meshes.
     A :class:`NonConvergenceError` raised on a coarser mesh names its
     element count and carries that mesh's iterate; a
     :class:`MatrixNotSpdError` on any level names its element count and
@@ -104,10 +120,8 @@ def solve_problem(
     levels, active = [], None  # the coarsest level starts cold
     while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
         level_mesh, level_qp = chain.pop()
-        if levels:  # prolong by position: onto coarse node j, or inside coarse element (j - 1, j)
-            coarse = levels[-1].mesh.nodes
-            j = np.searchsorted(coarse, level_mesh.nodes)
-            active = flags[j] & (flags[j - 1] | (coarse[j] == level_mesh.nodes))
+        if levels:
+            active = _prolong(levels[-1], flags, level_mesh, level_qp.bounds)
         with _naming(level_mesh, fine=level_mesh is mesh):
             qp_sol = solve_pdas(level_qp, active=active)
         flags = np.zeros(level_qp.dim, dtype=bool)  # one per node: is its slope DOF active?

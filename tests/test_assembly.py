@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import hermvi as hv
 from hermvi import assembly
-from hermvi.mesh import _shape_matrix, segment_quadrature, split_segments
+from hermvi.mesh import _element_dofs, _shape_matrix, segment_quadrature, split_segments
 
 from conftest import nonuniform_mesh
 
@@ -236,6 +236,27 @@ def test_load_nonuniform_mesh_matches_per_element_split():
 
 # ---------------------------------------------------------- constraint_bounds
 
+def load_by_stacked_tables(mesh, spec, beta):
+    """The load from whole (point, 4) value and curvature tables: the oracle for
+    the column-by-column fill of assemble_load."""
+    element, x, xi, w = segment_quadrature(mesh, spec.breakpoints, assembly.LOAD_QUAD_POINTS)
+    h = mesh.h[element]
+    wy = w * np.asarray(spec.y_d(x), dtype=float)
+    wf = w * np.asarray(spec.f(x), dtype=float)
+    vals = _shape_matrix(xi, h, 0) * wy[:, None] - beta * (_shape_matrix(xi, h, 2) * wf[:, None])
+    return np.bincount(_element_dofs(element).ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
+
+
+@pytest.mark.parametrize("problem", ["paper", "unconstrained-smoke"])
+@pytest.mark.parametrize("beta", [1.0, 1.7])
+def test_load_matches_stacked_shape_tables(problem, beta):
+    spec = hv.get_problem(problem)
+    for n in (1, 2, 3, 16, 1000, 1024, 4096):
+        mesh = hv.build_mesh(n)
+        load = hv.assemble_load(mesh, spec.y_d, spec.f, beta, breakpoints=spec.breakpoints)
+        assert np.array_equal(load, load_by_stacked_tables(mesh, spec, beta)), n
+
+
 def test_bounds_of_benchmark_obstacle(paper):
     mesh = hv.build_mesh(2)
     bounds = hv.constraint_bounds(mesh, paper.psi)
@@ -452,6 +473,54 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
         assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
 
 
+def csr_by_edge_rows(a):
+    """(values, indices, indptr) of the long-double CSR copy of ``a``, its inner
+    rows copied in one strided pass and its first and last hbw rows one by one:
+    the oracle for the layout-cached _csr."""
+    hbw, dim = a.half_bandwidth, a.dim
+    width = 2 * hbw + 1
+    index = np.int32 if width * dim < 2**31 else np.int64
+
+    def strided(flat, steps):
+        return np.lib.stride_tricks.as_strided(flat, (dim, width), tuple(k * flat.strides[0] for k in steps))
+
+    # [i, r] is row i's r-th term: column i + hbw - r, from band slot [r, i + hbw - r]
+    cols = strided(np.arange(-hbw, dim + hbw, dtype=index)[2 * hbw :], (1, -1))
+    band = strided(np.ascontiguousarray(a.data).ravel()[hbw:], (1, dim - 1))
+    first, last = min(hbw, dim), max(min(hbw, dim), dim - hbw)
+    edge = {i: slice(max(0, i + hbw - dim + 1), min(width, i + hbw + 1)) for i in (*range(first), *range(last, dim))}
+    counts = np.full(dim, width, dtype=index)
+    for i, terms in edge.items():
+        counts[i] = terms.stop - terms.start
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    values, indices = np.empty(indptr[-1], dtype=np.longdouble), np.empty(indptr[-1], dtype=index)
+    values[indptr[first] : indptr[last]].reshape(-1, width)[...] = band[first:last]
+    indices[indptr[first] : indptr[last]].reshape(-1, width)[...] = cols[first:last]
+    for i, terms in edge.items():
+        values[indptr[i] : indptr[i + 1]] = band[i, terms]
+        indices[indptr[i] : indptr[i + 1]] = cols[i, terms]
+    return values, indices, indptr
+
+
+def assert_csr_matches_edge_rows(a):
+    csr = a._csr
+    for ours, theirs in zip((csr.data, csr.indices, csr.indptr), csr_by_edge_rows(a)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
+def test_csr_copy_matches_edge_row_build(rng, kind, n):
+    assert_csr_matches_edge_rows(banded_case(rng, kind, n))
+
+
+def test_csr_layout_matches_edge_row_build_at_small_shapes(rng):
+    # slots outside the matrix hold random values too: the gather must skip them
+    for hbw in range(4):
+        for dim in range(1, 21):
+            assert_csr_matches_edge_rows(hv.SymmetricBandedMatrix(rng.normal(size=(2 * hbw + 1, dim))))
+
+
 @pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
 def test_pinned_solve_matches_pinned_copy(rng, kind, n):
     # the seam PDAS calls, against the path it replaces: factor and refine on a pinned copy
@@ -551,7 +620,7 @@ def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
     result = hv.solve_problem(paper, 1024)
     # the finest and the coarsest level each solve their QP unconstrained once,
     # for the cold starts, and each PDAS step factors its pinned band
-    assert len(calls) == 2 + sum(s.iterations for s in result.levels) == 24
+    assert len(calls) == 2 + sum(s.iterations for s in result.levels) == 19
     unbound = dataclasses.replace(paper, psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3))
     calls.clear()
     result = hv.solve_problem(unbound, 64)

@@ -23,10 +23,18 @@ def test_build_mesh_width():
     assert np.allclose(mesh.h, 2.0 / 9.0, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True, np.True_])
 def test_build_mesh_rejects_bad_counts(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_elements must be a positive integer"):
         hv.build_mesh(bad)
+
+
+def test_bool_element_counts_are_refused(paper):
+    # True is an int equal to 1, but no element count
+    with pytest.raises(ValueError, match="got True"):
+        hv.solve_problem(paper, True)
+    with pytest.raises(ValueError, match="got True"):
+        hv.run_convergence_study(paper, [True, 2])
 
 
 def test_mesh_invariants():
@@ -125,10 +133,12 @@ def test_gauss_monomial_exactness():
             assert val == pytest.approx(1.0 / (d + 1), rel=2e-14)
 
 
-@pytest.mark.parametrize("bad", [0, 17, -1, 4.0])
+@pytest.mark.parametrize("bad", [0, 17, -1, 4.0, True, np.True_])
 def test_gauss_rejects_unsupported_counts(bad):
-    hv.gauss_rule(4)  # 4.0 == 4 and hashes alike: the cached rule for 4 must not answer it
-    with pytest.raises(ValueError):
+    # 4.0 == 4 and True == 1 and they hash alike: the cached rules for 4 and 1 must not answer them
+    hv.gauss_rule(4)
+    hv.gauss_rule(1)
+    with pytest.raises(ValueError, match="point count must lie in"):
         hv.gauss_rule(bad)
 
 

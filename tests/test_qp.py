@@ -259,6 +259,25 @@ def test_scaled_stationarity_matches_benchmark_harness(solve_cache):
     assert kkt.stationarity_scaled == pytest.approx(scaled, rel=1e-12)
 
 
+def test_kkt_residual_reuses_only_its_own_step(paper, monkeypatch):
+    qp = paper_qp(paper, 64)
+    sol = hv.solve_pdas(qp)
+    assert sol.active_set and not sol.x.flags.writeable
+    copy = hv.QpSolution(sol.x, sol.multipliers, sol.active_set, sol.iterations)
+    products = []
+    matvec = SymmetricBandedMatrix.matvec
+    monkeypatch.setattr(SymmetricBandedMatrix, "matvec", lambda a, x: products.append(1) or matvec(a, x))
+    # the last equality step's b - Ax, reused: the same record without a product
+    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, copy)
+    assert len(products) == 1
+    # another QP, even of the same data, or another x is checked afresh
+    assert hv.kkt_residual(paper_qp(paper, 64), sol) == hv.kkt_residual(qp, copy)
+    moved = dataclasses.replace(sol, x=sol.x + 1e-3)
+    sol.x = moved.x
+    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, moved) != hv.kkt_residual(qp, copy)
+    assert len(products) == 6
+
+
 def test_kkt_residual_on_benchmark_level(paper):
     qp = paper_qp(paper, 33)
     sol = hv.solve_pdas(qp)

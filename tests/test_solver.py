@@ -117,7 +117,9 @@ def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
         # one refined solve (1 + 3 dpbtrs, 3 matvecs) serves the cold start and
         # the one PDAS step; kkt_residual takes the fourth matvec
         ("unconstrained-smoke", 64, 1, 4, 4),
-        ("paper", 1024, 24, 96, 127),
+        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 matvecs each, the last residual of
+        # a level reused by kkt_residual) and the two cold starts' refined solves
+        ("paper", 1024, 19, 76, 91),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
@@ -172,7 +174,56 @@ def test_every_mesh_warm_starts(paper, mesh):
     # a cold start takes up to 69 iterations at 1023 elements and none settles from 2047 up
     result = hv.solve_problem(paper, mesh=mesh)
     assert len(result.levels) > 1
-    assert max(level.iterations for level in result.levels) <= 3
+    assert max(level.iterations for level in result.levels) <= 2
+
+
+def prolong_by_flags(coarse, flags, mesh, bounds):
+    """The earlier start rule, the reference for the slope rule: a shared node
+    keeps its flag, a node inside a coarse element needs both ends' flags."""
+    nodes = coarse.mesh.nodes
+    j = np.searchsorted(nodes, mesh.nodes)
+    return flags[j] & (flags[j - 1] | (nodes[j] == mesh.nodes))
+
+
+PROLONG_MESHES = {
+    **{f"uniform-{n}": hv.build_mesh(n) for n in (16, 33, 64, 96, 1000, 1024, 2047, 4094)},
+    **{f"nonuniform-seed{s}-{n}": nonuniform_mesh(s, n) for s in (1, 2, 3) for n in (200, 1000, 3000)},
+}
+
+
+@pytest.mark.parametrize("mesh", PROLONG_MESHES.values(), ids=PROLONG_MESHES.keys())
+def test_slope_prolongation_settles_where_the_flag_rule_does(paper, mesh, monkeypatch):
+    # the start only moves the PDAS path: every level's result is the flag rule's, bit for bit
+    shipped = hv.solve_problem(paper, mesh=mesh).levels
+    monkeypatch.setattr(hv.solver, "_prolong", prolong_by_flags)
+    reference = hv.solve_problem(paper, mesh=mesh).levels
+    assert len(shipped) == len(reference) > 1
+    for ours, theirs in zip(shipped, reference):
+        assert np.array_equal(ours.coefficients, theirs.coefficients)
+        assert ours.active_nodes == theirs.active_nodes and ours.kkt == theirs.kkt
+    assert sum(level.iterations for level in shipped) <= sum(level.iterations for level in reference)
+
+
+@pytest.mark.parametrize(
+    "mesh", [hv.build_mesh(1024), hv.build_mesh(33), nonuniform_mesh(1, 1000)],
+    ids=["uniform-1024", "uniform-33", "nonuniform-seed1-1000"],
+)
+def test_prolongation_reads_the_coarse_slope(paper, mesh):
+    # the start rule as stated, on every level: shared nodes keep their flag, new ones compare evaluate's slope
+    levels = hv.solve_problem(paper, mesh=mesh).levels
+    for coarse, fine in zip(levels[:-1], levels[1:]):
+        flags = np.zeros(coarse.mesh.n_nodes, dtype=bool)
+        flags[list(coarse.active_nodes)] = True
+        bounds = hv.constraint_bounds(fine.mesh, paper.psi)
+        j = np.searchsorted(coarse.mesh.nodes, fine.mesh.nodes)
+        shared = coarse.mesh.nodes[j] == fine.mesh.nodes
+        expected = np.where(shared, flags[j], hv.evaluate(coarse, fine.mesh.nodes, 1) >= bounds)
+        assert np.array_equal(hv.solver._prolong(coarse, flags, fine.mesh, bounds), expected)
+
+
+def test_chain_iterations_per_level(solve_cache):
+    # the flag rule (prolong_by_flags) takes 2 steps on every level, 22 in all
+    assert [level.iterations for level in solve_cache(1024).levels] == [2, 1, 1, 2, 2, 1, 2, 1, 2, 1, 2]
 
 
 @pytest.mark.parametrize(
