@@ -21,7 +21,6 @@ from .assembly import (
 )
 from .mesh import (
     DiscreteSolution,
-    DofMap,
     Mesh,
     build_mesh,
     composite_integral,
@@ -62,7 +61,6 @@ __all__ = [
     "BoundQp",
     "ConvergenceReport",
     "DiscreteSolution",
-    "DofMap",
     "ErrorReport",
     "ExactBundle",
     "KktResidual",

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_array
 
-from .mesh import DofMap, Mesh, _element_dofs, _shape_columns, segment_quadrature
+from .mesh import Mesh, _element_dofs, _shape_columns, segment_quadrature
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
@@ -227,34 +227,34 @@ class SymmetricBandedMatrix:
         The corrections run in double precision but the iterate and its
         residual are carried in long double, so x satisfies the system beyond
         double-precision roundoff in A @ x; a long-double ``rhs`` keeps its
-        extra bits.  The pinned copy's residual is read, bit for bit, from
-        this matrix's product with the fixed coordinates zeroed, and x itself
-        on the fixed rows, which :meth:`factor` has checked.  An inf or NaN
-        in ``rhs`` raises ValueError.
+        extra bits.  The pinned coordinates decouple in the factor, so the
+        solve works on the free rows alone: x is zero on the fixed rows until
+        the end, each step reads :meth:`residual` of this matrix with its
+        fixed rows zeroed, and x takes ``rhs`` on the fixed rows last.
+        ``fixed`` follows the rule of :meth:`factor`; an inf or NaN in
+        ``rhs`` raises ValueError.
         """
         factor = self.factor(fixed)
         fixed = np.asarray(fixed, dtype=np.intp)
-        b = np.asarray(rhs, dtype=float)
+        b = np.array(rhs, dtype=float)
         _require_finite(b)
         target = np.asarray(rhs, dtype=np.longdouble)
+        b[fixed] = 0.0
         x = dpbtrs(factor, b, lower=0)[0].astype(np.longdouble)
         for _ in range(REFINE_STEPS):
-            if fixed.size:
-                y = x.copy()
-                y[fixed] = 0.0
-                product = self.matvec(y)
-                product[fixed] = x[fixed]
-            else:
-                product = self.matvec(x)
-            x = x + dpbtrs(factor, (target - product).astype(float), lower=0)[0]
+            r = self.residual(x, target)
+            r[fixed] = 0.0
+            x += dpbtrs(factor, r.astype(float), lower=0)[0]
+        x[fixed] = target[fixed]
         return x
 
     def pinned(self, fixed) -> "SymmetricBandedMatrix":
         """Matrix with the rows and columns ``fixed`` replaced by the identity's.
 
-        The pinned coordinates decouple from the rest, in the Cholesky
-        factor too, so :meth:`solve` returns the right-hand side's values
-        there exactly.  Dimension and bandwidth stay those of ``self``;
+        It is the matrix that ``self.solve(rhs, fixed)`` solves: the pinned
+        coordinates decouple from the rest, in the Cholesky factor too, so
+        that solve refines the free rows alone and returns ``rhs`` on the
+        fixed ones exactly.  Dimension and bandwidth stay those of ``self``;
         ``fixed`` follows the rule of :meth:`factor`.
         """
         return SymmetricBandedMatrix(_pinned_band(self.data, self.half_bandwidth, self._mask(fixed)))
@@ -333,8 +333,9 @@ def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
 class AssembledSystem:
     """Energy matrix and load with the Dirichlet DOFs pinned to zero.
 
-    Indices are global DOF indices; ``bounds`` holds one slope bound per
-    mesh node, so it gives the :class:`DofMap` of :meth:`to_qp`.
+    Indices are global DOF indices; ``bounds`` holds one bound per mesh
+    node, on its slope DOF, so :meth:`to_qp` bounds DOFs 1, 3, ..., 2n - 1
+    of the n nodes.
     """
 
     a: SymmetricBandedMatrix
@@ -344,22 +345,22 @@ class AssembledSystem:
     def to_qp(self):
         from .qp import BoundQp
 
-        return BoundQp(self.a, self.b, DofMap(self.bounds.size).constrained_dofs, self.bounds)
+        return BoundQp(self.a, self.b, np.arange(1, 2 * self.bounds.size, 2), self.bounds)
 
 
 def apply_dirichlet(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarray) -> AssembledSystem:
-    """Pin the endpoint value DOFs to zero (homogeneous boundary data).
+    """Pin the endpoint value DOFs, 0 and ``a.dim - 2``, to zero (homogeneous boundary data).
 
-    One bound per node gives the :class:`DofMap`, and ``a`` and ``b`` must
-    have its two DOFs per node.  The Dirichlet rows and columns become the
-    identity's and their load entries zero, as PDAS pins active slopes, so
-    every solve returns exactly 0.0 there and the system keeps the global
-    DOF numbering.
+    ``bounds`` holds one bound per node, at least two nodes, and ``a`` and
+    ``b`` must have two DOFs per node.  The Dirichlet rows and columns
+    become the identity's and their load entries zero, as PDAS pins active
+    slopes, so every solve returns exactly 0.0 there and the system keeps
+    the global DOF numbering.
     """
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.ndim != 1 or a.dim != 2 * bounds.size or np.shape(b) != (a.dim,):
-        raise ValueError("matrix, load and bounds do not agree: need two DOFs and one bound per node")
-    dirichlet = DofMap(bounds.size).dirichlet_dofs
+    if bounds.ndim != 1 or bounds.size < 2 or a.dim != 2 * bounds.size or np.shape(b) != (a.dim,):
+        raise ValueError("matrix, load and bounds do not agree: need two or more nodes, two DOFs and one bound each")
+    dirichlet = [0, a.dim - 2]
     b = np.array(b, dtype=float)
     b[dirichlet] = 0.0
     return AssembledSystem(a=a.pinned(dirichlet), b=b, bounds=bounds)

@@ -2,8 +2,8 @@
 
 Each mesh node carries two degrees of freedom, the function value and the
 physical slope, so discrete functions are globally C^1 piecewise cubics.
-This module owns the reference shape functions, DOF bookkeeping with
-Dirichlet/constrained flags, Gauss-Legendre quadrature on [0, 1], nodal
+This module owns the reference shape functions, the node-to-DOF layout
+(:func:`_element_dofs`), Gauss-Legendre quadrature on [0, 1], nodal
 interpolation, and evaluation of discrete functions up to the second
 derivative.
 """
@@ -84,36 +84,11 @@ def build_mesh(n_elements: int) -> Mesh:
     return Mesh(np.linspace(-1.0, 1.0, int(n_elements) + 1))
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Global DOF layout: node i owns value DOF 2i and slope DOF 2i+1.
-
-    The two value DOFs at the endpoints are Dirichlet DOFs (homogeneous
-    boundary condition); the slope DOFs at every node, endpoints included,
-    are the constrained DOFs that carry the obstacle bounds.
-    """
-
-    n_nodes: int
-
-    def __post_init__(self):
-        if self.n_nodes < 2:
-            raise ValueError("DofMap needs at least two nodes")
-
-    @property
-    def n_dofs(self) -> int:
-        return 2 * self.n_nodes
-
-    @property
-    def dirichlet_dofs(self) -> np.ndarray:
-        return np.array([0, self.n_dofs - 2])
-
-    @property
-    def constrained_dofs(self) -> np.ndarray:
-        return np.arange(1, self.n_dofs, 2)
-
-
 def _element_dofs(element) -> np.ndarray:
-    """Global DOFs 2e .. 2e + 3 of each element e, in local order, shape ``(..., 4)``."""
+    """Global DOFs 2e .. 2e + 3 of each element e, in local order, shape ``(..., 4)``.
+
+    This is the DOF layout: node i owns value DOF 2i and slope DOF 2i + 1.
+    """
     return 2 * np.asarray(element)[..., None] + np.arange(4)
 
 

@@ -117,12 +117,11 @@ def solve_problem(
     while binds and chain[-1][0].n_elements > 1:
         coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
         chain.append((coarse, assemble_system(spec, coarse).to_qp()))
-    levels, active = [], None  # the coarsest level starts cold
+    levels = []
     while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
         level_mesh, level_qp = chain.pop()
-        if levels:
-            active = _prolong(levels[-1], flags, level_mesh, level_qp.bounds)
         with _naming(level_mesh, fine=level_mesh is mesh):
+            active = _prolong(levels[-1], flags, level_mesh, level_qp.bounds) if levels else _cold_start(level_qp)
             qp_sol = solve_pdas(level_qp, active=active)
         flags = np.zeros(level_qp.dim, dtype=bool)  # one per node: is its slope DOF active?
         flags[list(qp_sol.active_set)] = True

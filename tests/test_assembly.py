@@ -274,14 +274,13 @@ def test_bounds_constant_obstacle():
 
 def test_dirichlet_pins_boundary_dofs(rng):
     mesh = hv.build_mesh(2)
-    dm = hv.DofMap(mesh.n_nodes)
     a = hv.assemble_energy(mesh, 1.0)
     b = rng.normal(size=a.dim)
     b_before = b.copy()
     system = hv.apply_dirichlet(a, b, bounds=np.full(mesh.n_nodes, 0.1))
     pinned, eye = system.a.to_dense(), np.eye(a.dim)
     assert system.a.dim == a.dim == 6
-    for d in (0, dm.n_dofs - 2):
+    for d in (0, 4):  # the value DOFs of the first and the last node
         assert np.array_equal(pinned[d], eye[d]) and np.array_equal(pinned[:, d], eye[d])
         assert system.b[d] == 0.0
     # the other entries keep the global numbering and their values
@@ -291,7 +290,7 @@ def test_dirichlet_pins_boundary_dofs(rng):
     x = system.a.solve(system.b)
     sol = hv.solve_pdas(system.to_qp())
     assert sol.active_set  # the bound binds, so PDAS pins slopes as well
-    for d in (0, dm.n_dofs - 2):
+    for d in (0, 4):
         assert x[d] == 0.0 and sol.x[d] == 0.0
 
 
@@ -306,14 +305,18 @@ def test_eliminated_system_symmetric_and_spd():
 
 def test_dirichlet_rejects_mismatched_sizes():
     mesh = hv.build_mesh(3)
-    dm = hv.DofMap(mesh.n_nodes)
-    a, b = hv.assemble_energy(mesh, 1.0), np.zeros(dm.n_dofs)
+    a, b = hv.assemble_energy(mesh, 1.0), np.zeros(8)
     bounds = np.ones(mesh.n_nodes)
-    assert hv.apply_dirichlet(a, b, bounds).to_qp().constrained.tolist() == [1, 3, 5, 7]
+    system = hv.apply_dirichlet(a, b, bounds)
+    # the slope DOFs carry the bounds, disjoint from the Dirichlet value DOFs 0 and 6
+    assert system.to_qp().constrained.tolist() == [1, 3, 5, 7]
+    assert np.array_equal(system.a.to_dense()[[0, 6]], np.eye(8)[[0, 6]])
     for bad_a, bad_b, bad_bounds in (
         (hv.assemble_energy(hv.build_mesh(4), 1.0), b, bounds),
-        (a, np.zeros(dm.n_dofs + 2), bounds),
+        (a, np.zeros(10), bounds),
         (a, b, np.ones(mesh.n_nodes - 1)),
+        # one node: two DOFs and one bound agree, but both ends need a node
+        (hv.SymmetricBandedMatrix.from_dense(np.eye(2)), np.zeros(2), np.ones(1)),
     ):
         with pytest.raises(ValueError, match="matrix, load and bounds do not agree"):
             hv.apply_dirichlet(bad_a, bad_b, bad_bounds)

@@ -60,18 +60,6 @@ def test_nonuniform_mesh_allowed():
     assert mesh.mesh_size == pytest.approx(0.85)
 
 
-# -------------------------------------------------------------------- DofMap
-
-def test_dofmap_counts_and_disjointness():
-    for n in (1, 2, 9):
-        dm = hv.DofMap(n + 1)
-        assert dm.n_dofs == 2 * (n + 1)
-        assert dm.dirichlet_dofs.shape == (2,)
-        assert dm.constrained_dofs.shape == (n + 1,)
-        assert not set(dm.dirichlet_dofs) & set(dm.constrained_dofs)
-        assert dm.dirichlet_dofs[0] == 0 and dm.constrained_dofs[-1] == 2 * n + 1
-
-
 # ----------------------------------------------------------- reference_shape
 
 def test_shape_interpolation_condition_at_left_node():

@@ -21,8 +21,8 @@ def unbound_spec(paper):
 
 def test_solution_coefficients_vanish_at_dirichlet_dofs(solve_cache):
     sol = solve_cache(9).solution
-    dm = hv.DofMap(sol.mesh.n_nodes)
-    assert all(sol.coefficients[d] == 0.0 for d in dm.dirichlet_dofs)
+    # the value DOFs 0 and 2n - 2 of the first and last of the n nodes
+    assert sol.coefficients[0] == 0.0 and sol.coefficients[2 * sol.mesh.n_nodes - 2] == 0.0
 
 
 def test_active_nodes_touch_their_bounds(paper, solve_cache):
@@ -114,16 +114,16 @@ def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
 @pytest.mark.parametrize(
     "problem, n, factorizations, triangular_solves, matvecs",
     [
-        # one refined solve (1 + 3 dpbtrs, 3 matvecs) serves the cold start and
-        # the one PDAS step; kkt_residual takes the fourth matvec
+        # one refined solve (1 + 3 dpbtrs, 3 residuals) serves the cold start and
+        # the one PDAS step; kkt_residual takes the fourth residual
         ("unconstrained-smoke", 64, 1, 4, 4),
-        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 matvecs each, the last residual of
-        # a level reused by kkt_residual) and the two cold starts' refined solves
+        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each, the last of a
+        # level reused by kkt_residual) and the two cold starts' refined solves
         ("paper", 1024, 19, 76, 91),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
-    counts = dict.fromkeys(("dpbtrf", "dpbtrs", "matvec"), 0)
+    counts = dict.fromkeys(("dpbtrf", "dpbtrs", "matvec", "residual"), 0)
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -137,8 +137,26 @@ def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_s
     counting(hv.assembly, "dpbtrf")
     counting(hv.assembly, "dpbtrs")
     counting(SymmetricBandedMatrix, "matvec")
+    counting(SymmetricBandedMatrix, "residual")
     hv.solve_problem(hv.get_problem(problem), n)
-    assert counts == {"dpbtrf": factorizations, "dpbtrs": triangular_solves, "matvec": matvecs}
+    # every product is a residual's: the refinement steps read residual too
+    assert counts == {"dpbtrf": factorizations, "dpbtrs": triangular_solves, "matvec": matvecs, "residual": matvecs}
+
+
+@pytest.mark.parametrize("problem, n", [("paper", 1024), ("paper", 33), ("unbound", 64)])
+def test_every_pdas_start_comes_from_the_solver(paper, monkeypatch, problem, n):
+    starts = []
+
+    def recording(qp, active=None):
+        starts.append(active)
+        return hv.solve_pdas(qp, active=active)
+
+    monkeypatch.setattr("hermvi.solver.solve_pdas", recording)
+    spec = unbound_spec(paper) if problem == "unbound" else hv.get_problem(problem)
+    result = hv.solve_problem(spec, n)
+    # one start per level, the coarsest's cold start included
+    assert len(starts) == len(result.levels)
+    assert all(isinstance(start, np.ndarray) and start.dtype == bool for start in starts)
 
 
 @pytest.mark.parametrize("problem", ["unconstrained-smoke", "unbound"])
