@@ -59,11 +59,15 @@ class MatrixNotSpdError(Exception):
     """Raised when a Cholesky factorization of a system matrix fails."""
 
 
+@functools.lru_cache(maxsize=32)
 def _slot_rows(hbw: int, dim: int):
-    """Row ``j + r - hbw`` of the entry in every band slot ``[r, j]``, clipped, and whether it exists."""
-    rows = np.arange(dim) + np.arange(-hbw, hbw + 1)[:, None]
+    """Read-only slot map of a band, built once per shape: the row ``j + r - hbw``
+    of every slot ``[r, j]`` (intp, clipped) and whether it lies inside the matrix."""
+    rows = np.arange(dim, dtype=np.intp) + np.arange(-hbw, hbw + 1, dtype=np.intp)[:, None]
     inside = (rows >= 0) & (rows < dim)
-    return rows.clip(0, max(dim - 1, 0)), inside
+    rows = rows.clip(0, max(dim - 1, 0))
+    rows.flags.writeable = inside.flags.writeable = False
+    return rows, inside
 
 
 @functools.lru_cache(maxsize=32)
@@ -93,22 +97,15 @@ def _csr_layout(hbw: int, dim: int):
 def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
     """The top rows ``band`` of a band, with the rows and columns ``mask`` the identity's.
 
-    Slot ``[r, j]`` holds entry ``(j + r - hbw, j)``.  It is hit when its row
-    or its column is pinned and its row lies inside the matrix, so slots
-    outside the matrix keep their values.  :meth:`SymmetricBandedMatrix.pinned`
-    pins the whole band and :meth:`SymmetricBandedMatrix.factor` only the
-    upper rows, by this one rule.
+    Slot ``[r, j]`` is hit when its row, as :func:`_slot_rows` maps it, lies
+    inside the matrix and that row or column ``j`` is pinned; slots outside
+    keep their values.  :meth:`SymmetricBandedMatrix.pinned` pins the whole
+    band and :meth:`SymmetricBandedMatrix.factor` only the upper rows.
     """
-    dim = mask.size
-    flags = np.zeros(dim + 2 * hbw, dtype=np.int8)  # 0 outside the matrix, 1 inside, 2 pinned
-    inner = flags[hbw : hbw + dim]
-    inner[:] = mask
-    inner += 1
-    hit = np.empty(band.shape, dtype=np.int8)
-    for r in range(band.shape[0]):  # [r, j] = flags[r + j], the flag of the slot's row
-        hit[r] = flags[r : r + dim]
-    hit += inner
-    return np.where(hit >= 3, (np.arange(band.shape[0]) == hbw)[:, None], band)
+    k = band.shape[0]
+    rows, inside = _slot_rows(hbw, mask.size)
+    hit = inside[:k] & (mask[rows[:k]] | mask)
+    return np.where(hit, (np.arange(k) == hbw)[:, None], band)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -124,7 +121,8 @@ class SymmetricBandedMatrix:
     ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
     at ``[half_bandwidth + i - j, j]``; both triangles are stored because
     :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and :attr:`norm_inf`
-    read them, while :meth:`factor` reads only the upper rows.  ``data`` is
+    read them, while :meth:`factor` reads only the upper rows.  Every reader
+    skips the slots outside the matrix (:func:`_slot_rows`).  ``data`` is
     made read-only on construction, so the long-double CSR copy behind
     :meth:`matvec` is built at most once per instance and never goes stale;
     fill the array before constructing the matrix.  No factor is cached.
@@ -184,13 +182,9 @@ class SymmetricBandedMatrix:
 
     @property
     def norm_inf(self) -> float:
-        """||A||_inf: by symmetry the largest column sum of |band|, over the slots inside the matrix."""
-        hbw, dim = self.half_bandwidth, self.dim
-        band = np.abs(self.data)
-        for r in range(hbw):  # slots [r, j] and [-1 - r, j] hold rows j + r - hbw and j + hbw - r
-            band[r, : hbw - r] = 0.0
-            band[-1 - r, max(0, dim - hbw + r) :] = 0.0
-        return float(band.sum(axis=0).max(initial=0.0))
+        """||A||_inf: by symmetry the largest column sum of |band|, over the slots inside the matrix (:func:`_slot_rows`)."""
+        inside = _slot_rows(self.half_bandwidth, self.dim)[1]
+        return float(np.abs(self.data).sum(axis=0, where=inside).max(initial=0.0))
 
     def _mask(self, fixed) -> np.ndarray:
         """Boolean mask of the coordinates ``fixed``, checked by the rule of :meth:`factor`."""

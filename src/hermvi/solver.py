@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +45,6 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh) -> AssembledSystem:
     return apply_dirichlet(a, b, constraint_bounds(mesh, spec.psi))
 
 
-@contextlib.contextmanager
-def _naming(level: Mesh, fine: bool):
-    """Re-raise a failure on one level of the chain with that level's mesh in the message.
-
-    A failed factorization names the level's element count and its
-    smallest and largest element widths; a coarse level's
-    :class:`NonConvergenceError` names its element count and keeps its iterate.
-    """
-    try:
-        yield
-    except MatrixNotSpdError as exc:
-        raise MatrixNotSpdError(
-            f"{exc} (on the {level.n_elements}-element mesh of the warm-start chain, "
-            f"element widths {level.h.min():.3g} to {level.h.max():.3g})"
-        ) from exc
-    except NonConvergenceError as exc:
-        if fine:
-            raise
-        raise NonConvergenceError(
-            f"{exc} (on the {level.n_elements}-element coarse mesh of the warm start)", exc.last
-        ) from exc
-
-
 def _prolong(coarse: DiscreteSolution, flags: np.ndarray, mesh: Mesh, bounds: np.ndarray) -> np.ndarray:
     """PDAS start mask, one flag per node of ``mesh``, from the solved level below it.
 
@@ -100,34 +76,43 @@ def solve_problem(
     a chain of meshes to one element, each made of every other node of the
     one above and the last, and climbs back up: the coarsest starts cold
     and each finer one from the solution below (see :func:`_prolong`), so
-    PDAS takes one or two iterations per level on most meshes.
-    A :class:`NonConvergenceError` raised on a coarser mesh names its
-    element count and carries that mesh's iterate; a
+    PDAS takes one or two iterations per level on most meshes; a level's
+    active nodes are those with a positive multiplier.  A
     :class:`MatrixNotSpdError` on any level names its element count and
-    element widths.
+    element widths; a :class:`NonConvergenceError` on a coarser mesh names
+    its element count and carries that mesh's iterate.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")
     if mesh is None:
         mesh = build_mesh(n_elements)
-    with _naming(mesh, fine=True):
+    level = mesh
+    try:
         qp = assemble_system(spec, mesh).to_qp()
         binds = _cold_start(qp).any()
-    chain = [(mesh, qp)]
-    while binds and chain[-1][0].n_elements > 1:
-        coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
-        chain.append((coarse, assemble_system(spec, coarse).to_qp()))
-    levels = []
-    while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
-        level_mesh, level_qp = chain.pop()
-        with _naming(level_mesh, fine=level_mesh is mesh):
-            active = _prolong(levels[-1], flags, level_mesh, level_qp.bounds) if levels else _cold_start(level_qp)
+        chain = [(mesh, qp)]
+        while binds and chain[-1][0].n_elements > 1:
+            coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
+            chain.append((coarse, assemble_system(spec, coarse).to_qp()))
+        levels = []
+        while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
+            level, level_qp = chain.pop()
+            active = _prolong(levels[-1], flags, level, level_qp.bounds) if levels else _cold_start(level_qp)
             qp_sol = solve_pdas(level_qp, active=active)
-        flags = np.zeros(level_qp.dim, dtype=bool)  # one per node: is its slope DOF active?
-        flags[list(qp_sol.active_set)] = True
-        flags = flags[level_qp.constrained]
-        levels.append(DiscreteSolution(
-            qp_sol.x, level_mesh, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
-            active_nodes=tuple(np.flatnonzero(flags).tolist()),
-        ))
+            flags = qp_sol.multipliers[level_qp.constrained] > 0  # one per node: is its slope DOF active?
+            levels.append(DiscreteSolution(
+                qp_sol.x, level, qp_sol.iterations, kkt=kkt_residual(level_qp, qp_sol),
+                active_nodes=tuple(np.flatnonzero(flags).tolist()),
+            ))
+    except MatrixNotSpdError as exc:
+        raise MatrixNotSpdError(
+            f"{exc} (on the {level.n_elements}-element mesh of the warm-start chain, "
+            f"element widths {level.h.min():.3g} to {level.h.max():.3g})"
+        ) from exc
+    except NonConvergenceError as exc:
+        if level is mesh:
+            raise
+        raise NonConvergenceError(
+            f"{exc} (on the {level.n_elements}-element coarse mesh of the warm start)", exc.last
+        ) from exc
     return SolveResult(qp, qp_sol, tuple(levels))

@@ -524,6 +524,21 @@ def test_csr_layout_matches_edge_row_build_at_small_shapes(rng):
             assert_csr_matches_edge_rows(hv.SymmetricBandedMatrix(rng.normal(size=(2 * hbw + 1, dim))))
 
 
+def test_slot_map_readers_match_oracles_at_small_shapes(rng):
+    # slots outside the matrix hold random values too: the pins, the factor and norm_inf must skip them
+    for hbw in range(4):
+        for dim in range(1, 21):
+            data = rng.normal(size=(2 * hbw + 1, dim))
+            data[hbw] = 2 * hbw + 1 + np.abs(data[hbw])  # a heavy diagonal: positive definite at these shapes
+            a = hv.SymmetricBandedMatrix(data)
+            assert a.norm_inf == np.abs(a.to_dense()).sum(axis=0).max(), (hbw, dim)
+            for fixed in (np.array([], dtype=int), np.arange(dim), np.flatnonzero(rng.random(dim) < 0.5)):
+                oracle = pinned_by_slots(a, fixed)
+                assert np.array_equal(a.pinned(fixed).data, oracle), (hbw, dim, fixed)
+                factor, info = assembly.dpbtrf(oracle[: hbw + 1], lower=0)
+                assert info == 0 and np.array_equal(a.factor(fixed), factor), (hbw, dim, fixed)
+
+
 @pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
 def test_pinned_solve_matches_pinned_copy(rng, kind, n):
     # the seam PDAS calls, against the path it replaces: factor and refine on a pinned copy

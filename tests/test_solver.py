@@ -296,3 +296,29 @@ def test_failed_factorization_names_its_level(paper):
         str(excinfo.value),
     )
     assert isinstance(excinfo.value.__cause__, hv.MatrixNotSpdError)
+
+
+def test_coarse_level_failed_factorization_names_its_level(paper, monkeypatch):
+    factor = SymmetricBandedMatrix.factor
+
+    def failing(self, fixed=()):
+        if self.dim == 6:  # the three nodes of the 2-element level
+            raise hv.MatrixNotSpdError("1-th leading minor not positive definite")
+        return factor(self, fixed)
+
+    monkeypatch.setattr(SymmetricBandedMatrix, "factor", failing)
+    with pytest.raises(hv.MatrixNotSpdError) as excinfo:
+        hv.solve_problem(paper, 16)
+    assert str(excinfo.value).endswith("(on the 2-element mesh of the warm-start chain, element widths 1 to 1)")
+
+
+@pytest.mark.parametrize(
+    "problem, where",
+    [*(("paper", {"n_elements": n}) for n in (1, 16, 33, 1024)),
+     ("paper", {"mesh": nonuniform_mesh(1, 1000)}), ("unbound", {"n_elements": 64})],
+    ids=["paper-1", "paper-16", "paper-33", "paper-1024", "nonuniform-1000", "unbound-64"],
+)
+def test_active_nodes_are_the_active_set_by_node(paper, problem, where):
+    # each level reads its flags from its multipliers; they must name the slope DOFs of the active set
+    result = hv.solve_problem(paper if problem == "paper" else unbound_spec(paper), **where)
+    assert result.solution.active_nodes == tuple(i // 2 for i in result.qp_solution.active_set)
