@@ -9,6 +9,7 @@ Reports go to stdout (or --output), diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -111,7 +112,9 @@ def cmd_verify(args, spec) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hermvi`` argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="hermvi",
         description=(
@@ -148,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``hermvi`` command, parsed by the one parser built per process."""
     args = build_parser().parse_args(argv)
     try:
         spec = get_problem(args.problem)

@@ -126,11 +126,6 @@ def _shape_columns(xi, h, deriv_order: int) -> tuple:
     raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
 
 
-def _shape_matrix(xi, h, deriv_order: int) -> np.ndarray:
-    """:func:`_shape_columns` stacked, shape ``(..., 4)``."""
-    return np.stack(_shape_columns(xi, h, deriv_order), axis=-1)
-
-
 def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
     """The four cubic Hermite shape functions (or derivatives) at ``xi``.
 
@@ -154,7 +149,7 @@ def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
         raise ValueError(f"reference coordinate must lie in [0, 1], got {xi}")
     if not h > 0.0:
         raise ValueError("element width must be positive")
-    return _shape_matrix(np.asarray(xi), float(h), deriv_order)
+    return np.array(_shape_columns(xi, float(h), deriv_order))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -186,9 +181,16 @@ def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[t
     return list(zip(edges[:-1], edges[1:]))
 
 
+@functools.lru_cache(maxsize=16)
+def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
+    """Read-only unique sorted ``breakpoints``, one array per tuple."""
+    return _frozen(np.unique(np.asarray(breakpoints, dtype=float)))
+
+
 def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
-    """``edges`` plus the breakpoints inside its intervals, by :func:`split_segments`' rule."""
-    bps = np.unique(np.asarray(list(breakpoints), dtype=float))
+    """``edges`` plus the breakpoints inside its intervals, by :func:`split_segments`' rule;
+    the sorted breakpoints are shared read-only, as the composite rule is."""
+    bps = _sorted_breakpoints(tuple(breakpoints))
     e = np.searchsorted(edges, bps, side="right") - 1
     inside = (e >= 0) & (e < edges.size - 1)
     bps, e = bps[inside], e[inside]
@@ -219,9 +221,14 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
 
 
 def _composite_rule(breakpoints: Iterable[float]):
-    """Points and weights of the composite rule, its panels cut at the breakpoints."""
+    """Read-only points and weights of the composite rule, its panels cut at the breakpoints."""
+    return _composite_rule_of(tuple(breakpoints))
+
+
+@functools.lru_cache(maxsize=16)
+def _composite_rule_of(breakpoints: tuple):
     edges = _cut(np.linspace(*DOMAIN, COMPOSITE_PANELS + 1), breakpoints)
-    return tuple(a.ravel() for a in _gauss_points(edges[:-1], edges[1:], COMPOSITE_QUAD_POINTS))
+    return tuple(_frozen(a.ravel()) for a in _gauss_points(edges[:-1], edges[1:], COMPOSITE_QUAD_POINTS))
 
 
 def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float:
@@ -231,6 +238,7 @@ def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float
     rule of :func:`segment_quadrature`, so jumps land on piece ends, with
     :data:`COMPOSITE_QUAD_POINTS` Gauss points per piece.  ``fn`` is called
     once, on all these points; a scalar result is a constant integrand.
+    The rule is built once per ``tuple(breakpoints)`` and shared read-only.
     """
     x, w = _composite_rule(breakpoints)
     return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
@@ -268,12 +276,19 @@ def _element_evaluator(nodes: np.ndarray, coefficients: np.ndarray, element):
 
     Element e spans ``nodes[e]`` to ``nodes[e + 1]`` and owns coefficients
     2e .. 2e + 3, so the arrays of several meshes may be concatenated.
-    Gathers the widths and local coefficients once; each call contracts them
-    with the shapes at ``xi`` (broadcast against ``element``) in one einsum.
+    Gathers the widths and the four local coefficient columns once; each
+    call sums them times the shape columns at ``xi`` (broadcast against
+    ``element``) as ``(s0 c0 + s2 c2) + (s1 c1 + s3 c3)``: numpy 2.4's einsum
+    pairing, written out so that the bits do not depend on numpy's version.
     """
     h = nodes[element + 1] - nodes[element]
-    local = coefficients[_element_dofs(element)]
-    return h, lambda xi, k: np.einsum("...i,...i->...", _shape_matrix(xi, h, k), local)
+    c0, c1, c2, c3 = coefficients[np.moveaxis(_element_dofs(element), -1, 0)]
+
+    def at(xi, k):
+        s0, s1, s2, s3 = _shape_columns(xi, h, k)
+        return (s0 * c0 + s2 * c2) + (s1 * c1 + s3 * c3)
+
+    return h, at
 
 
 def hermite_interpolant(g: Callable, dg: Callable, mesh: Mesh) -> DiscreteSolution:

@@ -268,23 +268,24 @@ def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     The residual b - Ax is computed afresh, unless ``sol`` came from
     :func:`solve_pdas` on this ``qp`` and still holds its read-only ``x``:
     then it is the one its last equality step took, the same bits.
+    Differences and products stay in long double; their abs, max and min
+    run in double, which gives the same floats since rounding is monotone.
     """
     step = sol._step
     if step is not None and step[0] is qp and step[1] is sol.x:
         residual = step[2]
     else:
         residual = qp.a.residual(sol.x, qp.b)
-    r = sol.multipliers - residual
-    stationarity = float(np.max(np.abs(r), initial=0.0))
-    scale = qp.a.norm_inf * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
+    stationarity = float(np.max(np.abs(sol.multipliers - residual, dtype=float), initial=0.0))
+    scale = qp.a.norm_inf * float(np.max(np.abs(sol.x, dtype=float), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
     scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)
     if qp.constrained.size:
         gap = sol.x[qp.constrained] - qp.bounds
         lam = sol.multipliers[qp.constrained]
-        primal = float(max(0.0, np.max(gap)))
-        min_mult = float(np.min(lam))
+        primal = float(max(0.0, np.maximum.reduce(gap, dtype=float)))
+        min_mult = float(np.minimum.reduce(lam, dtype=float))
         finite = np.isfinite(qp.bounds)  # lambda * (x - inf) is 0 * -inf
-        comp = float(np.max(np.abs(lam[finite] * gap[finite]), initial=0.0))
+        comp = float(np.max(np.abs(lam[finite] * gap[finite], dtype=float), initial=0.0))
     else:
         primal, min_mult, comp = 0.0, 0.0, 0.0
     return KktResidual(stationarity, scaled, primal, min_mult, comp)

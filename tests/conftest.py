@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hermvi as hv
+from hermvi.mesh import _shape_columns
 
 from table1_reference import ACCEPTANCE_ELEMENTS
 
@@ -54,3 +55,8 @@ def nonuniform_mesh(seed, n):
     nodes = -1.0 + 2.0 * np.cumsum(np.append(0.0, widths)) / widths.sum()
     nodes[-1] = 1.0
     return hv.Mesh(nodes)
+
+
+def shape_matrix(xi, h, deriv_order):
+    """The four Hermite shape columns stacked, shape ``(..., 4)``."""
+    return np.stack(_shape_columns(xi, h, deriv_order), axis=-1)

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 import hermvi as hv
 from hermvi import assembly
-from hermvi.mesh import _element_dofs, _shape_matrix, segment_quadrature, split_segments
+from hermvi.mesh import _element_dofs, segment_quadrature, split_segments
 
-from conftest import nonuniform_mesh
+from conftest import nonuniform_mesh, shape_matrix
 
 
 def hermite_basis_integrals(mesh, quad_points=8):
@@ -17,7 +17,7 @@ def hermite_basis_integrals(mesh, quad_points=8):
     out = np.zeros(2 * mesh.n_nodes)
     for e in range(mesh.n_elements):
         h = float(mesh.h[e])
-        s0 = _shape_matrix(rule_points, h, 0)
+        s0 = shape_matrix(rule_points, h, 0)
         out[2 * e : 2 * e + 4] += s0.T @ (rule_weights * h)
     return out
 
@@ -102,7 +102,7 @@ def quadrature_energy(mesh, beta, quad_points=6):
     rule_points, rule_weights = hv.gauss_rule(quad_points)
     h = mesh.h[:, None]
     xi = np.broadcast_to(rule_points, (mesh.n_elements, rule_points.size))
-    s0, s2 = _shape_matrix(xi, h, 0), _shape_matrix(xi, h, 2)
+    s0, s2 = shape_matrix(xi, h, 0), shape_matrix(xi, h, 2)
     w = rule_weights * h
     local = np.einsum("eq,eqi,eqj->eij", w, s0, s0) + beta * np.einsum("eq,eqi,eqj->eij", w, s2, s2)
     out = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
@@ -207,7 +207,7 @@ def load_reference(mesh, y_d, f, beta, breakpoints, quad_points=6):
         for s0, s1 in split_segments(x0, x1, breakpoints):
             xs = s0 + (s1 - s0) * rule_points
             ws = rule_weights * (s1 - s0)
-            sv, sdd = _shape_matrix((xs - x0) / h, h, 0), _shape_matrix((xs - x0) / h, h, 2)
+            sv, sdd = shape_matrix((xs - x0) / h, h, 0), shape_matrix((xs - x0) / h, h, 2)
             wy, wf = ws * y_d(xs), ws * f(xs)
             b[2 * e : 2 * e + 4] += sv.T @ wy - beta * (sdd.T @ wf)
             scale[2 * e : 2 * e + 4] += np.abs(sv).T @ np.abs(wy) + beta * (np.abs(sdd).T @ np.abs(wf))
@@ -243,7 +243,7 @@ def load_by_stacked_tables(mesh, spec, beta):
     h = mesh.h[element]
     wy = w * np.asarray(spec.y_d(x), dtype=float)
     wf = w * np.asarray(spec.f(x), dtype=float)
-    vals = _shape_matrix(xi, h, 0) * wy[:, None] - beta * (_shape_matrix(xi, h, 2) * wf[:, None])
+    vals = shape_matrix(xi, h, 0) * wy[:, None] - beta * (shape_matrix(xi, h, 2) * wf[:, None])
     return np.bincount(_element_dofs(element).ravel(), weights=vals.ravel(), minlength=2 * mesh.n_nodes)
 
 

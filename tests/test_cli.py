@@ -328,3 +328,20 @@ def settable_options():
 def test_settable_option_count_within_budget():
     options = settable_options()
     assert len(options) <= OPTION_BUDGET, f"{len(options)} options:\n" + "\n".join(options)
+
+
+def test_parser_is_built_once_and_shared_by_calls(capsys):
+    assert build_parser() is build_parser()
+    pairs = [
+        (["convergence", "--problem", "paper", "--levels", "0", "1", "2"],
+         ["convergence", "--problem", "paper", "--elements", "3", "5"]),
+        (["verify", "--problem", "paper", "--elements", "8"], ["verify", "--problem", "paper"]),
+    ]
+    for first, second in pairs:
+        alone = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        assert [run(capsys, *first), run(capsys, *second)] == alone
+        assert all(code == 0 for code, _, _ in alone)

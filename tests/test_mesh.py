@@ -1,12 +1,16 @@
 import math
+import platform
 
 import numpy as np
 import pytest
 
 import hermvi as hv
-from hermvi.mesh import COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, split_segments
+from hermvi.mesh import (
+    COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, _composite_rule, _cut, _element_dofs, _element_evaluator,
+    split_segments,
+)
 
-from conftest import nonuniform_mesh
+from conftest import nonuniform_mesh, shape_matrix
 
 
 # ---------------------------------------------------------------- build_mesh
@@ -187,6 +191,51 @@ def test_evaluate_equals_evaluate_element_exactly(seed):
         assert np.array_equal(hv.evaluate(sol, xs, k), single), k
 
 
+#: numpy's einsum reduces the four products as (p0 + p2) + (p1 + p3) on x86-64,
+#: the kernel's pairing; elsewhere (a fused multiply-add, say) it may round otherwise.
+EINSUM_PAIRS_LIKE_KERNEL = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def assert_matches_einsum(got, nodes, coefficients, element, xi, k):
+    """``got`` against the einsum over the stacked shape matrix that the kernel
+    replaced: the same bits where numpy pairs alike, within rounding everywhere."""
+    h = nodes[element + 1] - nodes[element]
+    s, c = shape_matrix(xi, h, k), coefficients[_element_dofs(element)]
+    want = np.einsum("...i,...i->...", s, c)
+    assert np.shape(got) == np.shape(want)
+    if EINSUM_PAIRS_LIKE_KERNEL:
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+    bound = 4 * np.finfo(float).eps * np.einsum("...i,...i->...", np.abs(s), np.abs(c))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_element_kernel_matches_einsum_at_every_call_shape(k):
+    rng = np.random.default_rng(k)
+    mesh = nonuniform_mesh(k, 300)
+    coefficients = rng.normal(size=2 * mesh.n_nodes) * 10.0 ** rng.integers(-6, 6, size=2 * mesh.n_nodes)
+    sol = hv.DiscreteSolution(coefficients, mesh)
+    nodes = mesh.nodes
+    # the error pass: elements (segment, 1) against points (segment, point) and (segment, 1)
+    element = rng.integers(0, mesh.n_elements, size=(400, 1))
+    xi = rng.uniform(0.0, 1.0, size=(400, 9))
+    _, at = _element_evaluator(nodes, coefficients, element)
+    for points in (xi, xi[:, :1]):
+        assert_matches_einsum(at(points, k), nodes, coefficients, element, points, k)
+    # _prolong: one point per element, 1-D
+    _, at = _element_evaluator(nodes, coefficients, element[:, 0])
+    assert_matches_einsum(at(xi[:, 0], k), nodes, coefficients, element[:, 0], xi[:, 0], k)
+    # evaluate on a nonuniform mesh, nodes included
+    xs = np.append(rng.uniform(-1.0, 1.0, 2000), nodes)
+    e = mesh.element_of(xs)
+    assert_matches_einsum(hv.evaluate(sol, xs, k), nodes, coefficients, e, (xs - nodes[e]) / mesh.h[e], k)
+    # evaluate_element with a scalar xi
+    for e, t in zip(element[:20, 0], xi[:20, 0]):
+        got = hv.evaluate_element(sol, int(e), float(t), k)
+        assert isinstance(got, float)
+        assert_matches_einsum(got, nodes, coefficients, int(e), float(t), k)
+
+
 def test_interpolant_of_zero():
     sol = hv.hermite_interpolant(lambda x: 0.0, lambda x: 0.0, hv.build_mesh(4))
     assert np.all(sol.coefficients == 0.0)
@@ -312,3 +361,18 @@ def test_composite_integral_matches_panel_loop(fn, breakpoints):
     ref, scale = composite_reference(fn, breakpoints, COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS)
     assert len(calls) == 1
     assert abs(val - ref) <= 64 * np.finfo(float).eps * scale
+
+
+def test_composite_rule_and_cut_are_shared_read_only():
+    breakpoints = [0.3, -0.2, 0.3]
+    x, w = _composite_rule(tuple(breakpoints))
+    assert not x.flags.writeable and not w.flags.writeable
+    assert _composite_rule(tuple(breakpoints))[0] is x
+    edges = hv.build_mesh(8).nodes
+    cut = _cut(edges, tuple(breakpoints))
+    for kind in (list, tuple, lambda bps: (b for b in bps)):
+        assert np.array_equal(_composite_rule(kind(breakpoints))[0], x)
+        assert np.array_equal(_cut(edges, kind(breakpoints)), cut)
+        assert hv.composite_integral(np.cos, kind(breakpoints)) == hv.composite_integral(np.cos, (0.3, -0.2))
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0

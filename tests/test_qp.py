@@ -278,6 +278,42 @@ def test_kkt_residual_reuses_only_its_own_step(paper, monkeypatch):
     assert len(products) == 6
 
 
+def long_double_kkt(qp, sol):
+    """kkt_residual with every abs, max and min taken in long double: its oracle."""
+    r = sol.multipliers - qp.a.residual(sol.x, qp.b)
+    stationarity = float(np.max(np.abs(r), initial=0.0))
+    scale = qp.a.norm_inf * float(np.max(np.abs(sol.x), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
+    scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)
+    if not qp.constrained.size:
+        return hv.KktResidual(stationarity, scaled, 0.0, 0.0, 0.0)
+    gap = sol.x[qp.constrained] - qp.bounds
+    lam = sol.multipliers[qp.constrained]
+    finite = np.isfinite(qp.bounds)
+    comp = float(np.max(np.abs(lam[finite] * gap[finite]), initial=0.0))
+    return hv.KktResidual(stationarity, scaled, float(max(0.0, np.max(gap))), float(np.min(lam)), comp)
+
+
+def test_kkt_residual_equals_long_double_reductions(paper, rng):
+    qps = [
+        hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[0], bounds=[1.0]),
+        hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[]),
+        hv.BoundQp(a=np.zeros((0, 0)), b=np.zeros(0), constrained=[], bounds=[]),
+        hv.BoundQp(a=np.eye(2), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0]),
+        *(random_bound_qp(rng) for _ in range(10)),
+        paper_qp(paper, 64),
+        assemble_system(dataclasses.replace(
+            paper, psi=lambda x: np.where(np.asarray(x) < 0, np.inf, paper.psi(x))), hv.build_mesh(64)).to_qp(),
+    ]
+    for qp in qps:
+        sol = hv.solve_pdas(qp)
+        # off the optimum, in long double, so every field is nonzero and carries extra bits
+        shift = np.longdouble(1e-3) / 3 * rng.normal(size=qp.dim)
+        moved = hv.QpSolution(sol.x + shift, sol.multipliers - shift, sol.active_set, 1)
+        for candidate in (sol, moved):
+            got, want = hv.kkt_residual(qp, candidate), long_double_kkt(qp, candidate)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (qp.dim, got, want)
+
+
 def test_kkt_residual_on_benchmark_level(paper):
     qp = paper_qp(paper, 33)
     sol = hv.solve_pdas(qp)
