@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, _cut, _element_evaluator, _gauss_points, build_mesh
+from .mesh import DiscreteSolution, MeshStack, _element_evaluator, _gauss_points, build_mesh
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import KktResidual
@@ -46,23 +46,17 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
     """Error reports of every level, from one pass over all their segments.
 
     Each level's elements are cut at ``spec.breakpoints``, and the segments
-    of all levels are concatenated, so every exact-bundle function and
-    ``spec.f`` is called once per use, whatever the number of levels.  Each
-    segment is evaluated on its own element (y_h'' at a node comes from the
-    segment's side).  Squared norms are summed per level in segment order by
-    ``bincount`` and maxima taken per level, so a level's report does not
-    depend on the levels beside it.
+    of all levels are concatenated (:meth:`MeshStack.segments`), so every
+    exact-bundle function and ``spec.f`` is called once per use, whatever
+    the number of levels.  Each segment is evaluated on its own element
+    (y_h'' at a node comes from the segment's side).  Squared norms are
+    summed per level in segment order by ``bincount`` and maxima taken per
+    level, so a level's report does not depend on the levels beside it.
     """
     ex = spec.exact
-    edges = [_cut(sol.mesh.nodes, spec.breakpoints) for sol in levels]
-    segments = [e.size - 1 for e in edges]
-    first_node = np.cumsum([0] + [sol.mesh.n_nodes for sol in levels[:-1]])
-    element = np.concatenate([
-        sol.mesh.element_of(e[:-1]) + first for sol, e, first in zip(levels, edges, first_node)
-    ])[:, None]
-    lo = np.concatenate([e[:-1] for e in edges])[:, None]
-    hi = np.concatenate([e[1:] for e in edges])[:, None]
-    nodes = np.concatenate([sol.mesh.nodes for sol in levels])
+    stack = MeshStack([sol.mesh for sol in levels])
+    element, lo, hi, segments = stack.segments(spec.breakpoints)
+    element, lo, hi, nodes = element[:, None], lo[:, None], hi[:, None], stack.nodes
     h, at = _element_evaluator(nodes, np.concatenate([sol.coefficients for sol in levels]), element)
     left = nodes[element]
 

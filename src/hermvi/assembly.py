@@ -275,11 +275,13 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     """Assemble int v w + beta int v'' w'' over the global Hermite basis.
 
     No boundary conditions are applied; use :func:`apply_dirichlet` next.
+    ``mesh`` may be a :class:`MeshStack`: each seam element, of width 0,
+    adds an exact zero, so each mesh's columns hold its own band.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     h = mesh.h
-    bending = beta / h**3
+    bending = np.divide(beta, h**3, out=np.zeros_like(h), where=h > 0)
     scale = (1.0, h, h * h)  # by the number of slope DOFs among the entry's row and column
     slopes = (0, 1, 0, 1)
     # local (i, j) of element e is entry (2e + i, 2e + j): band row
@@ -304,7 +306,10 @@ def assemble_load(
     """Assemble b[i] = int y_d phi_i dx - beta int f phi_i'' dx.
 
     Elements containing a registered breakpoint of the data are integrated
-    piecewise so kinks or jumps never sit inside a Gauss panel.
+    piecewise so kinks or jumps never sit inside a Gauss panel.  ``y_d``
+    and ``f`` are called once, on all Gauss points; ``mesh`` may be a
+    :class:`MeshStack`, and each of its DOFs sums its own mesh's points in
+    the order a load of that mesh alone would.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
@@ -319,7 +324,7 @@ def assemble_load(
 
 
 def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
-    """Upper bound for the slope DOF at each node: psi evaluated there."""
+    """Upper bound for the slope DOF at each node (of a mesh or :class:`MeshStack`): psi there, in one call."""
     return np.broadcast_to(np.asarray(psi(mesh.nodes), dtype=float), mesh.nodes.shape).copy()
 
 
@@ -349,12 +354,33 @@ def apply_dirichlet(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarray)
     ``b`` must have two DOFs per node.  The Dirichlet rows and columns
     become the identity's and their load entries zero, as PDAS pins active
     slopes, so every solve returns exactly 0.0 there and the system keeps
-    the global DOF numbering.
+    the global DOF numbering.  This is the one-mesh case of
+    :func:`_dirichlet_systems`.
+    """
+    return _dirichlet_systems(a, b, bounds, (0,))[0]
+
+
+def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarray, first_node) -> list:
+    """:func:`apply_dirichlet` on the systems of meshes stacked end to end, one system per mesh.
+
+    Mesh k owns the nodes from ``first_node[k]`` to the next mesh's first
+    (:class:`MeshStack`).  The endpoint value DOFs of every mesh are pinned
+    by one :func:`_pinned_band`; the slots that couple two meshes lie
+    outside each mesh's matrix and read 0.0, as they would alone.  Each
+    system holds views of the pinned band's columns, the load and the
+    bounds of its mesh.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 1 or bounds.size < 2 or a.dim != 2 * bounds.size or np.shape(b) != (a.dim,):
         raise ValueError("matrix, load and bounds do not agree: need two or more nodes, two DOFs and one bound each")
-    dirichlet = [0, a.dim - 2]
+    ends = [*first_node, bounds.size]  # mesh k's nodes are ends[k] .. ends[k + 1] - 1
+    dirichlet = [2 * n for n in ends[:-1]] + [2 * n - 2 for n in ends[1:]]
+    mask = np.zeros(a.dim, dtype=bool)
+    mask[dirichlet] = True
+    band = _pinned_band(a.data, a.half_bandwidth, mask)
     b = np.array(b, dtype=float)
     b[dirichlet] = 0.0
-    return AssembledSystem(a=a.pinned(dirichlet), b=b, bounds=bounds)
+    return [
+        AssembledSystem(a=SymmetricBandedMatrix(band[:, 2 * lo : 2 * hi]), b=b[2 * lo : 2 * hi], bounds=bounds[lo:hi])
+        for lo, hi in zip(ends[:-1], ends[1:])
+    ]

@@ -3,14 +3,15 @@
 Each mesh node carries two degrees of freedom, the function value and the
 physical slope, so discrete functions are globally C^1 piecewise cubics.
 This module owns the reference shape functions, the node-to-DOF layout
-(:func:`_element_dofs`), Gauss-Legendre quadrature on [0, 1], nodal
-interpolation, and evaluation of discrete functions up to the second
-derivative.
+(:func:`_element_dofs`), meshes stacked end to end (:class:`MeshStack`),
+Gauss-Legendre quadrature on [0, 1], nodal interpolation, and evaluation
+of discrete functions up to the second derivative.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -199,6 +200,47 @@ def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
     return np.sort(np.concatenate([edges, cuts]))
 
 
+#: The width of the seam element between two stacked meshes.
+_SEAM = _frozen([0.0])
+
+
+def _join(arrays: list) -> np.ndarray:
+    """The arrays end to end; a single array itself, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class MeshStack:
+    """Several meshes end to end, read as one mesh by the assembly and error passes.
+
+    Mesh k's nodes follow those of mesh k - 1 from ``first_node[k]`` on, so
+    its element e is element ``first_node[k] + e`` of the stack and owns
+    DOFs ``2 * first_node[k]`` on by :func:`_element_dofs`.  ``nodes``,
+    ``h`` and ``n_nodes`` are those a :class:`Mesh` has; the seam between
+    two meshes is an element of width 0 in ``h``.  A stack of one mesh
+    shares that mesh's arrays.
+    """
+
+    def __init__(self, meshes: Sequence[Mesh]):
+        self.meshes = tuple(meshes)
+        self.first_node = tuple(itertools.accumulate((m.n_nodes for m in self.meshes[:-1]), initial=0))
+        self.nodes = _join([m.nodes for m in self.meshes])
+        self.h = _join([w for m in self.meshes for w in (m.h, _SEAM)][:-1])
+        self.n_nodes = self.nodes.size
+
+    def segments(self, breakpoints: Iterable[float]):
+        """Every element of every mesh, cut at the breakpoints inside it by :func:`_cut`.
+
+        Returns the segments' elements in the stack's numbering, their left
+        and right ends, in mesh order, and the number of segments per mesh.
+        """
+        edges = [_cut(m.nodes, breakpoints) for m in self.meshes]
+        element = [m.element_of(e[:-1]) for m, e in zip(self.meshes, edges)]
+        for el, first in zip(element[1:], self.first_node[1:]):
+            el += first
+        lo, hi = _join([e[:-1] for e in edges]), _join([e[1:] for e in edges])
+        return _join(element), lo, hi, [e.size - 1 for e in edges]
+
+
 def _gauss_points(lo: np.ndarray, hi: np.ndarray, quad_points: int):
     """Gauss points and weights of the intervals [lo, hi], shape ``(interval, point)``."""
     points, weights = gauss_rule(quad_points)
@@ -213,11 +255,13 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
     or jump of the data never sits inside a Gauss panel.  Returns flat arrays
     over (segment, Gauss point): the owning element, the point ``x``, its
     reference coordinate ``xi`` in that element, and the quadrature weight.
+    ``mesh`` may be a :class:`MeshStack`; its elements are numbered end to end.
     """
-    edges = _cut(mesh.nodes, breakpoints)
-    x, w = (a.ravel() for a in _gauss_points(edges[:-1], edges[1:], quad_points))
-    element = np.repeat(mesh.element_of(edges[:-1]), quad_points)
-    return element, x, (x - mesh.nodes[element]) / mesh.h[element], w
+    stack = mesh if isinstance(mesh, MeshStack) else MeshStack([mesh])
+    element, lo, hi, _ = stack.segments(breakpoints)
+    x, w = (a.ravel() for a in _gauss_points(lo, hi, quad_points))
+    element = np.repeat(element, quad_points)
+    return element, x, (x - stack.nodes[element]) / stack.h[element], w
 
 
 def _composite_rule(breakpoints: Iterable[float]):

@@ -9,12 +9,13 @@ import numpy as np
 from .assembly import (
     AssembledSystem,
     MatrixNotSpdError,
-    apply_dirichlet,
+    _dirichlet_systems,
     assemble_energy,
     assemble_load,
     constraint_bounds,
 )
-from .mesh import DiscreteSolution, Mesh, _element_evaluator, build_mesh
+from .assembly import apply_dirichlet  # noqa: F401  (no caller here; hermbench traces solver.apply_dirichlet)
+from .mesh import DiscreteSolution, Mesh, MeshStack, _element_evaluator, build_mesh
 from .problems import ProblemSpec
 from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
@@ -39,10 +40,23 @@ class SolveResult:
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh) -> AssembledSystem:
-    """Assemble the Dirichlet-pinned system with slope bounds for ``spec``."""
-    a = assemble_energy(mesh, spec.beta)
-    b = assemble_load(mesh, spec.y_d, spec.f, spec.beta, breakpoints=spec.breakpoints)
-    return apply_dirichlet(a, b, constraint_bounds(mesh, spec.psi))
+    """Assemble the Dirichlet-pinned system with slope bounds for ``spec``.
+
+    This is the one-mesh case of :func:`_assemble_stack`.
+    """
+    return _assemble_stack(spec, [mesh])[0]
+
+
+def _assemble_stack(spec: ProblemSpec, meshes) -> list:
+    """:func:`assemble_system` on each of ``meshes``, from one pass over their :class:`MeshStack`.
+
+    One energy scatter, one call each of ``y_d``, ``f`` and ``psi``, one
+    load ``bincount`` and one Dirichlet pin serve every mesh.
+    """
+    stack = MeshStack(meshes)
+    a = assemble_energy(stack, spec.beta)
+    b = assemble_load(stack, spec.y_d, spec.f, spec.beta, breakpoints=spec.breakpoints)
+    return _dirichlet_systems(a, b, constraint_bounds(stack, spec.psi), stack.first_node)
 
 
 def _prolong(coarse: DiscreteSolution, flags: np.ndarray, mesh: Mesh, bounds: np.ndarray) -> np.ndarray:
@@ -81,6 +95,14 @@ def solve_problem(
     :class:`MatrixNotSpdError` on any level names its element count and
     element widths; a :class:`NonConvergenceError` on a coarser mesh names
     its element count and carries that mesh's iterate.
+
+    The requested mesh is assembled alone, for the unconstrained solve;
+    the coarse meshes are built first and then assembled together in one
+    stacked pass (see :func:`_assemble_stack`), so ``y_d``, ``f`` and
+    ``psi`` are called twice per solve with a chain and once without.  As
+    in the error pass, which calls ``spec.f`` once on the points of every
+    level, a coarse level's bits equal those of its own assembly only for
+    data whose value at a point does not depend on the array around it.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")
@@ -89,13 +111,14 @@ def solve_problem(
     level = mesh
     try:
         qp = assemble_system(spec, mesh).to_qp()
+        meshes = [mesh]
         binds = _cold_start(qp).any()
-        chain = [(mesh, qp)]
-        while binds and chain[-1][0].n_elements > 1:
-            coarse = Mesh(np.append(chain[-1][0].nodes[:-1:2], 1.0))
-            chain.append((coarse, assemble_system(spec, coarse).to_qp()))
+        while binds and meshes[-1].n_elements > 1:
+            meshes.append(Mesh(np.append(meshes[-1].nodes[:-1:2], 1.0)))
+        coarse = _assemble_stack(spec, meshes[1:]) if len(meshes) > 1 else []
+        chain = list(zip(meshes, [qp, *(system.to_qp() for system in coarse)]))
         levels = []
-        while chain:  # coarsest first; popping frees each solved level's matrices and long-double copy
+        while chain:  # coarsest first; popping frees each solved level's QP and long-double copy
             level, level_qp = chain.pop()
             active = _prolong(levels[-1], flags, level, level_qp.bounds) if levels else _cold_start(level_qp)
             qp_sol = solve_pdas(level_qp, active=active)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hermvi as hv
-from hermvi.solver import assemble_system
+from hermvi.solver import _assemble_stack
 
 from conftest import nonuniform_mesh
 from table1_reference import TABLE1
@@ -192,11 +192,11 @@ def test_convergence_study_validates_before_solving(monkeypatch, problem, counts
 def record_assembled_sizes(monkeypatch):
     sizes = []
 
-    def counting(spec, mesh, **kwargs):
-        sizes.append(mesh.n_elements)
-        return assemble_system(spec, mesh, **kwargs)
+    def counting(spec, meshes):  # every mesh of a stacked assembly, in stack order
+        sizes.extend(mesh.n_elements for mesh in meshes)
+        return _assemble_stack(spec, meshes)
 
-    monkeypatch.setattr("hermvi.solver.assemble_system", counting)
+    monkeypatch.setattr("hermvi.solver._assemble_stack", counting)
     return sizes
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import hermvi as hv
 from hermvi.assembly import SymmetricBandedMatrix
-from hermvi.solver import assemble_system
+from hermvi.solver import _assemble_stack, assemble_system
 
 from conftest import nonuniform_mesh
 
@@ -95,11 +95,11 @@ def test_warm_start_matches_cold_start(paper, mesh):
 def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
     sizes = []
 
-    def counting(spec, mesh, **kwargs):
-        sizes.append(mesh.n_elements)
-        return assemble_system(spec, mesh, **kwargs)
+    def counting(spec, meshes):  # every mesh of a stacked assembly, in stack order
+        sizes.extend(mesh.n_elements for mesh in meshes)
+        return _assemble_stack(spec, meshes)
 
-    monkeypatch.setattr("hermvi.solver.assemble_system", counting)
+    monkeypatch.setattr("hermvi.solver._assemble_stack", counting)
     for spec, n, chain in [
         # every other node and the last: an odd count's coarse meshes are non-uniform
         (paper, 96, [96, 48, 24, 12, 6, 3, 2, 1]),
@@ -109,6 +109,68 @@ def test_coarse_chain_runs_only_with_a_binding_bound(paper, monkeypatch):
         sizes.clear()
         hv.solve_problem(spec, n)
         assert sizes == chain
+
+
+def fourier_spec(seed, psi):
+    """Seeded smooth data evaluated with ``@``, as hermbench's unbound-fine
+    workload draws it, under the constant obstacle ``psi``."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 5)
+    a, b, c, d = (rng.normal(size=k.size) for _ in range(4))
+
+    def modes(x):
+        return np.pi * np.multiply.outer(np.asarray(x, dtype=float), k)
+
+    return hv.ProblemSpec(
+        name=f"fourier-seed{seed}", beta=1.0,
+        y_d=lambda x: np.sin(0.5 * (modes(x) + np.pi * k)) @ a + np.cos(modes(x)) @ b,
+        f=lambda x: np.cos(0.5 * modes(x)) @ c + np.sin(modes(x)) @ d,
+        psi=lambda x: np.full_like(np.asarray(x, dtype=float), psi),
+    )
+
+
+STACK_CASES = {
+    **{f"paper-{n}": (lambda paper, n=n: (paper, hv.build_mesh(n))) for n in (1024, 2047, 96, 33)},
+    "paper-nonuniform-seed1": lambda paper: (paper, nonuniform_mesh(1, 1000)),
+    # the unbound-fine data with the obstacle lowered until it binds
+    "fourier-seed1": lambda paper: (fourier_spec(1, 0.1), hv.build_mesh(1024)),
+    "scalar-data": lambda paper: (
+        dataclasses.replace(paper, f=lambda x: 0.0, psi=lambda x: 0.25, exact=None), hv.build_mesh(100)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES.values(), ids=STACK_CASES.keys())
+def test_stacked_assembly_equals_one_mesh_assembly(paper, case):
+    spec, mesh = case(paper)
+    meshes = [level.mesh for level in reversed(hv.solve_problem(spec, mesh=mesh).levels)]
+    assert len(meshes) > 2  # a bound binds, so solve_problem stacks the coarse meshes
+    # the solver's stack of the coarse levels, and the whole chain with the finest first
+    for stack in (meshes[1:], meshes):
+        for stacked, level in zip(_assemble_stack(spec, stack), stack, strict=True):
+            alone = assemble_system(spec, level)
+            assert stacked.a.data.tobytes() == alone.a.data.tobytes()
+            assert stacked.b.tobytes() == alone.b.tobytes()
+            assert stacked.bounds.tobytes() == alone.bounds.tobytes()
+
+
+def test_solve_calls_the_data_once_per_assembly_pass(paper):
+    calls = dict.fromkeys(("y_d", "f", "psi"), 0)
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    per_solve = []
+    for spec, n in [(paper, 1024), (unbound_spec(paper), 64)]:
+        spec = dataclasses.replace(spec, **{name: counted(name, getattr(spec, name)) for name in calls})
+        calls.update(dict.fromkeys(calls, 0))  # the spec's own obstacle check calls psi
+        hv.solve_problem(spec, n)
+        per_solve.append(dict(calls))
+    # the finest level alone, then one stack of every coarse level; no chain without a binding bound
+    assert per_solve == [dict.fromkeys(calls, 2), dict.fromkeys(calls, 1)]
 
 
 @pytest.mark.parametrize(
