@@ -37,7 +37,6 @@ from .problems import (
     exact_state,
     exact_state_deriv,
     get_problem,
-    objective,
     paper_example,
     unconstrained_smoke,
     verify_continuous_kkt,
@@ -49,7 +48,6 @@ from .qp import (
     NonConvergenceError,
     QpSolution,
     kkt_residual,
-    solve_bruteforce,
     solve_pdas,
 )
 from .solver import SolveResult, assemble_system, solve_problem
@@ -89,12 +87,10 @@ __all__ = [
     "get_problem",
     "hermite_interpolant",
     "kkt_residual",
-    "objective",
     "paper_example",
     "reference_shape",
     "render_report",
     "run_convergence_study",
-    "solve_bruteforce",
     "solve_pdas",
     "solve_problem",
     "unconstrained_smoke",

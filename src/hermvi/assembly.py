@@ -99,8 +99,8 @@ def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
 
     Slot ``[r, j]`` is hit when its row, as :func:`_slot_rows` maps it, lies
     inside the matrix and that row or column ``j`` is pinned; slots outside
-    keep their values.  :meth:`SymmetricBandedMatrix.pinned` pins the whole
-    band and :meth:`SymmetricBandedMatrix.factor` only the upper rows.
+    keep their values.  :func:`_dirichlet_systems` pins the whole band and
+    :meth:`SymmetricBandedMatrix.factor` only the upper rows.
     """
     k = band.shape[0]
     rows, inside = _slot_rows(hbw, mask.size)
@@ -120,12 +120,12 @@ class SymmetricBandedMatrix:
 
     ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
     at ``[half_bandwidth + i - j, j]``; both triangles are stored because
-    :meth:`matvec`, :meth:`pinned`, :meth:`to_dense` and :attr:`norm_inf`
-    read them, while :meth:`factor` reads only the upper rows.  Every reader
-    skips the slots outside the matrix (:func:`_slot_rows`).  ``data`` is
-    made read-only on construction, so the long-double CSR copy behind
-    :meth:`matvec` is built at most once per instance and never goes stale;
-    fill the array before constructing the matrix.  No factor is cached.
+    :meth:`matvec` and :attr:`norm_inf` read them, while :meth:`factor`
+    reads only the upper rows.  Every reader skips the slots outside the
+    matrix (:func:`_slot_rows`).  ``data`` is made read-only on
+    construction, so the long-double CSR copy behind :meth:`matvec` is
+    built at most once per instance and never goes stale; fill the array
+    before constructing the matrix.  No factor is cached.
     """
 
     data: np.ndarray
@@ -142,21 +142,6 @@ class SymmetricBandedMatrix:
     @property
     def half_bandwidth(self) -> int:
         return self.data.shape[0] // 2
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricBandedMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        # matvec reads both triangles but factor only the upper one
-        if np.max(np.abs(a - a.T), initial=0.0) > 1e-14 * np.max(np.abs(a), initial=0.0):
-            raise ValueError("expected a symmetric matrix")
-        # not scipy's dense-to-DIA: it warns past 100 diagonals and trims trailing zero columns
-        rows, inside = _slot_rows(max(a.shape[0] - 1, 0), a.shape[0])
-        return cls(np.where(inside, a[rows, np.arange(a.shape[0])], 0.0))
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray().astype(float)
 
     @functools.cached_property
     def _csr(self) -> csr_array:
@@ -197,7 +182,8 @@ class SymmetricBandedMatrix:
         return mask
 
     def factor(self, fixed=()) -> np.ndarray:
-        """Upper banded Cholesky factor of ``self.pinned(fixed)``, from the upper band rows alone.
+        """Upper banded Cholesky factor, from the upper band rows alone, of this
+        matrix with the rows and columns ``fixed`` replaced by the identity's.
 
         ``fixed`` holds integer indices in [0, dim); an empty one pins
         nothing, and a mask, a float or an index outside that range raises
@@ -216,7 +202,7 @@ class SymmetricBandedMatrix:
         return factor
 
     def solve(self, rhs: np.ndarray, fixed=()) -> np.ndarray:
-        """Solve ``self.pinned(fixed)`` x = rhs from one :meth:`factor` and :data:`REFINE_STEPS` refinement steps.
+        """Solve A x = rhs, A pinned as in :meth:`factor`, from one :meth:`factor` and :data:`REFINE_STEPS` refinement steps.
 
         The corrections run in double precision but the iterate and its
         residual are carried in long double, so x satisfies the system beyond
@@ -241,17 +227,6 @@ class SymmetricBandedMatrix:
             x += dpbtrs(factor, r.astype(float), lower=0)[0]
         x[fixed] = target[fixed]
         return x
-
-    def pinned(self, fixed) -> "SymmetricBandedMatrix":
-        """Matrix with the rows and columns ``fixed`` replaced by the identity's.
-
-        It is the matrix that ``self.solve(rhs, fixed)`` solves: the pinned
-        coordinates decouple from the rest, in the Cholesky factor too, so
-        that solve refines the free rows alone and returns ``rhs`` on the
-        fixed ones exactly.  Dimension and bandwidth stay those of ``self``;
-        ``fixed`` follows the rule of :meth:`factor`.
-        """
-        return SymmetricBandedMatrix(_pinned_band(self.data, self.half_bandwidth, self._mask(fixed)))
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Principal submatrix on the retained indices, which must be strictly increasing.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -303,20 +303,3 @@ def verify_continuous_kkt(spec: ProblemSpec) -> list[CheckResult]:
                     note=f"int psi = {psi_mass:.12g}"),
     ]
 
-
-def objective(
-    spec: ProblemSpec,
-    y: Callable,
-    u: Callable,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Cost 1/2 (||y - y_d||^2 + beta ||u||^2) by :func:`composite_integral`.
-
-    Extra breakpoints (for example mesh nodes, where a discrete control
-    jumps) can be passed on top of the problem's registered ones.
-    """
-    return 0.5 * composite_integral(
-        lambda t: (np.asarray(y(t), dtype=float) - spec.y_d(t)) ** 2
-        + spec.beta * np.asarray(u(t), dtype=float) ** 2,
-        (*spec.breakpoints, *breakpoints),
-    )

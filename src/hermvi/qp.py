@@ -6,14 +6,12 @@ the equality-constrained system, update multipliers, repeat until the set is
 stable.  Finite termination is proved for M-matrices (Hintermüller, Ito and
 Kunisch, SIAM J. Optim. 13, 2002); the Hermite energy matrix has positive
 off-diagonal entries, so :func:`solve_pdas` raises on a cycle or after
-:data:`MAX_ITER` iterations.  A brute-force oracle and KKT residuals
-complete the module.
+:data:`MAX_ITER` iterations.  KKT residuals complete the module.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,9 +19,6 @@ import numpy as np
 
 from .assembly import MatrixNotSpdError, SymmetricBandedMatrix
 from .mesh import _frozen
-
-#: Refused above this many bounded coordinates (2^n candidate sets).
-BRUTEFORCE_LIMIT = 20
 
 #: PDAS iteration limit on each call of :func:`solve_pdas`.
 MAX_ITER = 100
@@ -55,12 +50,13 @@ class KktResidual(NamedTuple):
 class BoundQp:
     """SPD quadratic program with upper bounds on selected coordinates.
 
-    ``a`` may be a SymmetricBandedMatrix or a dense symmetric array; bounds
-    may include +inf for coordinates that are listed but unconstrained.
-    ``b``, ``constrained`` and ``bounds`` are stored as read-only copies and
-    no field can be reassigned, so the unconstrained minimizer, solved at
-    most once per instance and cached read-only, never goes stale: the cold
-    start and every PDAS step with nothing active share that one solve.
+    ``a`` must be a SymmetricBandedMatrix (any other type raises
+    TypeError); bounds may include +inf for coordinates that are listed but
+    unconstrained.  ``b``, ``constrained`` and ``bounds`` are stored as
+    read-only copies and no field can be reassigned, so the unconstrained
+    minimizer, solved at most once per instance and cached read-only, never
+    goes stale: the cold start and every PDAS step with nothing active
+    share that one solve.
     Nothing is factored here: a matrix that is not positive definite raises
     :class:`MatrixNotSpdError` at its first solve, in :func:`solve_pdas` or the cold start.
     """
@@ -71,7 +67,9 @@ class BoundQp:
     bounds: np.ndarray
 
     def __post_init__(self):
-        a = SymmetricBandedMatrix.from_dense(self.a) if isinstance(self.a, np.ndarray) else self.a
+        a = self.a
+        if not isinstance(a, SymmetricBandedMatrix):
+            raise TypeError(f"a must be a SymmetricBandedMatrix, got {type(a).__name__}")
         b = _frozen(self.b)
         constrained = np.asarray(self.constrained)
         if constrained.size and not np.issubdtype(constrained.dtype, np.integer):
@@ -90,7 +88,7 @@ class BoundQp:
             raise ValueError("constrained indices must be distinct")
         if np.any(np.isnan(bounds)) or np.any(bounds == -np.inf):
             raise ValueError("bounds must be finite or +inf")
-        for name, value in (("a", a), ("b", b), ("constrained", constrained), ("bounds", bounds)):
+        for name, value in (("b", b), ("constrained", constrained), ("bounds", bounds)):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -103,9 +101,6 @@ class BoundQp:
     def dim(self) -> int:
         return self.a.dim
 
-    def objective(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.a.matvec(x)) - float(self.b @ x)
-
 
 @dataclass(eq=False)
 class QpSolution:
@@ -116,8 +111,7 @@ class QpSolution:
     downstream double-precision work.  Compare them by value, as
     ``np.array_equal`` does, not by ``tobytes()``: on x86-64 each element
     carries uninitialised padding bytes.  ``iterations`` counts the PDAS
-    iterations of this QP alone (the candidate sets tried, for
-    :func:`solve_bruteforce`); in a ``solve_problem`` result each level of
+    iterations of this QP alone; in a ``solve_problem`` result each level of
     the warm-start chain counts its own PDAS, and ``qp_solution`` is the
     finest level's.  A solution that :func:`solve_pdas` returns has a
     read-only ``x`` and keeps the residual b - Ax of its last equality
@@ -206,60 +200,6 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
         seen.add(updated.tobytes())
         active = updated
     raise NonConvergenceError(f"no stable active set within {MAX_ITER} iterations", last)
-
-
-def solve_bruteforce(qp: BoundQp) -> QpSolution:
-    """Enumerate candidate active sets; independent oracle for small QPs.
-
-    Every subset of the finitely-bounded coordinates is tried as an active
-    set; the equality-constrained stationary point is kept if it is primal
-    and dual feasible.  Strict convexity makes the minimizer unique, so the
-    feasible candidate with the lowest objective is the solution.  Uses
-    dense linear algebra on purpose: a code path disjoint from the PDAS
-    solver.
-    """
-    finite = [
-        (int(i), float(u))
-        for i, u in zip(qp.constrained, qp.bounds)
-        if np.isfinite(u)
-    ]
-    if len(finite) > BRUTEFORCE_LIMIT:
-        raise ValueError(
-            f"{len(finite)} bounded coordinates exceed the enumeration limit "
-            f"({BRUTEFORCE_LIMIT})"
-        )
-    a = qp.a.to_dense()
-    al = a.astype(np.longdouble)
-    best = None
-    tried = 0
-    for size in range(len(finite) + 1):
-        for combo in itertools.combinations(finite, size):
-            tried += 1
-            fixed = np.array([i for i, _ in combo], dtype=int)
-            vals = np.array([u for _, u in combo])
-            free = np.setdiff1d(np.arange(qp.dim), fixed)
-            x = np.zeros(qp.dim)
-            if fixed.size:
-                x[fixed] = vals
-            if free.size:
-                rhs = qp.b[free] - a[np.ix_(free, fixed)] @ x[fixed]
-                xf = np.linalg.solve(a[np.ix_(free, free)], rhs)
-                r = rhs.astype(np.longdouble) - al[np.ix_(free, free)] @ xf.astype(np.longdouble)
-                xf = xf + np.linalg.solve(a[np.ix_(free, free)], r.astype(float))
-                x[free] = xf
-            multipliers = np.zeros(qp.dim)
-            if fixed.size:
-                multipliers[fixed] = qp.b[fixed] - a[fixed] @ x
-            feasible = all(x[i] <= u + 1e-9 for i, u in finite)
-            dual_ok = not fixed.size or multipliers[fixed].min() >= -1e-11
-            if feasible and dual_ok:
-                obj = qp.objective(x)
-                if best is None or obj < best[0]:
-                    best = (obj, x, multipliers, tuple(int(i) for i in fixed))
-    if best is None:
-        raise RuntimeError("no KKT-consistent active set found (not SPD?)")
-    _, x, multipliers, active = best
-    return QpSolution(x=x, multipliers=multipliers, active_set=tuple(sorted(active)), iterations=tried)
 
 
 def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:

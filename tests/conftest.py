@@ -4,6 +4,7 @@ import pytest
 import hermvi as hv
 from hermvi.mesh import _shape_columns
 
+from oracles import from_dense
 from table1_reference import ACCEPTANCE_ELEMENTS
 
 
@@ -46,7 +47,7 @@ def random_bound_qp(rng, dim=None):
     n_con = int(rng.integers(1, dim + 1))
     cons = np.sort(rng.choice(dim, size=n_con, replace=False))
     bounds = rng.normal(size=n_con)
-    return hv.BoundQp(a=a, b=b, constrained=cons, bounds=bounds)
+    return hv.BoundQp(a=from_dense(a), b=b, constrained=cons, bounds=bounds)
 
 
 def nonuniform_mesh(seed, n):

@@ -9,6 +9,7 @@ from hermvi import assembly
 from hermvi.mesh import _element_dofs, segment_quadrature, split_segments
 
 from conftest import nonuniform_mesh, shape_matrix
+from oracles import from_dense, matvec_per_diagonal, pinned, pinned_by_slots, to_dense
 
 
 def hermite_basis_integrals(mesh, quad_points=8):
@@ -28,7 +29,7 @@ def test_mass_action_on_constant_one():
     # beta -> 0 limit extracted as M = 2 A(1) - A(2); M applied to the
     # function identically 1 must reproduce the basis integrals
     mesh = hv.build_mesh(6)
-    m = 2.0 * hv.assemble_energy(mesh, 1.0).to_dense() - hv.assemble_energy(mesh, 2.0).to_dense()
+    m = 2.0 * to_dense(hv.assemble_energy(mesh, 1.0)) - to_dense(hv.assemble_energy(mesh, 2.0))
     c = np.zeros(2 * mesh.n_nodes)
     c[0::2] = 1.0
     assert np.max(np.abs(m @ c - hermite_basis_integrals(mesh))) <= 1e-12
@@ -41,7 +42,7 @@ def test_bending_block_leading_entry(h):
     mesh = hv.Mesh(nodes)
     a1 = hv.assemble_energy(mesh, 1.0)
     a2 = hv.assemble_energy(mesh, 2.0)
-    bending = a2.to_dense()[0, 0] - a1.to_dense()[0, 0]  # isolates the beta coefficient
+    bending = to_dense(a2)[0, 0] - to_dense(a1)[0, 0]  # isolates the beta coefficient
     assert bending == pytest.approx(12.0 / h**3, rel=1e-13)
 
 
@@ -90,7 +91,7 @@ def test_symmetry_and_spd_across_sizes():
         for beta in (1e-3, 1.0, 1e3):
             mesh = hv.build_mesh(n)
             a = hv.assemble_energy(mesh, beta)
-            d = a.to_dense()
+            d = to_dense(a)
             assert np.array_equal(d, d.T)
             system = hv.apply_dirichlet(a, np.zeros(a.dim), np.ones(mesh.n_nodes))
             system.a.factor()  # raises if not SPD
@@ -118,7 +119,7 @@ def test_closed_form_energy_matches_quadrature(mesh, beta):
     # differ by rounding; measured against the largest entry, since exact
     # zeros (interior value-slope couplings on a uniform mesh) pick up
     # quadrature rounding that is large relative to themselves
-    a = hv.assemble_energy(mesh, beta).to_dense()
+    a = to_dense(hv.assemble_energy(mesh, beta))
     ref = quadrature_energy(mesh, beta)
     assert np.max(np.abs(a - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
     assert np.array_equal(a, a.T)
@@ -278,14 +279,14 @@ def test_dirichlet_pins_boundary_dofs(rng):
     b = rng.normal(size=a.dim)
     b_before = b.copy()
     system = hv.apply_dirichlet(a, b, bounds=np.full(mesh.n_nodes, 0.1))
-    pinned, eye = system.a.to_dense(), np.eye(a.dim)
+    dense, eye = to_dense(system.a), np.eye(a.dim)
     assert system.a.dim == a.dim == 6
     for d in (0, 4):  # the value DOFs of the first and the last node
-        assert np.array_equal(pinned[d], eye[d]) and np.array_equal(pinned[:, d], eye[d])
+        assert np.array_equal(dense[d], eye[d]) and np.array_equal(dense[:, d], eye[d])
         assert system.b[d] == 0.0
     # the other entries keep the global numbering and their values
     free = [1, 2, 3, 5]
-    assert np.array_equal(pinned[np.ix_(free, free)], a.to_dense()[np.ix_(free, free)])
+    assert np.array_equal(dense[np.ix_(free, free)], to_dense(a)[np.ix_(free, free)])
     assert np.array_equal(system.b[free], b[free]) and np.array_equal(b, b_before)
     x = system.a.solve(system.b)
     sol = hv.solve_pdas(system.to_qp())
@@ -298,7 +299,7 @@ def test_eliminated_system_symmetric_and_spd():
     mesh = hv.build_mesh(5)
     a = hv.assemble_energy(mesh, 1.0)
     system = hv.apply_dirichlet(a, np.zeros(a.dim), np.ones(mesh.n_nodes))
-    d = system.a.to_dense()
+    d = to_dense(system.a)
     assert np.array_equal(d, d.T)
     system.a.factor()
 
@@ -310,13 +311,13 @@ def test_dirichlet_rejects_mismatched_sizes():
     system = hv.apply_dirichlet(a, b, bounds)
     # the slope DOFs carry the bounds, disjoint from the Dirichlet value DOFs 0 and 6
     assert system.to_qp().constrained.tolist() == [1, 3, 5, 7]
-    assert np.array_equal(system.a.to_dense()[[0, 6]], np.eye(8)[[0, 6]])
+    assert np.array_equal(to_dense(system.a)[[0, 6]], np.eye(8)[[0, 6]])
     for bad_a, bad_b, bad_bounds in (
         (hv.assemble_energy(hv.build_mesh(4), 1.0), b, bounds),
         (a, np.zeros(10), bounds),
         (a, b, np.ones(mesh.n_nodes - 1)),
         # one node: two DOFs and one bound agree, but both ends need a node
-        (hv.SymmetricBandedMatrix.from_dense(np.eye(2)), np.zeros(2), np.ones(1)),
+        (from_dense(np.eye(2)), np.zeros(2), np.ones(1)),
     ):
         with pytest.raises(ValueError, match="matrix, load and bounds do not agree"):
             hv.apply_dirichlet(bad_a, bad_b, bad_bounds)
@@ -327,7 +328,7 @@ def test_equality_resolve_matches_qp_solution(paper):
     # solver's final active set reproduces the constrained solution
     result = hv.solve_problem(paper, n_elements=33)
     qp, qp_sol = result.qp, result.qp_solution
-    a = qp.a.to_dense()
+    a = to_dense(qp.a)
     fixed = np.array(qp_sol.active_set, dtype=int)
     pos = {int(c): k for k, c in enumerate(qp.constrained)}
     free = np.setdiff1d(np.arange(qp.dim), fixed)
@@ -345,26 +346,26 @@ def test_equality_resolve_matches_qp_solution(paper):
 def test_banded_roundtrip_and_matvec(rng):
     dense = rng.normal(size=(7, 7))
     dense = dense + dense.T + 10.0 * np.eye(7)
-    banded = hv.SymmetricBandedMatrix.from_dense(dense)
-    assert np.array_equal(banded.to_dense(), dense)
+    banded = from_dense(dense)
+    assert np.array_equal(to_dense(banded), dense)
     x = rng.normal(size=7)
     assert np.max(np.abs(np.asarray(banded.matvec(x), float) - dense @ x)) <= 1e-12
     sub = banded.submatrix(np.array([0, 2, 5]))
-    assert np.array_equal(sub.to_dense(), dense[np.ix_([0, 2, 5], [0, 2, 5])])
+    assert np.array_equal(to_dense(sub), dense[np.ix_([0, 2, 5], [0, 2, 5])])
     # pinned solve: identity rows/columns at the pinned coordinates decouple
     # them, so the rest solves the principal submatrix and they come out 0
     m = rng.normal(size=(7, 7))
     spd = m @ m.T + 7.0 * np.eye(7)
-    pinned, free = np.array([1, 4]), np.array([0, 2, 3, 5, 6])
+    fixed, free = np.array([1, 4]), np.array([0, 2, 3, 5, 6])
     rhs = rng.normal(size=7)
-    rhs[pinned] = 0.0
-    x = hv.SymmetricBandedMatrix.from_dense(spd).pinned(pinned).solve(rhs)
-    assert np.all(x[pinned] == 0.0)
+    rhs[fixed] = 0.0
+    x = from_dense(spd).solve(rhs, fixed)
+    assert np.all(x[fixed] == 0.0)
     ref = np.linalg.solve(spd[np.ix_(free, free)], rhs[free])
     assert np.max(np.abs(np.asarray(x[free], float) - ref)) <= 1e-12
     # empty inputs: no rows kept, and a 0x0 matrix
-    for empty in (banded.submatrix([]), hv.SymmetricBandedMatrix.from_dense(np.zeros((0, 0)))):
-        assert empty.dim == 0 and empty.to_dense().shape == (0, 0)
+    for empty in (banded.submatrix([]), from_dense(np.zeros((0, 0)))):
+        assert empty.dim == 0 and to_dense(empty).shape == (0, 0)
         assert np.asarray(empty.matvec(np.zeros(0))).shape == (0,)
     # unsorted, repeated or out-of-range indices would drop entries beyond the kept band
     energy = hv.assemble_energy(hv.build_mesh(3), 1.0)
@@ -374,14 +375,18 @@ def test_banded_roundtrip_and_matvec(rng):
 
 
 def test_banded_from_dense_round_trips(rng):
-    # filled by the slot rule: no SparseEfficiencyWarning (an error in this
-    # suite) past 100 diagonals, and trailing zero columns keep their slots
+    # bands as wide as the matrix, 119 diagonals at most, and trailing zero
+    # columns, read back through the library's slot map: the whole submatrix
+    # keeps every slot inside the matrix, and norm_inf sums the dense columns
     m = rng.normal(size=(60, 60))
     for dense in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 3.0, 0.0]), np.zeros((3, 3)),
                   np.zeros((0, 0)), m @ m.T + 60.0 * np.eye(60)):
-        banded = hv.SymmetricBandedMatrix.from_dense(dense)
+        banded = from_dense(dense)
         assert banded.half_bandwidth == max(dense.shape[0] - 1, 0)
-        assert banded.to_dense().dtype == float and np.array_equal(banded.to_dense(), dense)
+        assert np.array_equal(to_dense(banded), dense)
+        whole = banded.submatrix(np.arange(dense.shape[0]))
+        assert whole.half_bandwidth == banded.half_bandwidth and np.array_equal(to_dense(whole), dense)
+        assert banded.norm_inf == np.abs(dense).sum(axis=0).max(initial=0.0)
 
 
 def test_banded_solve_matches_dense(rng):
@@ -389,7 +394,7 @@ def test_banded_solve_matches_dense(rng):
     a = hv.assemble_energy(mesh, 0.5)
     rhs = rng.normal(size=a.dim)
     x = np.asarray(a.solve(rhs), dtype=float)
-    assert np.max(np.abs(np.linalg.solve(a.to_dense(), rhs) - x)) <= 1e-10
+    assert np.max(np.abs(np.linalg.solve(to_dense(a), rhs) - x)) <= 1e-10
 
 
 def test_banded_shape_comes_from_its_data():
@@ -405,13 +410,13 @@ def test_banded_shape_comes_from_its_data():
 
 
 def test_banded_factor_rejects_indefinite():
-    bad = hv.SymmetricBandedMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    bad = from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(hv.MatrixNotSpdError):
         bad.factor()
 
 
 def test_banded_solve_rejects_non_finite_input():
-    a = hv.SymmetricBandedMatrix.from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    a = from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             a.solve(np.array([1.0, bad]))
@@ -420,35 +425,16 @@ def test_banded_solve_rejects_non_finite_input():
             band.factor()
 
 
-def matvec_per_diagonal(a, x):
-    """A @ x in long double, one diagonal at a time: the oracle for matvec."""
-    hbw = a.half_bandwidth
-    xl = np.asarray(x, dtype=np.longdouble)
-    y = np.zeros(a.dim, dtype=np.longdouble)
-    for d in range(-hbw, hbw + 1):
-        j0, j1 = max(0, -d), min(a.dim, a.dim - d)
-        if j1 > j0:
-            y[j0 + d : j1 + d] += a.data[hbw + d, j0:j1].astype(np.longdouble) * xl[j0:j1]
-    return y
-
-
-def pinned_by_slots(a, fixed):
-    """Band of ``a`` with rows and columns ``fixed`` set to the identity's,
-    from the row and column of every storage slot: the oracle for pinned."""
-    mask = np.zeros(a.dim, dtype=bool)
-    mask[fixed] = True
-    hbw = a.half_bandwidth
-    j = np.broadcast_to(np.arange(a.dim), (2 * hbw + 1, a.dim))
-    i = j + np.arange(-hbw, hbw + 1)[:, None]
-    valid = (i >= 0) & (i < a.dim)
-    hit = valid & (mask[np.clip(i, 0, a.dim - 1)] | mask[j])
-    return np.where(hit, i == j, a.data)
+def pinned_band(a, fixed):
+    """The whole band of ``a`` pinned by the library's rule: ``fixed`` checked as
+    :meth:`factor` checks it, then :func:`assembly._pinned_band`, as the Dirichlet pins run it."""
+    return assembly._pinned_band(a.data, a.half_bandwidth, a._mask(fixed))
 
 
 def banded_case(rng, kind, n):
     if kind == "dense":  # half-bandwidth n - 1
         m = rng.normal(size=(n, n))
-        return hv.SymmetricBandedMatrix.from_dense(m + m.T + 2.0 * n * np.eye(n))
+        return from_dense(m + m.T + 2.0 * n * np.eye(n))
     mesh = hv.build_mesh(n)
     return hv.apply_dirichlet(hv.assemble_energy(mesh, 1.0), np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)).a
 
@@ -471,9 +457,9 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
         "random": np.flatnonzero(rng.random(a.dim) < 0.3),
     }
     for name, fixed in masks.items():
-        p = a.pinned(fixed)
-        assert p.dim == a.dim and p.half_bandwidth == a.half_bandwidth
-        assert np.array_equal(p.data, pinned_by_slots(a, fixed)), name
+        p = pinned_band(a, fixed)
+        assert p.shape == a.data.shape
+        assert np.array_equal(p, pinned_by_slots(a, fixed)), name
 
 
 def csr_by_edge_rows(a):
@@ -531,10 +517,10 @@ def test_slot_map_readers_match_oracles_at_small_shapes(rng):
             data = rng.normal(size=(2 * hbw + 1, dim))
             data[hbw] = 2 * hbw + 1 + np.abs(data[hbw])  # a heavy diagonal: positive definite at these shapes
             a = hv.SymmetricBandedMatrix(data)
-            assert a.norm_inf == np.abs(a.to_dense()).sum(axis=0).max(), (hbw, dim)
+            assert a.norm_inf == np.abs(to_dense(a)).sum(axis=0).max(), (hbw, dim)
             for fixed in (np.array([], dtype=int), np.arange(dim), np.flatnonzero(rng.random(dim) < 0.5)):
                 oracle = pinned_by_slots(a, fixed)
-                assert np.array_equal(a.pinned(fixed).data, oracle), (hbw, dim, fixed)
+                assert np.array_equal(pinned_band(a, fixed), oracle), (hbw, dim, fixed)
                 factor, info = assembly.dpbtrf(oracle[: hbw + 1], lower=0)
                 assert info == 0 and np.array_equal(a.factor(fixed), factor), (hbw, dim, fixed)
 
@@ -553,14 +539,14 @@ def test_pinned_solve_matches_pinned_copy(rng, kind, n):
     }
     for name, fixed in masks.items():
         x = a.solve(rhs, fixed)
-        assert x.dtype == np.longdouble and np.array_equal(x, a.pinned(fixed).solve(rhs)), name
+        assert x.dtype == np.longdouble and np.array_equal(x, pinned(a, fixed).solve(rhs)), name
 
 
 def test_pinned_leaves_unused_slots():
     # slots outside the matrix hold ones here; pinning must not touch them
     a = hv.SymmetricBandedMatrix(np.ones((3, 4)))
     for fixed in ([0], [3], [0, 3], [1, 2]):
-        assert np.array_equal(a.pinned(fixed).data, pinned_by_slots(a, fixed)), fixed
+        assert np.array_equal(pinned_band(a, fixed), pinned_by_slots(a, fixed)), fixed
 
 
 def test_fixed_indices_follow_one_rule(rng):
@@ -568,12 +554,12 @@ def test_fixed_indices_follow_one_rule(rng):
     rhs = np.arange(a.dim) + 1.0
     # an empty tuple or list pins nothing, as an empty index array does
     for empty in ((), [], np.array([], dtype=int)):
-        assert np.array_equal(a.pinned(empty).data, a.data)
+        assert np.array_equal(pinned_band(a, empty), a.data)
         assert np.array_equal(a.factor(empty), a.factor())
         assert np.array_equal(a.solve(rhs, empty), a.solve(rhs))
     # a negative index is not read from the end, and a mask or float is not an index
     for bad in ([-1], [a.dim], np.arange(a.dim) == 0, np.array([1.0])):
-        for call in (lambda: a.pinned(bad), lambda: a.factor(bad), lambda: a.solve(rhs, bad)):
+        for call in (lambda: pinned_band(a, bad), lambda: a.factor(bad), lambda: a.solve(rhs, bad)):
             with pytest.raises(ValueError, match="integer indices"):
                 call()
 
@@ -581,13 +567,13 @@ def test_fixed_indices_follow_one_rule(rng):
 def test_norm_inf_reads_only_slots_inside_the_matrix():
     # the two corner slots hold 99, but the matrix is tridiag(1, 4, 1)
     a = hv.SymmetricBandedMatrix(np.array([[99.0, 1, 1], [4, 4, 4], [1, 1, 99]]))
-    assert a.norm_inf == np.abs(a.to_dense()).sum(axis=1).max() == 6.0
+    assert a.norm_inf == np.abs(to_dense(a)).sum(axis=1).max() == 6.0
     x = np.ones(3)
     res = hv.kkt_residual(hv.BoundQp(a, np.zeros(3), [], []), hv.QpSolution(x, np.zeros(3), (), 1))
     assert res.stationarity == 6.0 and res.stationarity_scaled == 1.0
     # half-bandwidth 3 on a 2 x 2 matrix [[5, -2], [-2, 3]]: ten of the 14 slots lie outside
     wide = hv.SymmetricBandedMatrix(np.array([[99.0, 99], [99, 99], [99, -2], [5, 3], [-2, 99], [99, 99], [99, 99]]))
-    assert np.array_equal(wide.to_dense(), [[5.0, -2.0], [-2.0, 3.0]])
+    assert np.array_equal(to_dense(wide), [[5.0, -2.0], [-2.0, 3.0]])
     assert wide.norm_inf == 7.0
 
 
@@ -615,7 +601,7 @@ def test_solve_bits_match_pinned_copy_solves(paper, where, monkeypatch):
     # every PDAS step of the chain, solved on a pinned copy of the band as before the seam
     shipped = hv.solve_problem(paper, **where)
     solve = hv.SymmetricBandedMatrix.solve
-    monkeypatch.setattr(hv.SymmetricBandedMatrix, "solve", lambda a, rhs, fixed=(): solve(a.pinned(fixed), rhs))
+    monkeypatch.setattr(hv.SymmetricBandedMatrix, "solve", lambda a, rhs, fixed=(): solve(pinned(a, fixed), rhs))
     copies = hv.solve_problem(paper, **where)
     assert np.array_equal(shipped.qp_solution.x, copies.qp_solution.x)
     assert np.array_equal(shipped.qp_solution.multipliers, copies.qp_solution.multipliers)

@@ -297,7 +297,7 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path, command, target):
 # --------------------------------------------------------------------- options
 
 #: Settable-option budget; ROADMAP item 3 quotes the same number.
-OPTION_BUDGET = 27
+OPTION_BUDGET = 26
 
 
 def _parameters(obj):

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 import hermvi as hv
 from hermvi.problems import BREAK, _rule_checks
 
+from oracles import cost
+
 
 # ------------------------------------------------------------- paper_example
 
@@ -238,10 +240,10 @@ def test_kkt_verification_requires_bundle():
         hv.verify_continuous_kkt(hv.unconstrained_smoke())
 
 
-# ------------------------------------------------------------------ objective
+# ----------------------------------------------------------------------- cost
 
 def test_objective_zero_at_target(paper):
-    val = hv.objective(paper, paper.y_d, lambda x: np.zeros_like(np.asarray(x, float)))
+    val = cost(paper, paper.y_d, lambda x: np.zeros_like(np.asarray(x, float)))
     assert val == 0.0
 
 
@@ -253,18 +255,18 @@ def test_objective_of_zero_state_against_unit_target():
         y_d=lambda x: np.ones_like(np.asarray(x, float)),
     )
     zero = lambda x: np.zeros_like(np.asarray(x, float))
-    assert hv.objective(spec, zero, zero) == pytest.approx(1.0, abs=1e-14)
+    assert cost(spec, zero, zero) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_discrete_objective_approaches_exact_value(paper, solve_cache):
     # the discrete feasible set only enforces the bound at nodes, so the
     # discrete cost sits below the exact one and climbs toward it
     ex = paper.exact
-    j_star = hv.objective(paper, ex.y_bar, hv.exact_control)
+    j_star = cost(paper, ex.y_bar, hv.exact_control)
     gaps = []
     for n in (4, 8, 16, 32):
         sol = solve_cache(n).solution
-        j_n = hv.objective(
+        j_n = cost(
             paper,
             lambda x: hv.evaluate(sol, x, 0),
             lambda x: -(hv.evaluate(sol, x, 2) + np.asarray(paper.f(x), dtype=float)),

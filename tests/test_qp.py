@@ -9,6 +9,7 @@ from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import assemble_system
 
 from conftest import random_bound_qp
+from oracles import from_dense, objective, solve_bruteforce, to_dense
 
 
 def paper_qp(paper, n):
@@ -21,7 +22,7 @@ def test_pdas_all_bounds_infinite(rng):
     m = rng.normal(size=(5, 5))
     a = m @ m.T + 5.0 * np.eye(5)
     b = rng.normal(size=5)
-    qp = hv.BoundQp(a=a, b=b, constrained=np.arange(5), bounds=np.full(5, np.inf))
+    qp = hv.BoundQp(a=from_dense(a), b=b, constrained=np.arange(5), bounds=np.full(5, np.inf))
     sol = hv.solve_pdas(qp)
     assert sol.iterations == 1
     assert sol.active_set == ()
@@ -30,7 +31,7 @@ def test_pdas_all_bounds_infinite(rng):
 
 
 def test_pdas_clamped_scalar():
-    qp = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[0], bounds=[1.0])
+    qp = hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[0], bounds=[1.0])
     sol = hv.solve_pdas(qp)
     assert float(sol.x[0]) == 1.0
     assert float(sol.multipliers[0]) == pytest.approx(1.0, abs=1e-15)
@@ -41,7 +42,7 @@ def test_pdas_matches_bruteforce_on_benchmark(paper):
     rng = np.random.default_rng(5)
     for n in (2, 3, 5):
         qp = paper_qp(paper, n)
-        x_bf = np.asarray(hv.solve_bruteforce(qp).x, dtype=float)
+        x_bf = np.asarray(solve_bruteforce(qp).x, dtype=float)
         size = qp.constrained.size
         # the cold start, then initial active sets far from the solution's
         for start in (None, np.ones(size, bool), np.zeros(size, bool), rng.random(size) < 0.5):
@@ -75,9 +76,9 @@ def test_bound_qp_owns_read_only_copies():
     a = np.array([[4.0, 1.0], [1.0, 3.0]])
     b, constrained, bounds = np.array([1.0, 2.0]), np.array([0, 1]), np.array([5.0, 6.0])
     expected = np.linalg.solve(a, b)
-    solved = hv.BoundQp(a=a, b=b, constrained=constrained, bounds=bounds)
+    solved = hv.BoundQp(a=from_dense(a), b=b, constrained=constrained, bounds=bounds)
     solved._unconstrained  # cached before the caller's arrays change
-    unsolved = hv.BoundQp(a=a, b=b, constrained=constrained, bounds=bounds)
+    unsolved = hv.BoundQp(a=from_dense(a), b=b, constrained=constrained, bounds=bounds)
     b[:], constrained[:], bounds[:], a[:] = -7.0, 0, -9.0, 0.0
     for qp in (solved, unsolved):
         assert qp.b.tolist() == [1.0, 2.0]
@@ -97,19 +98,26 @@ def test_qp_rejects_indefinite_matrix():
     # nothing is factored on construction; the first solve raises, whatever the start:
     # pinning coordinate 0 leaves the indefinite block [[1, 3], [3, 1]]
     a = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
-    qp = hv.BoundQp(a=a, b=np.zeros(3), constrained=[0], bounds=[0.0])
+    qp = hv.BoundQp(a=from_dense(a), b=np.zeros(3), constrained=[0], bounds=[0.0])
     for active in (None, np.array([False]), np.array([True])):
         with pytest.raises(hv.MatrixNotSpdError):
             hv.solve_pdas(qp, active=active)
 
 
 def test_qp_rejects_nonsymmetric_matrix():
-    # the upper triangle alone is SPD, so only a symmetry check catches it
+    # the upper triangle alone is SPD, so only a symmetry check catches it; a
+    # BoundQp takes no dense array (test_bound_qp_takes_only_a_band), so the
+    # tests' band import is where a dense matrix is checked
     a = np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [0.0, 0.0, 4.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        hv.BoundQp(a=a, b=np.ones(3), constrained=[0], bounds=[10.0])
-    with pytest.raises(ValueError, match="symmetric"):
-        SymmetricBandedMatrix.from_dense(a)
+        from_dense(a)
+
+
+def test_bound_qp_takes_only_a_band():
+    # a dense array, even a symmetric one, is refused by its type's name
+    for a in (np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None):
+        with pytest.raises(TypeError, match=f"a must be a SymmetricBandedMatrix, got {type(a).__name__}$"):
+            hv.BoundQp(a=a, b=np.ones(2), constrained=[0], bounds=[1.0])
 
 
 @pytest.mark.parametrize(
@@ -130,7 +138,7 @@ def test_qp_rejects_nonsymmetric_matrix():
          "inf-load", "nan-load", "repeated-index", "fractional-index"],
 )
 def test_qp_rejects_malformed_inputs(change, message):
-    valid = dict(a=np.eye(2), b=np.ones(2), constrained=[0], bounds=[1.0])
+    valid = dict(a=from_dense(np.eye(2)), b=np.ones(2), constrained=[0], bounds=[1.0])
     hv.BoundQp(**valid)
     with pytest.raises(ValueError, match=message):
         hv.BoundQp(**{**valid, **change})
@@ -153,25 +161,25 @@ def test_bruteforce_all_bounds_infinite(rng):
     m = rng.normal(size=(4, 4))
     a = m @ m.T + 4.0 * np.eye(4)
     b = rng.normal(size=4)
-    qp = hv.BoundQp(a=a, b=b, constrained=np.arange(4), bounds=np.full(4, np.inf))
-    sol = hv.solve_bruteforce(qp)
+    qp = hv.BoundQp(a=from_dense(a), b=b, constrained=np.arange(4), bounds=np.full(4, np.inf))
+    sol = solve_bruteforce(qp)
     assert np.max(np.abs(sol.x - np.linalg.solve(a, b))) <= 1e-12
 
 
 def test_bruteforce_clamped_scalar():
-    qp = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[0], bounds=[1.0])
-    sol = hv.solve_bruteforce(qp)
+    qp = hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[0], bounds=[1.0])
+    sol = solve_bruteforce(qp)
     assert sol.x[0] == 1.0 and sol.multipliers[0] == pytest.approx(1.0)
 
 
 def test_bruteforce_beats_random_feasible_points(rng):
     for _ in range(5):
         qp = random_bound_qp(rng, dim=int(rng.integers(2, 9)))
-        sol = hv.solve_bruteforce(qp)
-        obj = qp.objective(sol.x)
+        sol = solve_bruteforce(qp)
+        obj = objective(qp, sol.x)
         z = rng.normal(size=(10_000, qp.dim))
         z[:, qp.constrained] = np.minimum(z[:, qp.constrained], qp.bounds)
-        a = qp.a.to_dense()
+        a = to_dense(qp.a)
         objs = 0.5 * np.einsum("ij,jk,ik->i", z, a, z) - z @ qp.b
         assert obj <= float(np.min(objs)) + 1e-12
 
@@ -179,17 +187,17 @@ def test_bruteforce_beats_random_feasible_points(rng):
 def test_bruteforce_refuses_large_sets():
     dim = 25
     qp = hv.BoundQp(
-        a=np.eye(dim) * 2.0, b=np.zeros(dim),
+        a=from_dense(np.eye(dim) * 2.0), b=np.zeros(dim),
         constrained=np.arange(dim), bounds=np.zeros(dim),
     )
     with pytest.raises(ValueError):
-        hv.solve_bruteforce(qp)
+        solve_bruteforce(qp)
 
 
 # ---------------------------------------------------------------- kkt_residual
 
 def test_kkt_residual_zero_at_exact_solution():
-    qp = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[0], bounds=[1.0])
+    qp = hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[0], bounds=[1.0])
     sol = hv.solve_pdas(qp)
     res = hv.kkt_residual(qp, sol)
     assert res.stationarity == 0.0
@@ -197,16 +205,16 @@ def test_kkt_residual_zero_at_exact_solution():
     assert res.min_multiplier >= 0.0
     assert res.complementarity == 0.0
     # no constrained coordinate: only stationarity is left to measure
-    free = hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[])
+    free = hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[], bounds=[])
     assert hv.kkt_residual(free, hv.solve_pdas(free)) == (0.0, 0.0, 0.0, 0.0, 0.0)
     # no coordinate at all: every maximum runs over an empty array
-    empty = hv.BoundQp(a=np.zeros((0, 0)), b=np.zeros(0), constrained=[], bounds=[])
+    empty = hv.BoundQp(a=from_dense(np.zeros((0, 0))), b=np.zeros(0), constrained=[], bounds=[])
     assert hv.kkt_residual(empty, hv.solve_pdas(empty)) == hv.KktResidual(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_kkt_residual_skips_infinite_bounds_in_complementarity(paper):
     # lambda (x - u) is 0 * -inf on an unconstrained coordinate; only finite bounds count
-    qp = hv.BoundQp(a=np.eye(2), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0])
+    qp = hv.BoundQp(a=from_dense(np.eye(2)), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0])
     res = hv.kkt_residual(qp, hv.QpSolution(np.array([0.0, 0.5]), np.array([0.0, 2.0]), (1,), 1))
     assert res.complementarity == 1.0 and res.primal_violation == 0.0
     spec = dataclasses.replace(paper, psi=lambda x: np.where(np.asarray(x) < 0, np.inf, paper.psi(x)))
@@ -236,7 +244,7 @@ def test_kkt_residual_linear_in_perturbation(rng):
         iterations=sol.iterations,
     )
     res = hv.kkt_residual(qp, perturbed)
-    col = qp.a.to_dense()[:, j]
+    col = to_dense(qp.a)[:, j]
     assert res.stationarity == pytest.approx(1e-3 * float(np.max(np.abs(col))), rel=1e-6)
     assert res.stationarity_scaled > 1e-6
 
@@ -295,10 +303,10 @@ def long_double_kkt(qp, sol):
 
 def test_kkt_residual_equals_long_double_reductions(paper, rng):
     qps = [
-        hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[0], bounds=[1.0]),
-        hv.BoundQp(a=np.array([[1.0]]), b=np.array([2.0]), constrained=[], bounds=[]),
-        hv.BoundQp(a=np.zeros((0, 0)), b=np.zeros(0), constrained=[], bounds=[]),
-        hv.BoundQp(a=np.eye(2), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0]),
+        hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[0], bounds=[1.0]),
+        hv.BoundQp(a=from_dense(np.array([[1.0]])), b=np.array([2.0]), constrained=[], bounds=[]),
+        hv.BoundQp(a=from_dense(np.zeros((0, 0))), b=np.zeros(0), constrained=[], bounds=[]),
+        hv.BoundQp(a=from_dense(np.eye(2)), b=np.zeros(2), constrained=[0, 1], bounds=[np.inf, 1.0]),
         *(random_bound_qp(rng) for _ in range(10)),
         paper_qp(paper, 64),
         assemble_system(dataclasses.replace(
@@ -331,7 +339,7 @@ def test_oracle_equivalence_on_random_instances(rng):
     for _ in range(50):
         qp = random_bound_qp(rng)
         x_pdas = np.asarray(hv.solve_pdas(qp).x, dtype=float)
-        x_bf = np.asarray(hv.solve_bruteforce(qp).x, dtype=float)
+        x_bf = np.asarray(solve_bruteforce(qp).x, dtype=float)
         worst = max(worst, float(np.max(np.abs(x_pdas - x_bf))))
     assert worst <= 1e-10
 
@@ -342,7 +350,7 @@ def test_objective_not_worse_than_clamped_unconstrained(paper, rng):
         sol = hv.solve_pdas(qp)
         clamped = np.asarray(qp.a.solve(qp.b), dtype=float)
         clamped[qp.constrained] = np.minimum(clamped[qp.constrained], qp.bounds)
-        assert qp.objective(sol.x) <= qp.objective(clamped) + 1e-12
+        assert objective(qp, sol.x) <= objective(qp, clamped) + 1e-12
 
 
 def test_active_set_scale_invariant(paper):

@@ -9,6 +9,7 @@ from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import _assemble_stack, assemble_system
 
 from conftest import nonuniform_mesh
+from oracles import pinned
 
 
 def unbound_spec(paper):
@@ -231,7 +232,7 @@ def test_unconstrained_pdas_step_is_the_plain_solve(paper, problem):
     fresh = SymmetricBandedMatrix(qp.a.data.copy()).solve(qp.b)
     assert np.array_equal(sol.x, fresh)
     # the pinned path with nothing pinned, as PDAS took it before the solve was cached
-    assert np.array_equal(sol.x, qp.a.pinned([]).solve(qp.a.residual(np.zeros(qp.dim), qp.b)))
+    assert np.array_equal(sol.x, pinned(qp.a, []).solve(qp.a.residual(np.zeros(qp.dim), qp.b)))
     assert sol.multipliers.dtype == fresh.dtype and not sol.multipliers.any()
     plain = hv.QpSolution(fresh, np.zeros_like(fresh), (), 1)
     assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, plain)
