@@ -60,52 +60,28 @@ class MatrixNotSpdError(Exception):
 
 
 @functools.lru_cache(maxsize=32)
-def _slot_rows(hbw: int, dim: int):
-    """Read-only slot map of a band, built once per shape: the row ``j + r - hbw``
-    of every slot ``[r, j]`` (intp, clipped) and whether it lies inside the matrix."""
-    rows = np.arange(dim, dtype=np.intp) + np.arange(-hbw, hbw + 1, dtype=np.intp)[:, None]
-    inside = (rows >= 0) & (rows < dim)
-    rows = rows.clip(0, max(dim - 1, 0))
-    rows.flags.writeable = inside.flags.writeable = False
-    return rows, inside
-
-
-@functools.lru_cache(maxsize=32)
-def _csr_layout(hbw: int, dim: int):
-    """Read-only (indptr, indices, gather) of the CSR copy of a band: row i adds
-    columns i + hbw down to i - hbw, those inside the matrix, read from the
-    flattened band at ``gather``.
-
-    Built once per shape: every later matrix of that shape, such as the
-    same chain level of the next solve, only gathers and casts its values.
-    """
-    index = np.int32 if (2 * hbw + 1) * dim < 2**31 else np.int64
-    row = np.arange(dim, dtype=index)
-    first = np.minimum(row + hbw, dim - 1)  # row i adds columns first[i] down to max(i - hbw, 0)
-    count = first - np.maximum(row - hbw, 0) + 1
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(count, out=indptr[1:])
-    step = np.arange(indptr[-1], dtype=index) - np.repeat(indptr[:-1], count)  # each term's place in its row
-    # the entry (i, c) sits in band slot [i + hbw - c, c], flat (i + hbw - c) * dim + c: a step adds dim - 1
-    start = (row + hbw - first).astype(np.intp) * dim + first
-    layout = indptr, np.repeat(first, count) - step, np.repeat(start, count) + step * (dim - 1)
-    for a in layout:
-        a.flags.writeable = False
-    return layout
+def _slot_rows(hbw: int, dim: int) -> np.ndarray:
+    """Read-only slot map of a band, built once per shape: the row ``j + r - hbw`` of every
+    slot ``[r, j]`` (intp), clipped into the matrix, as the slots outside hold 0.0.  It is
+    stored column by column from the bottom slot up, so ``rows[::-1].T.ravel()``, row i
+    listing columns i + hbw down to i - hbw, is the CSR copy's column indices, uncopied."""
+    columns = (np.arange(dim, dtype=np.intp)[:, None] + np.arange(hbw, -hbw - 1, -1, dtype=np.intp)).clip(0, max(dim - 1, 0))
+    columns.flags.writeable = False
+    return columns.T[::-1]
 
 
 def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
     """The top rows ``band`` of a band, with the rows and columns ``mask`` the identity's.
 
-    Slot ``[r, j]`` is hit when its row, as :func:`_slot_rows` maps it, lies
-    inside the matrix and that row or column ``j`` is pinned; slots outside
-    keep their values.  :func:`_dirichlet_systems` pins the whole band and
-    :meth:`SymmetricBandedMatrix.factor` only the upper rows.
+    Slot ``[r, j]`` is hit when its column ``j`` or its row ``j + r - hbw``, read from
+    the mask padded by hbw False on each side, is pinned; a hit slot outside the matrix
+    is off the diagonal and keeps its 0.0.  :func:`_dirichlet_systems` pins the whole
+    band and :meth:`SymmetricBandedMatrix.factor` only the upper rows.
     """
     k = band.shape[0]
-    rows, inside = _slot_rows(hbw, mask.size)
-    hit = inside[:k] & (mask[rows[:k]] | mask)
-    return np.where(hit, (np.arange(k) == hbw)[:, None], band)
+    padded = np.concatenate([np.zeros(hbw, bool), mask, np.zeros(hbw, bool)])
+    rows = np.ndarray((k, mask.size), bool, padded, strides=(1, 1))  # rows[r, j] is padded[r + j]
+    return np.where(rows | mask, (np.arange(k) == hbw)[:, None], band)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -118,22 +94,32 @@ def _require_finite(a: np.ndarray) -> None:
 class SymmetricBandedMatrix:
     """Symmetric band matrix in LAPACK diagonal-ordered storage.
 
-    ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j)
-    at ``[half_bandwidth + i - j, j]``; both triangles are stored because
-    :meth:`matvec` and :attr:`norm_inf` read them, while :meth:`factor`
-    reads only the upper rows.  Every reader skips the slots outside the
-    matrix (:func:`_slot_rows`).  ``data`` is made read-only on
-    construction, so the long-double CSR copy behind :meth:`matvec` is
-    built at most once per instance and never goes stale; fill the array
-    before constructing the matrix.  No factor is cached.
+    ``data`` has shape ``(2 * half_bandwidth + 1, dim)`` and holds entry (i, j) at
+    ``[half_bandwidth + i - j, j]``.  Its upper rows ``data[:half_bandwidth + 1]`` are the
+    matrix: construction fills the lower rows from them, sets every slot outside the
+    matrix to 0.0, refuses an inf or NaN and makes ``data`` read-only, so every reader
+    reads plain arrays and the long-double CSR copy behind :meth:`matvec` is built at
+    most once per instance and never goes stale.  A float array is completed in place
+    unless it is read-only, which is copied first.  No factor is cached.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[0] % 2 == 0:
+        data = np.asarray(self.data, dtype=float)
+        if data.ndim != 2 or data.shape[0] % 2 == 0:
             raise ValueError("band data must be 2-D with an odd number of rows")
-        self.data.flags.writeable = False
+        if not data.flags.writeable:
+            data = data.copy()
+        hbw, dim = data.shape[0] // 2, data.shape[1]
+        for d in range(1, hbw + 1):  # slot [hbw - d, j] holds entry (j - d, j), and [hbw + d, j] entry (j + d, j)
+            n = min(d, dim)
+            data[hbw - d, :n] = 0.0
+            data[hbw + d, : dim - n] = data[hbw - d, n:]
+            data[hbw + d, dim - n :] = 0.0
+        _require_finite(data)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def dim(self) -> int:
@@ -145,9 +131,12 @@ class SymmetricBandedMatrix:
 
     @functools.cached_property
     def _csr(self) -> csr_array:
-        indptr, indices, gather = _csr_layout(self.half_bandwidth, self.dim)
-        values = np.ascontiguousarray(self.data).ravel()[gather].astype(np.longdouble)
-        return csr_array((values, indices, indptr), shape=(self.dim, self.dim))
+        # by symmetry row i is column i read bottom to top: columns i + hbw down to
+        # i - hbw, those outside the matrix at a clipped index with the value 0.0
+        width, dim = self.data.shape
+        values = np.ascontiguousarray(self.data[::-1].T, dtype=np.longdouble).ravel()
+        indices = _slot_rows(self.half_bandwidth, dim)[::-1].T.ravel()
+        return csr_array((values, indices, np.arange(0, width * dim + 1, width)), shape=(dim, dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -155,9 +144,10 @@ class SymmetricBandedMatrix:
         The bending block scales like 1/h^3, so double-precision products
         lose enough bits on fine meshes to drown KKT residuals; carrying the
         product in long double (80-bit on x86) keeps them measurable.  It is
-        one product of the cached long-double CSR copy, whose row i adds
-        columns i + hbw down to i - hbw in turn: the diagonals d = i - j
-        from -hbw to hbw, the order that fixes every solve's bits.
+        one product of the cached long-double CSR copy, the band read column
+        by column: row i adds columns i + hbw down to i - hbw in turn, the
+        diagonals d = i - j from -hbw to hbw, the order that fixes every
+        solve's bits; the terms outside the matrix add 0.0.
         """
         return self._csr @ np.asarray(x, dtype=np.longdouble)
 
@@ -167,9 +157,8 @@ class SymmetricBandedMatrix:
 
     @property
     def norm_inf(self) -> float:
-        """||A||_inf: by symmetry the largest column sum of |band|, over the slots inside the matrix (:func:`_slot_rows`)."""
-        inside = _slot_rows(self.half_bandwidth, self.dim)[1]
-        return float(np.abs(self.data).sum(axis=0, where=inside).max(initial=0.0))
+        """||A||_inf: by symmetry the largest column sum of |band|, whose slots outside the matrix hold 0.0."""
+        return float(np.abs(self.data).sum(axis=0).max(initial=0.0))
 
     def _mask(self, fixed) -> np.ndarray:
         """Boolean mask of the coordinates ``fixed``, checked by the rule of :meth:`factor`."""
@@ -189,13 +178,12 @@ class SymmetricBandedMatrix:
         nothing, and a mask, a float or an index outside that range raises
         ValueError.  Nothing is cached: each call runs one LAPACK
         factorization.  Raises MatrixNotSpdError if the matrix is not
-        positive definite and ValueError if its band holds an inf or NaN.
+        positive definite; construction has refused an inf or NaN.
         """
         upper = self.data[: self.half_bandwidth + 1]
         mask = self._mask(fixed)
         if mask.any():  # else the stored rows as they are
             upper = _pinned_band(upper, self.half_bandwidth, mask)
-        _require_finite(upper)
         factor, info = dpbtrf(upper, lower=0)
         if info > 0:
             raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
@@ -240,10 +228,10 @@ class SymmetricBandedMatrix:
         if not increasing or (keep.size and (keep[0] < 0 or keep[-1] >= self.dim)):
             raise ValueError("retained indices must be strictly increasing and inside [0, dim)")
         hbw = self.half_bandwidth
-        rows, inside = _slot_rows(min(hbw, max(keep.size - 1, 0)), keep.size)
-        # band row of the source entry (keep[row], keep[j]) in self.data
+        rows = _slot_rows(min(hbw, max(keep.size - 1, 0)), keep.size)
+        # band row of the source entry (keep[row], keep[j]); construction clears the slots outside
         source = hbw + keep[rows] - keep
-        inband = inside & (source >= 0) & (source <= 2 * hbw)
+        inband = (source >= 0) & (source <= 2 * hbw)
         return SymmetricBandedMatrix(np.where(inband, self.data[source.clip(0, 2 * hbw), keep], 0.0))
 
 def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
@@ -259,15 +247,15 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     bending = np.divide(beta, h**3, out=np.zeros_like(h), where=h > 0)
     scale = (1.0, h, h * h)  # by the number of slope DOFs among the entry's row and column
     slopes = (0, 1, 0, 1)
-    # local (i, j) of element e is entry (2e + i, 2e + j): band row
-    # hbw + i - j, columns 2e + j over all e; the element matrices are
-    # symmetric, so each of their 10 distinct entries is computed once
+    # local (i, j), i <= j, of element e is entry (2e + i, 2e + j): upper band
+    # row hbw + i - j, columns 2e + j over all e; the element matrices are
+    # symmetric and construction fills the lower rows, so each of their 10
+    # distinct entries is added once
     dim = 2 * mesh.n_nodes
     data = np.zeros((2 * HALF_BANDWIDTH + 1, dim))
     for i, j in itertools.combinations_with_replacement(range(4), 2):
         local = scale[slopes[i] + slopes[j]] * (h * _MASS[i, j] + bending * _BENDING[i, j])
-        for r, c in {(i, j), (j, i)}:
-            data[HALF_BANDWIDTH + r - c, c : dim - 2 + c : 2] += local
+        data[HALF_BANDWIDTH + i - j, j : dim - 2 + j : 2] += local
     return SymmetricBandedMatrix(data)
 
 

@@ -349,11 +349,14 @@ def hermite_interpolant(g: Callable, dg: Callable, mesh: Mesh) -> DiscreteSoluti
 
 
 def evaluate_element(sol: DiscreteSolution, element: int, xi, deriv_order: int = 0):
-    """Evaluate on a single element at reference coordinates ``xi``."""
+    """Evaluate on a single element at reference coordinates ``xi``, a scalar or an array in [0, 1]."""
     if not isinstance(element, (int, np.integer)):
         raise ValueError(f"element index must be an integer, got {element!r}")
     if not 0 <= element < sol.mesh.n_elements:
         raise ValueError(f"element index out of range: {element}")
+    xi = np.asarray(xi, dtype=float)
+    if not np.all((xi >= 0.0) & (xi <= 1.0)):
+        raise ValueError(f"reference coordinate must lie in [0, 1], got {xi}")
     _, at = _element_evaluator(sol.mesh.nodes, sol.coefficients, element)
     out = at(xi, deriv_order)
     return float(out) if np.ndim(out) == 0 else out

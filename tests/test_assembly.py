@@ -420,9 +420,12 @@ def test_banded_solve_rejects_non_finite_input():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             a.solve(np.array([1.0, bad]))
-        band = hv.SymmetricBandedMatrix(np.array([[0.0, 1.0], [4.0, bad], [1.0, 0.0]]))
+        # the band is refused at construction; outside the matrix, or in the
+        # lower rows that construction fills from the upper ones, it is cleared
         with pytest.raises(ValueError, match="infs or NaNs"):
-            band.factor()
+            hv.SymmetricBandedMatrix(np.array([[0.0, 1.0], [4.0, bad], [1.0, 0.0]]))
+        band = hv.SymmetricBandedMatrix(np.array([[bad, 1.0], [4.0, 3.0], [bad, bad]]))
+        assert np.array_equal(band.data, [[0.0, 1.0], [4.0, 3.0], [1.0, 0.0]])
 
 
 def pinned_band(a, fixed):
@@ -465,7 +468,7 @@ def test_banded_kernel_matches_per_slot_oracles(rng, kind, n):
 def csr_by_edge_rows(a):
     """(values, indices, indptr) of the long-double CSR copy of ``a``, its inner
     rows copied in one strided pass and its first and last hbw rows one by one:
-    the oracle for the layout-cached _csr."""
+    the oracle for the terms of _csr inside the matrix."""
     hbw, dim = a.half_bandwidth, a.dim
     width = 2 * hbw + 1
     index = np.int32 if width * dim < 2**31 else np.int64
@@ -493,9 +496,16 @@ def csr_by_edge_rows(a):
 
 
 def assert_csr_matches_edge_rows(a):
-    csr = a._csr
-    for ours, theirs in zip((csr.data, csr.indices, csr.indptr), csr_by_edge_rows(a)):
-        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    """The CSR copy has 2 hbw + 1 terms a row: those of columns inside the
+    matrix are the edge-row build's, in its order, and the rest add 0.0."""
+    csr, hbw, dim = a._csr, a.half_bandwidth, a.dim
+    width = 2 * hbw + 1
+    column = np.arange(dim)[:, None] + hbw - np.arange(width)  # row i's r-th term: column i + hbw - r
+    inside = ((column >= 0) & (column < dim)).ravel()
+    values, indices, _ = csr_by_edge_rows(a)
+    assert np.array_equal(csr.indptr, np.arange(dim + 1) * width)
+    assert csr.data.dtype == values.dtype and np.array_equal(csr.data[inside], values)
+    assert np.array_equal(csr.indices[inside], indices) and not csr.data[~inside].any()
 
 
 @pytest.mark.parametrize("kind, n", BANDED_CASES, ids=[f"{k}-{n}" for k, n in BANDED_CASES])
@@ -504,14 +514,14 @@ def test_csr_copy_matches_edge_row_build(rng, kind, n):
 
 
 def test_csr_layout_matches_edge_row_build_at_small_shapes(rng):
-    # slots outside the matrix hold random values too: the gather must skip them
+    # slots outside the matrix hold random values too: construction must clear them
     for hbw in range(4):
         for dim in range(1, 21):
             assert_csr_matches_edge_rows(hv.SymmetricBandedMatrix(rng.normal(size=(2 * hbw + 1, dim))))
 
 
 def test_slot_map_readers_match_oracles_at_small_shapes(rng):
-    # slots outside the matrix hold random values too: the pins, the factor and norm_inf must skip them
+    # slots outside the matrix hold random values too, until construction clears them for the pins, the factor and norm_inf
     for hbw in range(4):
         for dim in range(1, 21):
             data = rng.normal(size=(2 * hbw + 1, dim))
@@ -543,8 +553,9 @@ def test_pinned_solve_matches_pinned_copy(rng, kind, n):
 
 
 def test_pinned_leaves_unused_slots():
-    # slots outside the matrix hold ones here; pinning must not touch them
+    # slots outside the matrix hold ones here until construction clears them; pinning must keep them 0.0
     a = hv.SymmetricBandedMatrix(np.ones((3, 4)))
+    assert a.data[0, 0] == a.data[2, 3] == 0.0 and np.count_nonzero(a.data) == 10
     for fixed in ([0], [3], [0, 3], [1, 2]):
         assert np.array_equal(pinned_band(a, fixed), pinned_by_slots(a, fixed)), fixed
 
@@ -567,6 +578,7 @@ def test_fixed_indices_follow_one_rule(rng):
 def test_norm_inf_reads_only_slots_inside_the_matrix():
     # the two corner slots hold 99, but the matrix is tridiag(1, 4, 1)
     a = hv.SymmetricBandedMatrix(np.array([[99.0, 1, 1], [4, 4, 4], [1, 1, 99]]))
+    assert np.array_equal(a.data, [[0.0, 1, 1], [4, 4, 4], [1, 1, 0]])
     assert a.norm_inf == np.abs(to_dense(a)).sum(axis=1).max() == 6.0
     x = np.ones(3)
     res = hv.kkt_residual(hv.BoundQp(a, np.zeros(3), [], []), hv.QpSolution(x, np.zeros(3), (), 1))
@@ -574,7 +586,29 @@ def test_norm_inf_reads_only_slots_inside_the_matrix():
     # half-bandwidth 3 on a 2 x 2 matrix [[5, -2], [-2, 3]]: ten of the 14 slots lie outside
     wide = hv.SymmetricBandedMatrix(np.array([[99.0, 99], [99, 99], [99, -2], [5, 3], [-2, 99], [99, 99], [99, 99]]))
     assert np.array_equal(to_dense(wide), [[5.0, -2.0], [-2.0, 3.0]])
+    assert np.array_equal(wide.data, [[0.0, 0], [0, 0], [0, -2], [5, 3], [-2, 0], [0, 0], [0, 0]])
     assert wide.norm_inf == 7.0
+
+
+def test_band_is_its_upper_rows():
+    # the lower rows [3, 3] disagree with the upper ones: construction
+    # overwrites them, so the QP is tridiag(1, 4, 1) and its solve is exact
+    a = hv.SymmetricBandedMatrix([[0, 1, 1], [4, 4, 4], [3, 3, 0]])
+    assert np.array_equal(a.data, [[0.0, 1, 1], [4, 4, 4], [1, 1, 0]]) and not a.data.flags.writeable
+    qp = hv.BoundQp(a, np.ones(3), [0], [10.0])
+    sol = hv.solve_pdas(qp)
+    assert np.allclose(np.asarray(sol.x, dtype=float), [3 / 14, 1 / 7, 3 / 14], rtol=0.0, atol=1e-16)
+    assert hv.kkt_residual(qp, sol).stationarity <= 1e-15
+    # a writeable float array is completed in place; a read-only one, such as
+    # another band's, is copied and left as it was
+    data = np.array([[7.0, 1, 1], [4, 4, 4], [3, 3, 7]])
+    assert hv.SymmetricBandedMatrix(data).data is data and np.array_equal(data, a.data)
+    b = hv.SymmetricBandedMatrix(a.data)
+    assert b.data is not a.data and np.array_equal(b.data, a.data)
+    frozen = np.array([[7.0, 1, 1], [4, 4, 4], [3, 3, 7]])
+    frozen.flags.writeable = False
+    assert np.array_equal(hv.SymmetricBandedMatrix(frozen).data, a.data)
+    assert frozen[0, 0] == 7.0 and frozen[2, 0] == 3.0
 
 
 @pytest.mark.parametrize(

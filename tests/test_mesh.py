@@ -56,6 +56,9 @@ def test_mesh_rejects_bad_nodes():
         hv.Mesh(np.array([-0.9, 0.0, 1.0]))  # wrong left endpoint
     with pytest.raises(ValueError, match="finite"):
         hv.Mesh(np.array([-1.0, np.nan, 1.0]))
+    for few in ([1.0], [], [[-1.0, 1.0]]):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            hv.Mesh(np.array(few))
 
 
 def test_nonuniform_mesh_allowed():
@@ -168,6 +171,11 @@ def test_evaluate_rejects_outside_domain():
             hv.evaluate_element(sol, element, 0.5)
     with pytest.raises(ValueError, match="element index must be an integer"):
         hv.evaluate_element(sol, 1.7, 0.5)
+    # the reference coordinate, scalar or array, lies in [0, 1]: no extrapolated cubic, no NaN
+    for xi in (1.5, -1e-12, np.nan, np.array([0.0, 1.5]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match=r"reference coordinate must lie in \[0, 1\]"):
+            hv.evaluate_element(sol, 0, xi)
+    assert hv.evaluate_element(sol, 0, np.array([0.0, 1.0])).shape == (2,)
 
 
 def test_discrete_solution_needs_two_coefficients_per_node():

@@ -59,6 +59,29 @@ def test_pdas_max_iter_carries_iterate(paper, monkeypatch):
     assert excinfo.value.last.iterations == 1
 
 
+def test_pdas_cycle_carries_iterate():
+    # an SPD matrix (eigenvalues 0.053, 3.85 and 45.9) that is no M-matrix: PDAS
+    # runs {0} -> {0, 1, 2} -> {2} -> {0}, every decision by a margin of 0.27 or more
+    a = np.array([[12.76, 16.32, -6.73], [16.32, 29.19, -14.54], [-6.73, -14.54, 7.87]])
+    b, bounds = np.array([5.94, 1.46, -0.60]), np.array([-0.01, -0.10, -1.25])
+    qp = hv.BoundQp(from_dense(a), b, [0, 1, 2], bounds)
+    for start, iterations in ((None, 3), (np.zeros(3, bool), 4)):
+        with pytest.raises(hv.NonConvergenceError, match="^active set cycled without converging$") as excinfo:
+            hv.solve_pdas(qp, active=start)
+        last = excinfo.value.last
+        assert last.active_set == (2,) and last.iterations == iterations
+        # the equality step with x_2 at its bound, and its multiplier
+        x = np.append(np.linalg.solve(a[:2, :2], b[:2] - a[:2, 2] * bounds[2]), bounds[2])
+        assert np.max(np.abs(np.asarray(last.x, dtype=float) - x)) <= 1e-12 and last.x[2] == bounds[2]
+        assert np.max(np.abs(np.asarray(last.multipliers, dtype=float) - [0.0, 0.0, b[2] - a[2] @ x])) <= 1e-12
+    # the brute-force oracle solves it: x_0 and x_2 at their bounds
+    sol = solve_bruteforce(qp)
+    assert sol.active_set == (0, 2)
+    kkt = hv.kkt_residual(qp, sol)
+    assert kkt.stationarity <= 1e-12 and kkt.primal_violation == kkt.min_multiplier == 0.0
+    assert np.all(sol.multipliers[[0, 2]] > 0.0) and np.array_equal(sol.x[[0, 2]], bounds[[0, 2]])
+
+
 def test_nonconvergence_error_survives_pickle(paper, monkeypatch):
     monkeypatch.setattr(hv.qp, "MAX_ITER", 1)
     with pytest.raises(hv.NonConvergenceError) as excinfo:
