@@ -3,7 +3,8 @@ verify optimality conditions.
 
 Reports go to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 invalid configuration (an unwritable
---output or a mesh too large to allocate too), 3 solver non-convergence.
+--output or a mesh too large to allocate or to index too), 3 solver
+non-convergence.
 """
 
 from __future__ import annotations

@@ -82,6 +82,8 @@ def build_mesh(n_elements: int) -> Mesh:
     """Uniform mesh of ``n_elements`` intervals on [-1, 1] (h = 2/n)."""
     if not isinstance(n_elements, (int, np.integer)) or isinstance(n_elements, bool) or n_elements < 1:
         raise ValueError(f"n_elements must be a positive integer, got {n_elements!r}")
+    if 8 * (int(n_elements) + 1) > np.iinfo(np.intp).max:  # numpy cannot index the nodes' bytes
+        raise ValueError(f"cannot index a mesh of {n_elements} elements: its nodes exceed numpy's largest array")
     return Mesh(np.linspace(-1.0, 1.0, int(n_elements) + 1))
 
 
@@ -100,6 +102,8 @@ def _shape_columns(xi, h, deriv_order: int) -> tuple:
     The slope functions carry a factor h so that global slope DOFs are
     physical derivatives; x-derivatives use the chain rule d/dx = (1/h) d/dxi.
     """
+    if isinstance(deriv_order, bool) or not isinstance(deriv_order, (int, np.integer)) or not 0 <= deriv_order <= 2:
+        raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
     xi = np.asarray(xi, dtype=float)
     if deriv_order == 0:
         xi2, xi3 = xi**2, xi**3
@@ -117,14 +121,12 @@ def _shape_columns(xi, h, deriv_order: int) -> tuple:
             (6.0 * xi - 6.0 * xi2) / h,
             -2.0 * xi + 3.0 * xi2,
         )
-    if deriv_order == 2:
-        return (
-            (-6.0 + 12.0 * xi) / (h * h),
-            (-4.0 + 6.0 * xi) / h,
-            (6.0 - 12.0 * xi) / (h * h),
-            (-2.0 + 6.0 * xi) / h,
-        )
-    raise ValueError(f"deriv_order must be 0, 1 or 2, got {deriv_order!r}")
+    return (
+        (-6.0 + 12.0 * xi) / (h * h),
+        (-4.0 + 6.0 * xi) / h,
+        (6.0 - 12.0 * xi) / (h * h),
+        (-2.0 + 6.0 * xi) / h,
+    )
 
 
 def reference_shape(xi: float, h: float, deriv_order: int = 0) -> np.ndarray:
@@ -350,7 +352,7 @@ def hermite_interpolant(g: Callable, dg: Callable, mesh: Mesh) -> DiscreteSoluti
 
 def evaluate_element(sol: DiscreteSolution, element: int, xi, deriv_order: int = 0):
     """Evaluate on a single element at reference coordinates ``xi``, a scalar or an array in [0, 1]."""
-    if not isinstance(element, (int, np.integer)):
+    if not isinstance(element, (int, np.integer)) or isinstance(element, bool):
         raise ValueError(f"element index must be an integer, got {element!r}")
     if not 0 <= element < sol.mesh.n_elements:
         raise ValueError(f"element index out of range: {element}")

@@ -12,7 +12,7 @@ off-diagonal entries, so :func:`solve_pdas` raises on a cycle or after
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -114,16 +114,13 @@ class QpSolution:
     iterations of this QP alone; in a ``solve_problem`` result each level of
     the warm-start chain counts its own PDAS, and ``qp_solution`` is the
     finest level's.  A solution that :func:`solve_pdas` returns has a
-    read-only ``x`` and keeps the residual b - Ax of its last equality
-    step, which :func:`kkt_residual` reuses on the same QP.
+    read-only ``x``.
     """
 
     x: np.ndarray
     multipliers: np.ndarray
     active_set: tuple
     iterations: int
-    #: (qp, x, b - Ax) of the equality step that produced ``x``, or None
-    _step: tuple | None = field(default=None, init=False, repr=False)
 
 
 def _equality_step(qp: BoundQp, active: np.ndarray):
@@ -133,27 +130,25 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     into the right-hand side and :meth:`SymmetricBandedMatrix.solve` treats
     the active rows and columns as the identity's, on the QP's own matrix,
     so the system keeps its dimension and bandwidth and x equals the bound
-    exactly on the active set.  Returns (x, multipliers, residual), x
-    read-only and the residual b - Ax; stationarity holds on free rows by
-    the solve and on fixed rows by the definition of the multiplier.  With
-    nothing active, x is the QP's cached unconstrained solve, the
-    multipliers are zero and the residual is None: the same bits the pinned
-    path computes, without its products.
+    exactly on the active set.  Returns (x, multipliers), x read-only;
+    stationarity holds on free rows by the solve and on fixed rows by the
+    definition of the multiplier, read from b - Ax.  With nothing active,
+    x is the QP's cached unconstrained solve and the multipliers are zero:
+    the same bits the pinned path computes, without its products.
     """
     fixed = qp.constrained[active]
     if not fixed.size:
         x = qp._unconstrained
-        return x, np.zeros_like(x), None
+        return x, np.zeros_like(x)
     x = np.zeros(qp.dim)
     x[fixed] = qp.bounds[active]
     rhs = qp.a.residual(x, qp.b)
     rhs[fixed] = x[fixed]
     x = qp.a.solve(rhs, fixed)
     x.flags.writeable = False
-    residual = qp.a.residual(x, qp.b)
     multipliers = np.zeros_like(x)
-    multipliers[fixed] = residual[fixed]
-    return x, multipliers, residual
+    multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
+    return x, multipliers
 
 
 def _cold_start(qp: BoundQp) -> np.ndarray:
@@ -188,12 +183,10 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
         )
     seen = {active.tobytes()}
     for it in range(1, MAX_ITER + 1):
-        x, multipliers, residual = _equality_step(qp, active)
+        x, multipliers = _equality_step(qp, active)
         last = QpSolution(x, multipliers, tuple(sorted(qp.constrained[active].tolist())), it)
         updated = np.where(active, multipliers[qp.constrained] > 0, x[qp.constrained] > qp.bounds)
         if np.array_equal(updated, active):
-            if residual is not None:
-                last._step = (qp, x, residual)
             return last
         if updated.tobytes() in seen:
             raise NonConvergenceError("active set cycled without converging", last)
@@ -205,17 +198,11 @@ def solve_pdas(qp: BoundQp, active: np.ndarray | None = None) -> QpSolution:
 def kkt_residual(qp: BoundQp, sol: QpSolution) -> KktResidual:
     """The four KKT residuals, stationarity also scaled, of a candidate solution.
 
-    The residual b - Ax is computed afresh, unless ``sol`` came from
-    :func:`solve_pdas` on this ``qp`` and still holds its read-only ``x``:
-    then it is the one its last equality step took, the same bits.
-    Differences and products stay in long double; their abs, max and min
-    run in double, which gives the same floats since rounding is monotone.
+    Reads nothing but its arguments.  Differences and products stay in
+    long double; their abs, max and min run in double, which gives the same
+    floats since rounding is monotone.
     """
-    step = sol._step
-    if step is not None and step[0] is qp and step[1] is sol.x:
-        residual = step[2]
-    else:
-        residual = qp.a.residual(sol.x, qp.b)
+    residual = qp.a.residual(sol.x, qp.b)
     stationarity = float(np.max(np.abs(sol.multipliers - residual, dtype=float), initial=0.0))
     scale = qp.a.norm_inf * float(np.max(np.abs(sol.x, dtype=float), initial=0.0)) + np.max(np.abs(qp.b), initial=0.0)
     scaled = stationarity / float(scale) if scale else (np.inf if stationarity else 0.0)

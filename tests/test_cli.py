@@ -79,6 +79,18 @@ def test_unallocatable_mesh_is_a_config_error(capsys, monkeypatch):
     assert stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "paper", "--elements", str(2**63 - 1)),
+    ("verify", "--problem", "paper", "--elements", str(2**63 - 1)),
+    ("convergence", "--problem", "paper", "--levels", "0", "63"),
+])
+def test_unindexable_mesh_is_a_config_error(capsys, argv):
+    # build_mesh refuses the count before numpy sees it: exit 2 with one line, nothing allocated
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert re.fullmatch(r"error: cannot index a mesh of \d+ elements: [^\n]*\n", stderr)
+
+
 def test_solve_fine_mesh_converges(capsys, tmp_path):
     # a cold-started PDAS needs more than MAX_ITER = 100 iterations here
     code, _, stderr = run(

@@ -33,6 +33,14 @@ def test_build_mesh_rejects_bad_counts(bad):
         hv.build_mesh(bad)
 
 
+@pytest.mark.parametrize("n", [2**60 - 1, 2**60, 2**63 - 513, 2**63 - 1, 2**63, 2**63 + 1023, 2**64])
+def test_build_mesh_refuses_counts_numpy_cannot_index(n):
+    # n + 1 float64 nodes would exceed the largest array numpy can index; from
+    # 2^63 - 513 on, n + 1 rounds to 2^63 as a float and linspace wrapped around
+    with pytest.raises(ValueError, match=f"cannot index a mesh of {n} elements"):
+        hv.build_mesh(n)
+
+
 def test_bool_element_counts_are_refused(paper):
     # True is an int equal to 1, but no element count
     with pytest.raises(ValueError, match="got True"):
@@ -169,13 +177,30 @@ def test_evaluate_rejects_outside_domain():
     for element in (-1, 2):
         with pytest.raises(ValueError, match="element index out of range"):
             hv.evaluate_element(sol, element, 0.5)
-    with pytest.raises(ValueError, match="element index must be an integer"):
-        hv.evaluate_element(sol, 1.7, 0.5)
+    for element in (1.7, True):  # True would index the nodes as a mask
+        with pytest.raises(ValueError, match="element index must be an integer"):
+            hv.evaluate_element(sol, element, 0.5)
     # the reference coordinate, scalar or array, lies in [0, 1]: no extrapolated cubic, no NaN
     for xi in (1.5, -1e-12, np.nan, np.array([0.0, 1.5]), np.array([0.5, np.nan])):
         with pytest.raises(ValueError, match=r"reference coordinate must lie in \[0, 1\]"):
             hv.evaluate_element(sol, 0, xi)
     assert hv.evaluate_element(sol, 0, np.array([0.0, 1.0])).shape == (2,)
+
+
+def test_deriv_order_is_an_integer_in_0_to_2():
+    sol = hv.hermite_interpolant(lambda x: x**3, lambda x: 3.0 * x**2, hv.build_mesh(2))
+    entry_points = [
+        lambda k: hv.reference_shape(0.5, 1.0, k),
+        lambda k: hv.evaluate(sol, 0.25, k),
+        lambda k: sol(0.25, k),
+        lambda k: hv.evaluate_element(sol, 1, 0.5, k),
+    ]
+    for at in entry_points:
+        # True and 1.0 equal 1, but no derivative order
+        for bad in (True, np.True_, 1.0, -1, 3):
+            with pytest.raises(ValueError, match="deriv_order must be 0, 1 or 2"):
+                at(bad)
+        assert np.array_equal(at(np.int64(1)), at(1))
 
 
 def test_discrete_solution_needs_two_coefficients_per_node():

@@ -20,3 +20,19 @@ def test_decimal_oracle_agrees_with_float_solve(paper, solve_cache, n):
     ours, theirs = hv.error_norms(sol, paper), hv.error_norms(oracle.rounded(sol.mesh), paper)
     for name in ("l2", "linf", "h1"):
         assert abs(getattr(ours, name) - getattr(theirs, name)) <= 5e-5 * getattr(theirs, name), name
+
+
+@pytest.mark.parametrize("n, iterations", [(16, 1), (64, 1), (96, 2), (192, 2)])
+def test_decimal_oracle_from_the_exact_contact_set(paper, solve_cache, n, iterations):
+    # the start a failed float solve would need: the nodes at x = -1 and x >= 1/3, where the
+    # continuous slope bound binds; at 96 and 192 elements it lacks the node at the float
+    # 0.33333333333333326, just below 1/3, which the decimal PDAS adds in its second step
+    sol = solve_cache(n).solution
+    nodes = sol.mesh.nodes
+    start = [k for k, x in enumerate(nodes) if x == -1.0 or x >= 1.0 / 3.0]
+    oracle = solve_decimal(paper, sol.mesh, start)
+    assert oracle.active_nodes == sol.active_nodes and oracle.iterations == iterations
+    missing = [nodes[k] for k in sorted(set(sol.active_nodes) - set(start))]
+    assert missing == ([] if iterations == 1 else [0.33333333333333326])
+    ours, theirs = hv.error_norms(sol, paper).l2, hv.error_norms(oracle.rounded(sol.mesh), paper).l2
+    assert abs(ours - theirs) <= 5e-5 * theirs

@@ -290,23 +290,23 @@ def test_scaled_stationarity_matches_benchmark_harness(solve_cache):
     assert kkt.stationarity_scaled == pytest.approx(scaled, rel=1e-12)
 
 
-def test_kkt_residual_reuses_only_its_own_step(paper, monkeypatch):
-    qp = paper_qp(paper, 64)
+def test_kkt_residual_reads_only_its_arguments(paper, monkeypatch):
+    qp, again = paper_qp(paper, 64), paper_qp(paper, 64)
     sol = hv.solve_pdas(qp)
     assert sol.active_set and not sol.x.flags.writeable
+    assert [f.name for f in dataclasses.fields(sol)] == ["x", "multipliers", "active_set", "iterations"]
     copy = hv.QpSolution(sol.x, sol.multipliers, sol.active_set, sol.iterations)
     products = []
     matvec = SymmetricBandedMatrix.matvec
     monkeypatch.setattr(SymmetricBandedMatrix, "matvec", lambda a, x: products.append(1) or matvec(a, x))
-    # the last equality step's b - Ax, reused: the same record without a product
-    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, copy)
-    assert len(products) == 1
-    # another QP, even of the same data, or another x is checked afresh
-    assert hv.kkt_residual(paper_qp(paper, 64), sol) == hv.kkt_residual(qp, copy)
+    # a solve_pdas solution's record is a plain copy's, and that of the same data assembled again
+    record = hv.kkt_residual(qp, sol)
+    assert record == hv.kkt_residual(qp, copy) == hv.kkt_residual(again, sol)
+    assert len(products) == 3  # one product per call
     moved = dataclasses.replace(sol, x=sol.x + 1e-3)
-    sol.x = moved.x
-    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, moved) != hv.kkt_residual(qp, copy)
-    assert len(products) == 6
+    sol.x = moved.x  # a replaced x is seen
+    assert hv.kkt_residual(qp, sol) == hv.kkt_residual(qp, moved) != record
+    assert len(products) == 5
 
 
 def long_double_kkt(qp, sol):

@@ -180,9 +180,9 @@ def test_solve_calls_the_data_once_per_assembly_pass(paper):
         # one refined solve (1 + 3 dpbtrs, 3 residuals) serves the cold start and
         # the one PDAS step; kkt_residual takes the fourth residual
         ("unconstrained-smoke", 64, 1, 4, 4),
-        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each, the last of a
-        # level reused by kkt_residual) and the two cold starts' refined solves
-        ("paper", 1024, 19, 76, 91),
+        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each), the two cold
+        # starts' refined solves and one kkt_residual on each of the 11 levels
+        ("paper", 1024, 19, 76, 102),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
