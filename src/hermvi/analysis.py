@@ -120,15 +120,15 @@ def _rate(coarse: float, fine: float, h_ratio: float) -> float:
 
 @dataclass
 class ConvergenceReport:
-    """Ordered error reports plus per-norm observed rates between levels.
-
-    A rate next to an error of exactly zero is not defined and reads ``nan``.
-    """
+    """Error reports of strictly refining levels (h decreasing) plus per-norm observed
+    rates between them; a rate next to an error of exactly zero is not defined and reads ``nan``."""
 
     reports: list
     rates: dict = field(init=False)
 
     def __post_init__(self):
+        if any(b.h >= a.h for a, b in zip(self.reports[:-1], self.reports[1:])):
+            raise ValueError("levels must be strictly refining (h decreasing)")
         self.rates = {
             name: [
                 _rate(getattr(a, name), getattr(b, name), a.h / b.h)
@@ -139,13 +139,10 @@ class ConvergenceReport:
 
 
 def convergence_rates(reports: Sequence[ErrorReport]) -> ConvergenceReport:
-    """Rates log(e_k / e_{k+1}) / log(h_k / h_{k+1}) between levels."""
+    """Rates log(e_k / e_{k+1}) / log(h_k / h_{k+1}) between two or more levels."""
     reports = list(reports)
     if len(reports) < 2:
         raise ValueError("need at least two levels to compute rates")
-    hs = [r.h for r in reports]
-    if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
-        raise ValueError("levels must be strictly refining (h decreasing)")
     return ConvergenceReport(reports=reports)
 
 

@@ -160,25 +160,30 @@ class SymmetricBandedMatrix:
         """||A||_inf: by symmetry the largest column sum of |band|, whose slots outside the matrix hold 0.0."""
         return float(np.abs(self.data).sum(axis=0).max(initial=0.0))
 
+    def _indices(self, indices) -> np.ndarray:
+        """``indices`` checked as 1-D integers in [0, dim), the rule of every index set into
+        this matrix: a bool mask or a float is not an index.  Uncopied unless empty."""
+        indices = np.asarray(indices)
+        if indices.ndim != 1 or indices.size and (
+            indices.dtype.kind not in "iu" or indices.min() < 0 or indices.max() >= self.dim
+        ):
+            raise ValueError(f"indices must be 1-D integers in [0, {self.dim}), not bools or floats")
+        return indices if indices.size else indices.astype(np.intp)
+
     def _mask(self, fixed) -> np.ndarray:
-        """Boolean mask of the coordinates ``fixed``, checked by the rule of :meth:`factor`."""
-        fixed = np.asarray(fixed)
+        """Boolean mask of the coordinates ``fixed``, checked by :meth:`_indices`."""
         mask = np.zeros(self.dim, dtype=bool)
-        if fixed.size:
-            if fixed.dtype.kind not in "iu" or fixed.min() < 0 or fixed.max() >= self.dim:
-                raise ValueError(f"fixed must hold integer indices in [0, {self.dim})")
-            mask[fixed] = True
+        mask[self._indices(fixed)] = True
         return mask
 
     def factor(self, fixed=()) -> np.ndarray:
         """Upper banded Cholesky factor, from the upper band rows alone, of this
         matrix with the rows and columns ``fixed`` replaced by the identity's.
 
-        ``fixed`` holds integer indices in [0, dim); an empty one pins
-        nothing, and a mask, a float or an index outside that range raises
-        ValueError.  Nothing is cached: each call runs one LAPACK
-        factorization.  Raises MatrixNotSpdError if the matrix is not
-        positive definite; construction has refused an inf or NaN.
+        ``fixed`` follows the rule of :meth:`_indices`, which raises
+        ValueError; an empty one pins nothing.  Nothing is cached: each call
+        runs one LAPACK factorization.  Raises MatrixNotSpdError if the matrix
+        is not positive definite; construction has refused an inf or NaN.
         """
         upper = self.data[: self.half_bandwidth + 1]
         mask = self._mask(fixed)
@@ -217,16 +222,15 @@ class SymmetricBandedMatrix:
         return x
 
     def submatrix(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
-        """Principal submatrix on the retained indices, which must be strictly increasing.
+        """Principal submatrix on the retained indices: strictly increasing, by the rule of :meth:`_indices`.
 
         Removing rows/columns never widens the band: retained indices that
         end up adjacent were at least as close originally, and any pair that
         was outside the band contributes an exact zero.
         """
-        keep = np.asarray(keep, dtype=int)
-        increasing = keep.ndim == 1 and np.all(np.diff(keep) > 0)
-        if not increasing or (keep.size and (keep[0] < 0 or keep[-1] >= self.dim)):
-            raise ValueError("retained indices must be strictly increasing and inside [0, dim)")
+        keep = self._indices(keep)
+        if not np.all(np.diff(keep) > 0):
+            raise ValueError("retained indices must be strictly increasing")
         hbw = self.half_bandwidth
         rows = _slot_rows(min(hbw, max(keep.size - 1, 0)), keep.size)
         # band row of the source entry (keep[row], keep[j]); construction clears the slots outside
@@ -338,9 +342,7 @@ def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarr
         raise ValueError("matrix, load and bounds do not agree: need two or more nodes, two DOFs and one bound each")
     ends = [*first_node, bounds.size]  # mesh k's nodes are ends[k] .. ends[k + 1] - 1
     dirichlet = [2 * n for n in ends[:-1]] + [2 * n - 2 for n in ends[1:]]
-    mask = np.zeros(a.dim, dtype=bool)
-    mask[dirichlet] = True
-    band = _pinned_band(a.data, a.half_bandwidth, mask)
+    band = _pinned_band(a.data, a.half_bandwidth, a._mask(dirichlet))
     b = np.array(b, dtype=float)
     b[dirichlet] = 0.0
     return [

@@ -35,7 +35,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Partition of [-1, 1] into intervals.
 
@@ -56,8 +56,8 @@ class Mesh:
             raise ValueError("mesh must span exactly [-1, 1]")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("mesh nodes must be finite and strictly increasing")
-        self.nodes = _frozen(nodes)
-        self.h = _frozen(np.diff(nodes))
+        object.__setattr__(self, "nodes", _frozen(nodes))
+        object.__setattr__(self, "h", _frozen(np.diff(nodes)))
 
     @property
     def n_elements(self) -> int:
@@ -266,13 +266,9 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
     return element, x, (x - stack.nodes[element]) / stack.h[element], w
 
 
-def _composite_rule(breakpoints: Iterable[float]):
-    """Read-only points and weights of the composite rule, its panels cut at the breakpoints."""
-    return _composite_rule_of(tuple(breakpoints))
-
-
 @functools.lru_cache(maxsize=16)
-def _composite_rule_of(breakpoints: tuple):
+def _composite_rule(breakpoints: tuple):
+    """Read-only points and weights of the composite rule, its panels cut at the breakpoints, one per tuple."""
     edges = _cut(np.linspace(*DOMAIN, COMPOSITE_PANELS + 1), breakpoints)
     return tuple(_frozen(a.ravel()) for a in _gauss_points(edges[:-1], edges[1:], COMPOSITE_QUAD_POINTS))
 
@@ -286,11 +282,11 @@ def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float
     once, on all these points; a scalar result is a constant integrand.
     The rule is built once per ``tuple(breakpoints)`` and shared read-only.
     """
-    x, w = _composite_rule(breakpoints)
+    x, w = _composite_rule(tuple(breakpoints))
     return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteSolution:
     """Coefficient vector over all Hermite DOFs plus solve metadata.
 
@@ -311,7 +307,7 @@ class DiscreteSolution:
                 f"expected {2 * self.mesh.n_nodes} coefficients, got {coeffs.shape}"
             )
         coeffs.setflags(write=False)
-        self.coefficients = coeffs
+        object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x, deriv_order: int = 0):
         return evaluate(self, x, deriv_order)

@@ -254,7 +254,7 @@ def _rule_checks(spec: ProblemSpec):
     int phi and int psi.
     """
     ex, leg = spec.exact, np.polynomial.legendre
-    x, w = _composite_rule(spec.breakpoints)
+    x, w = _composite_rule(tuple(spec.breakpoints))
     rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)
     density = ex.p_dprime(x) + f_prime - phi + ex.lam
     degree = _KKT_TEST_FUNCTIONS - 1

@@ -51,12 +51,13 @@ class BoundQp:
     """SPD quadratic program with upper bounds on selected coordinates.
 
     ``a`` must be a SymmetricBandedMatrix (any other type raises
-    TypeError); bounds may include +inf for coordinates that are listed but
-    unconstrained.  ``b``, ``constrained`` and ``bounds`` are stored as
-    read-only copies and no field can be reassigned, so the unconstrained
-    minimizer, solved at most once per instance and cached read-only, never
-    goes stale: the cold start and every PDAS step with nothing active
-    share that one solve.
+    TypeError); ``constrained`` holds distinct indices into it, by the rule
+    of :meth:`SymmetricBandedMatrix._indices`; bounds may include +inf for
+    coordinates that are listed but unconstrained.  ``b``, ``constrained``
+    and ``bounds`` are stored as read-only copies and no field can be
+    reassigned, so the unconstrained minimizer, solved at most once per
+    instance and cached read-only, never goes stale: the cold start and
+    every PDAS step with nothing active share that one solve.
     Nothing is factored here: a matrix that is not positive definite raises
     :class:`MatrixNotSpdError` at its first solve, in :func:`solve_pdas` or the cold start.
     """
@@ -71,10 +72,7 @@ class BoundQp:
         if not isinstance(a, SymmetricBandedMatrix):
             raise TypeError(f"a must be a SymmetricBandedMatrix, got {type(a).__name__}")
         b = _frozen(self.b)
-        constrained = np.asarray(self.constrained)
-        if constrained.size and not np.issubdtype(constrained.dtype, np.integer):
-            raise ValueError(f"constrained indices must be integers, got {constrained.dtype}")
-        constrained = _frozen(constrained, dtype=int)
+        constrained = _frozen(a._indices(self.constrained), dtype=int)
         bounds = _frozen(self.bounds)
         if b.shape != (a.dim,):
             raise ValueError("load vector length does not match the matrix")
@@ -82,8 +80,6 @@ class BoundQp:
             raise ValueError("load vector must be finite")
         if constrained.size != bounds.size:
             raise ValueError("need exactly one bound per constrained coordinate")
-        if constrained.size and (constrained.min() < 0 or constrained.max() >= a.dim):
-            raise ValueError("constrained index out of range")
         if constrained.size and np.bincount(constrained).max() > 1:
             raise ValueError("constrained indices must be distinct")
         if np.any(np.isnan(bounds)) or np.any(bounds == -np.inf):

@@ -173,6 +173,11 @@ def test_rates_reject_non_refining_levels():
         hv.convergence_rates(reports)
     with pytest.raises(ValueError):
         hv.convergence_rates(reports[:1])
+    # the report that computes the rates checks their order: equal widths would divide by zero,
+    # and coarsening levels give rates of the wrong sign
+    for levels in ([reports[0], reports[0]], reports):
+        with pytest.raises(ValueError, match="strictly refining"):
+            hv.ConvergenceReport(levels)
 
 
 @pytest.mark.parametrize(

@@ -367,10 +367,14 @@ def test_banded_roundtrip_and_matvec(rng):
     for empty in (banded.submatrix([]), from_dense(np.zeros((0, 0)))):
         assert empty.dim == 0 and to_dense(empty).shape == (0, 0)
         assert np.asarray(empty.matvec(np.zeros(0))).shape == (0,)
-    # unsorted, repeated or out-of-range indices would drop entries beyond the kept band
+    # unsorted or repeated indices would drop entries beyond the kept band; indices out of
+    # range or not 1-D fail the index rule, and so do floats and masks, which are not rows
     energy = hv.assemble_energy(hv.build_mesh(3), 1.0)
-    for bad in ([0, 5, 1, 6, 2], [1, 1], [-1, 2], [0, energy.dim], [[0, 1]]):
+    for bad in ([0, 5, 1, 6, 2], [1, 1]):
         with pytest.raises(ValueError, match="strictly increasing"):
+            energy.submatrix(bad)
+    for bad in ([-1, 2], [0, energy.dim], [[0, 1]], [0.5, 1.7, 2.2], [False, True]):
+        with pytest.raises(ValueError, match="1-D integers in"):
             energy.submatrix(bad)
 
 
@@ -571,8 +575,26 @@ def test_fixed_indices_follow_one_rule(rng):
     # a negative index is not read from the end, and a mask or float is not an index
     for bad in ([-1], [a.dim], np.arange(a.dim) == 0, np.array([1.0])):
         for call in (lambda: pinned_band(a, bad), lambda: a.factor(bad), lambda: a.solve(rhs, bad)):
-            with pytest.raises(ValueError, match="integer indices"):
+            with pytest.raises(ValueError, match="1-D integers in"):
                 call()
+
+
+INDEX_CALLS = {
+    "factor": lambda a, indices: a.factor(indices),
+    "solve": lambda a, indices: a.solve(np.ones(a.dim), indices),
+    "submatrix": lambda a, indices: a.submatrix(indices),
+    "bound-qp": lambda a, indices: hv.BoundQp(a, np.ones(a.dim), indices, np.ones(np.size(indices))),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_CALLS.values(), ids=INDEX_CALLS.keys())
+def test_every_index_set_into_a_band_reads_one_rule(rng, call):
+    a = banded_case(rng, "mesh", 2)
+    for empty in ((), [], np.array([], dtype=int)):
+        call(a, empty)
+    for bad in ([0.5], np.arange(a.dim) == 1, [[0, 1]], [-1], [a.dim]):
+        with pytest.raises(ValueError, match=rf"^indices must be 1-D integers in \[0, {a.dim}\), not bools or floats$"):
+            call(a, bad)
 
 
 def test_norm_inf_reads_only_slots_inside_the_matrix():

@@ -148,8 +148,8 @@ def test_bound_qp_takes_only_a_band():
     [
         (dict(b=np.ones(3)), "load vector length"),
         (dict(bounds=[1.0, 2.0]), "one bound per constrained coordinate"),
-        (dict(constrained=[2]), "out of range"),
-        (dict(constrained=[-1]), "out of range"),
+        (dict(constrained=[2]), "1-D integers in"),
+        (dict(constrained=[-1]), "1-D integers in"),
         (dict(bounds=[np.nan]), r"finite or \+inf"),
         (dict(bounds=[-np.inf]), r"finite or \+inf"),
         (dict(b=[np.inf, 0.0]), "load vector must be finite"),

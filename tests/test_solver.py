@@ -65,12 +65,17 @@ def test_shared_structures_are_immutable(paper, solve_cache):
     mesh = hv.build_mesh(4)
     with pytest.raises(ValueError):
         mesh.nodes[0] = 0.0
+    # a record keeps what its constructor checked: nodes against h, coefficients against the mesh
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.nodes = np.array([-1.0, 0.0, 1.0])
     for array in hv.gauss_rule(4):  # points and weights
         with pytest.raises(ValueError):
             array[0] = 2.0
     sol = solve_cache(4).solution
     with pytest.raises(ValueError):
         sol.coefficients[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.coefficients = np.zeros(3)
     a = solve_cache(4).qp.a
     with pytest.raises(ValueError):
         a.data[0, 0] = 1.0
