@@ -3,9 +3,10 @@ table rendering (markdown or CSV)."""
 
 from __future__ import annotations
 
+import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ LINF_SAMPLES_PER_ELEMENT = 8
 _LINF_NEWTON_STEPS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorReport:
     """Error norms of one discrete solve, with that level's KKT residuals."""
 
@@ -118,18 +119,21 @@ def _rate(coarse: float, fine: float, h_ratio: float) -> float:
     return math.log(coarse / fine) / math.log(h_ratio) if coarse > 0 and fine > 0 else math.nan
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
-    """Error reports of strictly refining levels (h decreasing) plus per-norm observed
-    rates between them; a rate next to an error of exactly zero is not defined and reads ``nan``."""
+    """Error reports of strictly refining levels (h decreasing) plus per-norm observed rates between
+    them, computed on first read; a rate next to an error of exactly zero is not defined and reads ``nan``."""
 
-    reports: list
-    rates: dict = field(init=False)
+    reports: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "reports", tuple(self.reports))
         if any(b.h >= a.h for a, b in zip(self.reports[:-1], self.reports[1:])):
             raise ValueError("levels must be strictly refining (h decreasing)")
-        self.rates = {
+
+    @functools.cached_property
+    def rates(self) -> dict:
+        return {
             name: [
                 _rate(getattr(a, name), getattr(b, name), a.h / b.h)
                 for a, b in zip(self.reports[:-1], self.reports[1:])

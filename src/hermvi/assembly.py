@@ -238,6 +238,12 @@ class SymmetricBandedMatrix:
         inband = (source >= 0) & (source <= 2 * hbw)
         return SymmetricBandedMatrix(np.where(inband, self.data[source.clip(0, 2 * hbw), keep], 0.0))
 
+def _require_beta(beta) -> None:
+    """Refuse a beta that is not positive and finite; a bool is not a beta."""
+    if isinstance(beta, (bool, np.bool_)) or not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+
+
 def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     """Assemble int v w + beta int v'' w'' over the global Hermite basis.
 
@@ -245,8 +251,7 @@ def assemble_energy(mesh: Mesh, beta: float) -> SymmetricBandedMatrix:
     ``mesh`` may be a :class:`MeshStack`: each seam element, of width 0,
     adds an exact zero, so each mesh's columns hold its own band.
     """
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    _require_beta(beta)
     h = mesh.h
     bending = np.divide(beta, h**3, out=np.zeros_like(h), where=h > 0)
     scale = (1.0, h, h * h)  # by the number of slope DOFs among the entry's row and column
@@ -278,8 +283,7 @@ def assemble_load(
     :class:`MeshStack`, and each of its DOFs sums its own mesh's points in
     the order a load of that mesh alone would.
     """
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    _require_beta(beta)
     element, x, xi, w = segment_quadrature(mesh, breakpoints, LOAD_QUAD_POINTS)
     h = mesh.h[element]
     wy = w * np.asarray(y_d(x), dtype=float)
@@ -295,7 +299,7 @@ def constraint_bounds(mesh: Mesh, psi: Callable) -> np.ndarray:
     return np.broadcast_to(np.asarray(psi(mesh.nodes), dtype=float), mesh.nodes.shape).copy()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Energy matrix and load with the Dirichlet DOFs pinned to zero.
 

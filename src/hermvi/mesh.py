@@ -172,18 +172,6 @@ def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
-def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
-    """Split [lo, hi] at the breakpoints strictly inside it.
-
-    Breakpoints closer than ``1e-12 * (hi - lo)`` to a segment end are
-    ignored; slivers that thin contribute nothing but noise to quadrature.
-    """
-    tol = 1e-12 * (hi - lo)
-    cuts = sorted(b for b in breakpoints if lo + tol < b < hi - tol)
-    edges = [lo, *cuts, hi]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 @functools.lru_cache(maxsize=16)
 def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
     """Read-only unique sorted ``breakpoints``, one array per tuple."""
@@ -191,8 +179,9 @@ def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
 
 
 def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
-    """``edges`` plus the breakpoints inside its intervals, by :func:`split_segments`' rule;
-    the sorted breakpoints are shared read-only, as the composite rule is."""
+    """``edges`` plus the breakpoints inside its intervals; one closer to either end of its
+    interval than 1e-12 of the interval's width is ignored, since slivers that thin add only
+    noise to quadrature.  The sorted breakpoints are shared read-only, as the composite rule is."""
     bps = _sorted_breakpoints(tuple(breakpoints))
     e = np.searchsorted(edges, bps, side="right") - 1
     inside = (e >= 0) & (e < edges.size - 1)
@@ -253,7 +242,8 @@ def _gauss_points(lo: np.ndarray, hi: np.ndarray, quad_points: int):
 def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
     """Gauss points of every element, split at the breakpoints inside it.
 
-    Each element is cut where :func:`split_segments` would cut it, so a kink
+    Each element is cut at the breakpoints inside it, ignoring one closer to
+    either end than 1e-12 of the element's width (:func:`_cut`), so a kink
     or jump of the data never sits inside a Gauss panel.  Returns flat arrays
     over (segment, Gauss point): the owning element, the point ``x``, its
     reference coordinate ``xi`` in that element, and the quadrature weight.

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .assembly import _require_beta
 from .mesh import _composite_rule, composite_integral
 
 #: Location where the benchmark data changes branch.
@@ -68,8 +69,7 @@ class ProblemSpec:
     exact: ExactBundle | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        _require_beta(self.beta)
         mass = composite_integral(self.psi, self.breakpoints)
         if not mass > 0.0:
             raise ValueError(
@@ -230,7 +230,7 @@ _STATIONARITY_TOL = 1e-8
 _POINTWISE_TOL = 1e-10
 _INTEGRAL_TOL = 1e-12
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool

@@ -98,7 +98,7 @@ class BoundQp:
         return self.a.dim
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
     """Minimizer, multipliers (nonzero only on the active set), and counts.
 

@@ -20,7 +20,7 @@ from .problems import ProblemSpec
 from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Discrete solution plus the QP artifacts used to produce it.
 

@@ -9,6 +9,8 @@ the code it checks.
   :func:`matvec_per_diagonal`.
 * A small bound QP by brute force: :func:`solve_bruteforce` and its
   :func:`objective`.
+* The split rule of every quadrature, one interval at a time:
+  :func:`split_segments`.
 * The continuous cost of a control problem: :func:`cost`.
 * The discrete problem of a mesh in 40-digit decimal arithmetic:
   :func:`solve_decimal`.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from decimal import Decimal, localcontext
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,6 +152,23 @@ def solve_bruteforce(qp: hv.BoundQp) -> hv.QpSolution:
         raise RuntimeError("no KKT-consistent active set found (not SPD?)")
     _, x, multipliers, active = best
     return hv.QpSolution(x=x, multipliers=multipliers, active_set=tuple(sorted(active)), iterations=tried)
+
+
+# ---------------------------------------------------------------------------
+# the split rule
+# ---------------------------------------------------------------------------
+
+
+def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[tuple[float, float]]:
+    """Split [lo, hi] at the breakpoints strictly inside it, one interval at a time.
+
+    Breakpoints closer than ``1e-12 * (hi - lo)`` to a segment end are
+    ignored; slivers that thin contribute nothing but noise to quadrature.
+    """
+    tol = 1e-12 * (hi - lo)
+    cuts = sorted(b for b in breakpoints if lo + tol < b < hi - tol)
+    edges = [lo, *cuts, hi]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_study_of_an_exactly_solved_problem_reports_nan_rates():
     assert rows[2][6:] == ["nan"] * 5
 
 
+def test_report_holds_a_tuple_and_computes_its_rates_on_read():
+    report = hv.ConvergenceReport([synthetic_report(2, 0.4), synthetic_report(4, 0.1)])
+    assert isinstance(report.reports, tuple)
+    assert report.rates == {name: [2.0] for name in hv.ErrorReport.NORM_FIELDS}
+    assert report.rates is report.rates  # computed once
+    assert report == hv.convergence_rates(list(report.reports))
+    zero = hv.convergence_rates((synthetic_report(2, 0.4), synthetic_report(4, 0.0)))
+    assert all(math.isnan(rates[0]) for rates in zero.rates.values())
+
+
 def test_rates_reject_non_refining_levels():
     reports = [synthetic_report(4, 0.1), synthetic_report(2, 0.2)]
     with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 import hermvi as hv
 from hermvi import assembly
-from hermvi.mesh import _element_dofs, segment_quadrature, split_segments
+from hermvi.mesh import _element_dofs, segment_quadrature
 
 from conftest import nonuniform_mesh, shape_matrix
-from oracles import from_dense, matvec_per_diagonal, pinned, pinned_by_slots, to_dense
+from oracles import from_dense, matvec_per_diagonal, pinned, pinned_by_slots, split_segments, to_dense
 
 
 def hermite_basis_integrals(mesh, quad_points=8):
@@ -67,6 +67,19 @@ def test_energy_rejects_nonpositive_beta():
             hv.assemble_energy(mesh, beta)
         with pytest.raises(ValueError, match="beta must be positive and finite"):
             hv.assemble_load(mesh, zero, zero, beta)
+
+
+@pytest.mark.parametrize("beta", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_is_not_a_beta(beta):
+    # every caller of the one beta check refuses it, though it compares as 1
+    mesh, zero = hv.build_mesh(2), lambda x: np.zeros_like(x)
+    one = lambda x: np.ones_like(np.asarray(x, float))
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        hv.assemble_energy(mesh, beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        hv.assemble_load(mesh, zero, zero, beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        hv.ProblemSpec("b", beta, f=zero, psi=one, y_d=zero)
 
 
 def test_energy_consistency_under_refinement():

@@ -7,10 +7,10 @@ import pytest
 import hermvi as hv
 from hermvi.mesh import (
     COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, _composite_rule, _cut, _element_dofs, _element_evaluator,
-    split_segments,
 )
 
 from conftest import nonuniform_mesh, shape_matrix
+from oracles import split_segments
 
 
 # ---------------------------------------------------------------- build_mesh

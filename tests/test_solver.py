@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import re
 
 import numpy as np
@@ -81,6 +82,44 @@ def test_shared_structures_are_immutable(paper, solve_cache):
         a.data[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.data = np.zeros_like(a.data)
+
+
+MODULES = ("analysis", "assembly", "cli", "mesh", "problems", "qp", "solver")
+
+
+def test_every_record_is_frozen():
+    records = {
+        cls.__name__: cls
+        for module in (importlib.import_module(f"hermvi.{name}") for name in MODULES)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+    }
+    assert {"AssembledSystem", "QpSolution", "SolveResult", "ErrorReport", "ConvergenceReport",
+            "CheckResult"} <= records.keys()
+    assert [name for name, cls in records.items() if not cls.__dataclass_params__.frozen] == []
+
+
+def test_records_refuse_assignments(paper, solve_cache):
+    # each of these assignments used to be taken, and left a record that disagreed with its checks
+    system = assemble_system(paper, hv.build_mesh(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.bounds = np.zeros(3)
+    assert system.to_qp().constrained.size == 5
+    result = solve_cache(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.levels = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.qp_solution.x = np.zeros(3)
+    assert result.solution.mesh.n_elements == 4
+    check = hv.verify_continuous_kkt(paper)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.passed = not check.passed
+    report = hv.run_convergence_study(paper, [2, 4])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.reports[0].l2 = 0.0
+    with pytest.raises(AttributeError):
+        report.reports.append(report.reports[0])
+    assert hv.render_report(report, format="csv").count("\n") == 3
 
 
 WARM_START_MESHES = {
