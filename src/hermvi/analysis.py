@@ -7,6 +7,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -122,7 +123,8 @@ def _rate(coarse: float, fine: float, h_ratio: float) -> float:
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Error reports of strictly refining levels (h decreasing) plus per-norm observed rates between
-    them, computed on first read; a rate next to an error of exactly zero is not defined and reads ``nan``."""
+    them, computed on first read into a read-only mapping of tuples; a rate next to an error of exactly
+    zero is not defined and reads ``nan``."""
 
     reports: tuple
 
@@ -131,15 +133,18 @@ class ConvergenceReport:
         if any(b.h >= a.h for a, b in zip(self.reports[:-1], self.reports[1:])):
             raise ValueError("levels must be strictly refining (h decreasing)")
 
+    def __getstate__(self):  # the cached rates do not pickle; they are derived again on read
+        return {"reports": self.reports}
+
     @functools.cached_property
-    def rates(self) -> dict:
-        return {
-            name: [
+    def rates(self) -> MappingProxyType:
+        return MappingProxyType({
+            name: tuple(
                 _rate(getattr(a, name), getattr(b, name), a.h / b.h)
                 for a, b in zip(self.reports[:-1], self.reports[1:])
-            ]
+            )
             for name in ErrorReport.NORM_FIELDS
-        }
+        })
 
 
 def convergence_rates(reports: Sequence[ErrorReport]) -> ConvergenceReport:

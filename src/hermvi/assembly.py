@@ -305,7 +305,8 @@ class AssembledSystem:
 
     Indices are global DOF indices; ``bounds`` holds one bound per mesh
     node, on its slope DOF, so :meth:`to_qp` bounds DOFs 1, 3, ..., 2n - 1
-    of the n nodes.
+    of the n nodes.  From :func:`assemble_system`, ``b`` and ``bounds`` are
+    read-only.
     """
 
     a: SymmetricBandedMatrix
@@ -338,8 +339,9 @@ def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarr
     (:class:`MeshStack`).  The endpoint value DOFs of every mesh are pinned
     by one :func:`_pinned_band`; the slots that couple two meshes lie
     outside each mesh's matrix and read 0.0, as they would alone.  Each
-    system holds views of the pinned band's columns, the load and the
-    bounds of its mesh.
+    system holds views of its mesh's part of the pinned band, of a copy
+    of the load and of ``bounds``; the load and bound views are read-only,
+    and ``bounds`` keeps its own flags.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 1 or bounds.size < 2 or a.dim != 2 * bounds.size or np.shape(b) != (a.dim,):
@@ -349,6 +351,9 @@ def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarr
     band = _pinned_band(a.data, a.half_bandwidth, a._mask(dirichlet))
     b = np.array(b, dtype=float)
     b[dirichlet] = 0.0
+    b.flags.writeable = False
+    bounds = bounds.view()  # read-only without touching the flags of the caller's array
+    bounds.flags.writeable = False
     return [
         AssembledSystem(a=SymmetricBandedMatrix(band[:, 2 * lo : 2 * hi]), b=b[2 * lo : 2 * hi], bounds=bounds[lo:hi])
         for lo, hi in zip(ends[:-1], ends[1:])

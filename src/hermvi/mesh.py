@@ -282,13 +282,16 @@ class DiscreteSolution:
 
     ``iterations`` is the PDAS iteration count on this mesh alone; each
     level of a warm-start chain (``SolveResult.levels``) counts its own.
+    ``kkt_source`` is a zero-argument callable that returns the level's
+    KKT record; :attr:`kkt` calls it on its first read and keeps the
+    record, so a level whose record nobody reads never computes it.
     """
 
     coefficients: np.ndarray
     mesh: Mesh
     iterations: int = 0
     active_nodes: tuple = ()
-    kkt: "KktResidual | None" = None
+    kkt_source: "Callable[[], KktResidual] | None" = None
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)
@@ -298,6 +301,11 @@ class DiscreteSolution:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @functools.cached_property
+    def kkt(self) -> "KktResidual | None":
+        """The KKT record from ``kkt_source``, computed once; None without a source."""
+        return None if self.kkt_source is None else self.kkt_source()
 
     def __call__(self, x, deriv_order: int = 0):
         return evaluate(self, x, deriv_order)

@@ -110,7 +110,8 @@ class QpSolution:
     iterations of this QP alone; in a ``solve_problem`` result each level of
     the warm-start chain counts its own PDAS, and ``qp_solution`` is the
     finest level's.  A solution that :func:`solve_pdas` returns has a
-    read-only ``x``.
+    read-only ``x`` and ``multipliers``, so a record computed from it later,
+    as a coarse chain level's KKT record is, reads what the solve returned.
     """
 
     x: np.ndarray
@@ -126,7 +127,7 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     into the right-hand side and :meth:`SymmetricBandedMatrix.solve` treats
     the active rows and columns as the identity's, on the QP's own matrix,
     so the system keeps its dimension and bandwidth and x equals the bound
-    exactly on the active set.  Returns (x, multipliers), x read-only;
+    exactly on the active set.  Returns (x, multipliers), both read-only;
     stationarity holds on free rows by the solve and on fixed rows by the
     definition of the multiplier, read from b - Ax.  With nothing active,
     x is the QP's cached unconstrained solve and the multipliers are zero:
@@ -135,15 +136,17 @@ def _equality_step(qp: BoundQp, active: np.ndarray):
     fixed = qp.constrained[active]
     if not fixed.size:
         x = qp._unconstrained
-        return x, np.zeros_like(x)
-    x = np.zeros(qp.dim)
-    x[fixed] = qp.bounds[active]
-    rhs = qp.a.residual(x, qp.b)
-    rhs[fixed] = x[fixed]
-    x = qp.a.solve(rhs, fixed)
-    x.flags.writeable = False
-    multipliers = np.zeros_like(x)
-    multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
+        multipliers = np.zeros_like(x)
+    else:
+        x = np.zeros(qp.dim)
+        x[fixed] = qp.bounds[active]
+        rhs = qp.a.residual(x, qp.b)
+        rhs[fixed] = x[fixed]
+        x = qp.a.solve(rhs, fixed)
+        x.flags.writeable = False
+        multipliers = np.zeros_like(x)
+        multipliers[fixed] = qp.a.residual(x, qp.b)[fixed]
+    multipliers.flags.writeable = False
     return x, multipliers
 
 

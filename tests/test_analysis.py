@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,11 +171,23 @@ def test_study_of_an_exactly_solved_problem_reports_nan_rates():
 def test_report_holds_a_tuple_and_computes_its_rates_on_read():
     report = hv.ConvergenceReport([synthetic_report(2, 0.4), synthetic_report(4, 0.1)])
     assert isinstance(report.reports, tuple)
-    assert report.rates == {name: [2.0] for name in hv.ErrorReport.NORM_FIELDS}
+    assert report.rates == {name: (2.0,) for name in hv.ErrorReport.NORM_FIELDS}
     assert report.rates is report.rates  # computed once
     assert report == hv.convergence_rates(list(report.reports))
     zero = hv.convergence_rates((synthetic_report(2, 0.4), synthetic_report(4, 0.0)))
     assert all(math.isnan(rates[0]) for rates in zero.rates.values())
+
+
+def test_report_rates_are_read_only_and_pickle(paper):
+    study = hv.run_convergence_study(paper, [2, 4, 8])
+    table = hv.render_report(study, format="csv")
+    with pytest.raises(TypeError):
+        study.rates["l2"][0] = 99.0
+    with pytest.raises(TypeError):
+        study.rates["l2"] = (99.0, 99.0)
+    back = pickle.loads(pickle.dumps(study))
+    assert back == study and back.rates == study.rates
+    assert hv.render_report(back, format="csv") == hv.render_report(study, format="csv") == table
 
 
 def test_rates_reject_non_refining_levels():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import hermvi
+
 HERMBENCH = Path(__file__).resolve().parents[1] / "hermbench"
 
 
@@ -64,3 +66,15 @@ def test_quick_workload_passes_its_check(name, tmp_path):
     failures, info = workload.check(problem, workload.op(problem, ctx), ctx)
     assert not failures
     assert info
+
+
+def test_traced_solve_leaves_the_finest_qp_as_last_kkt(paper):
+    # the harness derives its per-layer stationarity from the last kkt_residual call it saw
+    tracer = load_harness_module("tracing").Tracer()
+    tracer.begin_op(0)
+    try:
+        result = hermvi.solve_problem(paper, 64)
+    finally:
+        profile = tracer.end_op()
+    assert tracer.last_kkt[0] is result.qp and tracer.last_kkt[1] is result.qp_solution
+    assert profile.calls["qp.kkt_residual"] == 1

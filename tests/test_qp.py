@@ -117,6 +117,27 @@ def test_bound_qp_owns_read_only_copies():
                 setattr(qp, field.name, getattr(qp, field.name))
 
 
+@pytest.mark.parametrize("problem", ["paper", "unconstrained-smoke"])
+def test_solver_records_hold_read_only_arrays(problem):
+    # the pinned PDAS step and the step with nothing active both return read-only multipliers
+    system = assemble_system(hv.get_problem(problem), hv.build_mesh(4))
+    sol = hv.solve_pdas(system.to_qp())
+    assert bool(sol.active_set) == (problem == "paper")
+    for array in (sol.multipliers, system.b, system.bounds):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_apply_dirichlet_leaves_the_callers_flags(paper):
+    mesh = hv.build_mesh(4)
+    a, b = hv.assemble_energy(mesh, paper.beta), hv.assemble_load(mesh, paper.y_d, paper.f, paper.beta)
+    bounds = hv.constraint_bounds(mesh, paper.psi)
+    system = hv.apply_dirichlet(a, b, bounds)
+    assert b.flags.writeable and bounds.flags.writeable
+    assert not system.b.flags.writeable and not system.bounds.flags.writeable
+    assert np.shares_memory(system.bounds, bounds)  # a view, not a copy
+
+
 def test_qp_rejects_indefinite_matrix():
     # nothing is factored on construction; the first solve raises, whatever the start:
     # pinning coordinate 0 leaves the indefinite block [[1, 3], [3, 1]]

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import pickle
 import re
 
 import numpy as np
@@ -225,8 +226,8 @@ def test_solve_calls_the_data_once_per_assembly_pass(paper):
         # the one PDAS step; kkt_residual takes the fourth residual
         ("unconstrained-smoke", 64, 1, 4, 4),
         # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each), the two cold
-        # starts' refined solves and one kkt_residual on each of the 11 levels
-        ("paper", 1024, 19, 76, 102),
+        # starts' refined solves and one kkt_residual, on the finest level
+        ("paper", 1024, 19, 76, 92),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
@@ -429,3 +430,45 @@ def test_active_nodes_are_the_active_set_by_node(paper, problem, where):
     # each level reads its flags from its multipliers; they must name the slope DOFs of the active set
     result = hv.solve_problem(paper if problem == "paper" else unbound_spec(paper), **where)
     assert result.solution.active_nodes == tuple(i // 2 for i in result.qp_solution.active_set)
+
+
+def counting_kkt(monkeypatch):
+    """Record the arguments of every call of ``hermvi.solver.kkt_residual``."""
+    calls = []
+    kkt_residual = hv.solver.kkt_residual
+
+    def recording(qp, sol):
+        calls.append((qp, sol))
+        return kkt_residual(qp, sol)
+
+    monkeypatch.setattr(hv.solver, "kkt_residual", recording)
+    return calls
+
+
+def test_solve_computes_only_the_finest_record(paper, monkeypatch):
+    calls = counting_kkt(monkeypatch)
+    result = hv.solve_problem(paper, 1024)
+    assert len(result.levels) == 11
+    assert len(calls) == 1 and calls[0][0] is result.qp and calls[0][1] is result.qp_solution
+    assert result.solution.kkt == hv.kkt_residual(result.qp, result.qp_solution)
+
+
+def test_coarse_record_is_computed_once_on_read(paper, monkeypatch):
+    calls = counting_kkt(monkeypatch)
+    levels = hv.solve_problem(paper, 64).levels
+    first = levels[2].kkt
+    assert levels[2].kkt is first and len(calls) == 2
+    # the record is the one its level's own solve certifies
+    assert first == hv.solve_problem(paper, mesh=levels[2].mesh).solution.kkt
+
+
+def test_levels_survive_pickle(paper):
+    levels = hv.solve_problem(paper, 64).levels
+    back = pickle.loads(pickle.dumps(levels))
+    assert [level.kkt for level in back] == [level.kkt for level in levels]
+    for ours, theirs in zip(back, levels):
+        assert np.array_equal(ours.coefficients, theirs.coefficients)
+        assert ours.active_nodes == theirs.active_nodes and ours.iterations == theirs.iterations
+    # read records pickle as values
+    again = pickle.loads(pickle.dumps(levels))
+    assert [level.kkt for level in again] == [level.kkt for level in levels]
