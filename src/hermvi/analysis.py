@@ -6,9 +6,9 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,15 @@ _LINF_NEWTON_STEPS = 3
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error norms of one discrete solve, with that level's KKT residuals."""
+    """Error norms of one discrete solve, with that level's KKT residuals.
+
+    ``kkt_source`` is a zero-argument callable that returns the level's
+    KKT record; :attr:`kkt` calls it on its first read and keeps the
+    record, as :class:`DiscreteSolution` does, so a study whose records
+    nobody reads computes none.  Reports compare by their size and norms,
+    not by the record.  A pickle carries the record, read then, and not
+    its source, so no QP travels with a report.
+    """
 
     n_elements: int
     h: float
@@ -39,9 +47,17 @@ class ErrorReport:
     h1: float
     h2: float
     control_l2: float
-    kkt: KktResidual | None = None
+    kkt_source: Callable[[], KktResidual | None] | None = field(default=None, compare=False, repr=False)
 
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
+
+    @functools.cached_property
+    def kkt(self) -> KktResidual | None:
+        """The KKT record from ``kkt_source``, computed once; None without a source."""
+        return None if self.kkt_source is None else self.kkt_source()
+
+    def __getstate__(self):  # the record, read now, pickles; its source and the QP behind it do not
+        return {**self.__dict__, "kkt_source": None, "kkt": self.kkt}
 
 
 def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list[ErrorReport]:
@@ -91,7 +107,7 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
         ErrorReport(
             n_elements=sol.mesh.n_elements, h=sol.mesh.mesh_size,
             l2=float(l2[k]), linf=float(linf[k]), h1=float(h1[k]), h2=float(h2[k]),
-            control_l2=float(control[k]), kkt=sol.kkt,
+            control_l2=float(control[k]), kkt_source=functools.partial(getattr, sol, "kkt"),
         )
         for k, sol in enumerate(levels)
     ]
@@ -169,7 +185,9 @@ def run_convergence_study(
     solve, and other counts keep one solve each.  The errors of all levels
     then come from one pass over all their element segments, so each
     exact-bundle function and ``spec.f`` is called as often for ten levels
-    as for two; each level's report equals :func:`error_norms` on it.
+    as for two; each level's report equals :func:`error_norms` on it.  Only
+    the solves' finest records are computed here; a report computes its
+    level's KKT record when it is read.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")

@@ -178,17 +178,32 @@ def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
     return _frozen(np.unique(np.asarray(breakpoints, dtype=float)))
 
 
-def _cut(edges: np.ndarray, breakpoints: Iterable[float]) -> np.ndarray:
-    """``edges`` plus the breakpoints inside its intervals; one closer to either end of its
-    interval than 1e-12 of the interval's width is ignored, since slivers that thin add only
-    noise to quadrature.  The sorted breakpoints are shared read-only, as the composite rule is."""
+def _segments(nodes: np.ndarray, h: np.ndarray, breakpoints: Iterable[float]):
+    """Every element of positive width, cut at the breakpoints inside it, in one pass over all of them.
+
+    Element e spans ``nodes[e]`` to ``nodes[e + 1]``, of width ``h[e]``: a :class:`Mesh`, or a
+    :class:`MeshStack` whose seams of width 0 drop out, passes its own arrays.  A breakpoint nearer
+    either end of its element than 1e-12 of the element's width is ignored, since slivers that thin
+    add only noise to quadrature.  Returns the segments' elements, left ends and right ends, element
+    by element, each element's cuts in increasing order.  Each element's ends are searched among
+    the sorted breakpoints, which are shared read-only, as the composite rule is.
+    """
+    element = np.flatnonzero(h > 0)
+    lo, hi = nodes[element], nodes[element + 1]
     bps = _sorted_breakpoints(tuple(breakpoints))
-    e = np.searchsorted(edges, bps, side="right") - 1
-    inside = (e >= 0) & (e < edges.size - 1)
-    bps, e = bps[inside], e[inside]
-    tol = 1e-12 * (edges[e + 1] - edges[e])
-    cuts = bps[(edges[e] + tol < bps) & (bps < edges[e + 1] - tol)]
-    return np.sort(np.concatenate([edges, cuts]))
+    tol = 1e-12 * h[element]
+    first = np.searchsorted(bps, lo + tol, side="right")  # an element's cuts are bps[first:first + inside]
+    inside = np.searchsorted(bps, hi - tol) - first
+    if inside.any():
+        at = np.repeat(np.arange(element.size), inside)  # each cut's element
+        seq = np.arange(at.size)  # each cut's rank among all cuts
+        cuts = bps[(first - np.cumsum(inside) + inside)[at] + seq]  # less the cuts of earlier elements
+        pos = at + seq  # the segment that each cut ends; the next one starts there
+        counts = inside + 1
+        element, lo, hi = np.repeat(element, counts), np.repeat(lo, counts), np.repeat(hi, counts)
+        lo[pos + 1] = cuts
+        hi[pos] = cuts
+    return element, lo, hi
 
 
 #: The width of the seam element between two stacked meshes.
@@ -219,17 +234,14 @@ class MeshStack:
         self.n_nodes = self.nodes.size
 
     def segments(self, breakpoints: Iterable[float]):
-        """Every element of every mesh, cut at the breakpoints inside it by :func:`_cut`.
+        """Every element of every mesh, cut at the breakpoints inside it by :func:`_segments`.
 
         Returns the segments' elements in the stack's numbering, their left
         and right ends, in mesh order, and the number of segments per mesh.
         """
-        edges = [_cut(m.nodes, breakpoints) for m in self.meshes]
-        element = [m.element_of(e[:-1]) for m, e in zip(self.meshes, edges)]
-        for el, first in zip(element[1:], self.first_node[1:]):
-            el += first
-        lo, hi = _join([e[:-1] for e in edges]), _join([e[1:] for e in edges])
-        return _join(element), lo, hi, [e.size - 1 for e in edges]
+        element, lo, hi = _segments(self.nodes, self.h, breakpoints)
+        counts = np.diff(np.searchsorted(element, self.first_node), append=element.size)
+        return element, lo, hi, counts.tolist()
 
 
 def _gauss_points(lo: np.ndarray, hi: np.ndarray, quad_points: int):
@@ -243,24 +255,24 @@ def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: in
     """Gauss points of every element, split at the breakpoints inside it.
 
     Each element is cut at the breakpoints inside it, ignoring one closer to
-    either end than 1e-12 of the element's width (:func:`_cut`), so a kink
+    either end than 1e-12 of the element's width (:func:`_segments`), so a kink
     or jump of the data never sits inside a Gauss panel.  Returns flat arrays
     over (segment, Gauss point): the owning element, the point ``x``, its
     reference coordinate ``xi`` in that element, and the quadrature weight.
     ``mesh`` may be a :class:`MeshStack`; its elements are numbered end to end.
     """
-    stack = mesh if isinstance(mesh, MeshStack) else MeshStack([mesh])
-    element, lo, hi, _ = stack.segments(breakpoints)
+    element, lo, hi = _segments(mesh.nodes, mesh.h, breakpoints)
     x, w = (a.ravel() for a in _gauss_points(lo, hi, quad_points))
     element = np.repeat(element, quad_points)
-    return element, x, (x - stack.nodes[element]) / stack.h[element], w
+    return element, x, (x - mesh.nodes[element]) / mesh.h[element], w
 
 
 @functools.lru_cache(maxsize=16)
 def _composite_rule(breakpoints: tuple):
     """Read-only points and weights of the composite rule, its panels cut at the breakpoints, one per tuple."""
-    edges = _cut(np.linspace(*DOMAIN, COMPOSITE_PANELS + 1), breakpoints)
-    return tuple(_frozen(a.ravel()) for a in _gauss_points(edges[:-1], edges[1:], COMPOSITE_QUAD_POINTS))
+    panels = build_mesh(COMPOSITE_PANELS)
+    _, lo, hi = _segments(panels.nodes, panels.h, breakpoints)
+    return tuple(_frozen(a.ravel()) for a in _gauss_points(lo, hi, COMPOSITE_QUAD_POINTS))
 
 
 def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float:

@@ -58,6 +58,19 @@ def nonuniform_mesh(seed, n):
     return hv.Mesh(nodes)
 
 
+def counting_kkt(monkeypatch):
+    """Record the arguments of every call of ``hermvi.solver.kkt_residual``."""
+    calls = []
+    kkt_residual = hv.solver.kkt_residual
+
+    def recording(qp, sol):
+        calls.append((qp, sol))
+        return kkt_residual(qp, sol)
+
+    monkeypatch.setattr(hv.solver, "kkt_residual", recording)
+    return calls
+
+
 def shape_matrix(xi, h, deriv_order):
     """The four Hermite shape columns stacked, shape ``(..., 4)``."""
     return np.stack(_shape_columns(xi, h, deriv_order), axis=-1)

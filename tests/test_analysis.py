@@ -10,7 +10,7 @@ import pytest
 import hermvi as hv
 from hermvi.solver import _assemble_stack
 
-from conftest import nonuniform_mesh
+from conftest import counting_kkt, nonuniform_mesh
 from table1_reference import TABLE1
 
 
@@ -250,7 +250,35 @@ def test_study_levels_equal_their_own_solves(paper, solve_cache):
         assert chain[n].active_nodes == own.active_nodes
         assert np.array_equal(chain[n].coefficients, own.coefficients)
         assert chain[n].iterations == own.iterations and chain[n].kkt == own.kkt
-        assert report == hv.error_norms(own, paper)
+        assert report == hv.error_norms(own, paper) and report.kkt == own.kkt  # equality skips the record
+
+
+def test_study_computes_only_the_finest_record(paper, monkeypatch):
+    calls = counting_kkt(monkeypatch)
+    study = hv.run_convergence_study(paper, [2**k for k in range(10)])
+    assert len(calls) == 1 and calls[0][0].dim == 2 * (2**9 + 1)  # the solve's certificate
+    hv.render_report(study, format="csv")
+    assert len(calls) == 1
+
+
+def test_report_record_is_computed_once_on_read(paper, monkeypatch):
+    calls = counting_kkt(monkeypatch)
+    study = hv.run_convergence_study(paper, [4, 8, 16])
+    finest = study.reports[2].kkt  # computed by the solve, as its certificate
+    first = study.reports[1].kkt
+    assert study.reports[1].kkt is first and len(calls) == 2
+    # each record is the one its level's own solve certifies
+    assert first == hv.solve_problem(paper, 8).solution.kkt
+    assert finest == hv.solve_problem(paper, 16).solution.kkt
+
+
+def test_report_pickles_its_records(paper):
+    study = hv.run_convergence_study(paper, [4, 8, 16])
+    table = hv.render_report(study, format="csv")
+    back = pickle.loads(pickle.dumps(study))
+    assert [rep.kkt_source for rep in back.reports] == [None] * 3  # the records travel, not their QPs
+    assert back == study and [rep.kkt for rep in back.reports] == [rep.kkt for rep in study.reports]
+    assert hv.render_report(back, format="csv") == table
 
 
 def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):

@@ -78,3 +78,16 @@ def test_traced_solve_leaves_the_finest_qp_as_last_kkt(paper):
         profile = tracer.end_op()
     assert tracer.last_kkt[0] is result.qp and tracer.last_kkt[1] is result.qp_solution
     assert profile.calls["qp.kkt_residual"] == 1
+
+
+def test_traced_study_leaves_the_finest_qp_as_last_kkt(capsys):
+    # no coarse record is computed, so the study's last kkt_residual call is its finest level's
+    tracer = load_harness_module("tracing").Tracer()
+    tracer.begin_op(0)
+    try:
+        rc = hermvi.cli.main(["convergence", "--problem", "paper", "--levels", *map(str, range(10))])
+    finally:
+        profile = tracer.end_op()
+    assert rc == 0 and capsys.readouterr().out.count("\n") == 12
+    assert tracer.last_kkt[0].dim == 1026
+    assert profile.calls["qp.kkt_residual"] == 1

@@ -6,7 +6,8 @@ import pytest
 
 import hermvi as hv
 from hermvi.mesh import (
-    COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, _composite_rule, _cut, _element_dofs, _element_evaluator,
+    COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, MeshStack, _composite_rule, _element_dofs, _element_evaluator,
+    _segments,
 )
 
 from conftest import nonuniform_mesh, shape_matrix
@@ -401,10 +402,69 @@ def test_composite_rule_and_cut_are_shared_read_only():
     x, w = _composite_rule(tuple(breakpoints))
     assert not x.flags.writeable and not w.flags.writeable
     assert _composite_rule(tuple(breakpoints))[0] is x
-    edges = hv.build_mesh(8).nodes
-    cut = _cut(edges, tuple(breakpoints))
+    mesh = hv.build_mesh(8)
+    cut = _segments(mesh.nodes, mesh.h, tuple(breakpoints))
     for kind in (list, tuple, lambda bps: (b for b in bps)):
-        assert np.array_equal(_cut(edges, kind(breakpoints)), cut)
+        assert all(map(np.array_equal, _segments(mesh.nodes, mesh.h, kind(breakpoints)), cut))
         assert hv.composite_integral(np.cos, kind(breakpoints)) == hv.composite_integral(np.cos, (0.3, -0.2))
     with pytest.raises(ValueError, match="read-only"):
         x[0] = 0.0
+
+
+def segments_reference(meshes, breakpoints):
+    """split_segments over each element of each mesh, numbered end to end as in a stack whose
+    meshes are joined by one seam element each: the reference for MeshStack.segments.  A repeated
+    breakpoint is one point."""
+    element, lo, hi, counts, first = [], [], [], [], 0
+    for mesh in meshes:
+        counts.append(0)
+        for e in range(mesh.n_elements):
+            for a, b in split_segments(float(mesh.nodes[e]), float(mesh.nodes[e + 1]), set(breakpoints)):
+                element.append(first + e)
+                lo.append(a)
+                hi.append(b)
+                counts[-1] += 1
+        first += mesh.n_nodes
+    return np.array(element), np.array(lo), np.array(hi), counts
+
+
+def breakpoint_cases(mesh):
+    """Breakpoints against ``mesh``: at its middle node x, nearer to x than the cut tolerance
+    of either element beside it, farther than that, at and beyond the ends of [-1, 1],
+    repeated, two inside its first element, and many: 60 random points and every third node."""
+    x = mesh.nodes[mesh.n_nodes // 2]
+    sliver, gap = 0.25e-12 * mesh.h.min(), 8e-12 * mesh.h.max()
+    lo, w = mesh.nodes[0], mesh.h[0]
+    return {
+        "node": (x,),
+        "sliver": (x - sliver, x + sliver),
+        "near": (x - gap, x + gap),
+        "ends": (-1.0, 1.0, -1.5, 2.0, -np.inf),
+        "repeated": (0.3, -0.2, 0.3, 0.3),
+        "two-in-one": (lo + 0.6 * w, lo + 0.3 * w, 0.0, 1.0 / 3.0),
+        "many": (*np.random.default_rng(mesh.n_nodes).uniform(-1.0, 1.0, 60), *mesh.nodes[::3]),
+    }
+
+
+def coarse_meshes_of_paper_1024(solve_cache):
+    return [level.mesh for level in solve_cache(1024).levels[-2::-1]]  # as the solve stacks them
+
+
+STACKS = {
+    "paper-1024-coarse": coarse_meshes_of_paper_1024,
+    "one-element": lambda solve_cache: [hv.build_mesh(1)],
+    "nonuniform": lambda solve_cache: [nonuniform_mesh(1, 40), nonuniform_mesh(2, 7), nonuniform_mesh(3, 1)],
+}
+
+
+@pytest.mark.parametrize("case", ["node", "sliver", "near", "ends", "repeated", "two-in-one", "many"])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_stack_segments_match_the_per_element_split(solve_cache, stack, case):
+    meshes = STACKS[stack](solve_cache)
+    for mesh in meshes:  # the cases of each mesh, against the whole stack
+        breakpoints = breakpoint_cases(mesh)[case]
+        element, lo, hi, counts = MeshStack(meshes).segments(breakpoints)
+        ref_element, ref_lo, ref_hi, ref_counts = segments_reference(meshes, breakpoints)
+        assert np.array_equal(element, ref_element)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert counts == ref_counts

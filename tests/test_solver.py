@@ -10,7 +10,7 @@ import hermvi as hv
 from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import _assemble_stack, assemble_system
 
-from conftest import nonuniform_mesh
+from conftest import counting_kkt, nonuniform_mesh
 from oracles import pinned
 
 
@@ -430,19 +430,6 @@ def test_active_nodes_are_the_active_set_by_node(paper, problem, where):
     # each level reads its flags from its multipliers; they must name the slope DOFs of the active set
     result = hv.solve_problem(paper if problem == "paper" else unbound_spec(paper), **where)
     assert result.solution.active_nodes == tuple(i // 2 for i in result.qp_solution.active_set)
-
-
-def counting_kkt(monkeypatch):
-    """Record the arguments of every call of ``hermvi.solver.kkt_residual``."""
-    calls = []
-    kkt_residual = hv.solver.kkt_residual
-
-    def recording(qp, sol):
-        calls.append((qp, sol))
-        return kkt_residual(qp, sol)
-
-    monkeypatch.setattr(hv.solver, "kkt_residual", recording)
-    return calls
 
 
 def test_solve_computes_only_the_finest_record(paper, monkeypatch):
