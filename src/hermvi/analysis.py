@@ -78,8 +78,8 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
     h, at = _element_evaluator(nodes, np.concatenate([sol.coefficients for sol in levels]), element)
     left = nodes[element]
 
-    def err(x, k):  # k-th derivative of the error at x of shape (segment, point)
-        return at((x - left) / h, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
+    def err(x, xi, k):  # k-th derivative of the error at x of shape (segment, point), of reference coordinate xi
+        return at(xi, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
     # integrated norms, one squared error at a time; the control error shares y_h'' and p' with H2
     xs, ws = _gauss_points(lo[:, 0], hi[:, 0], NORM_QUAD_POINTS)
@@ -88,21 +88,22 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
     def norm(e):  # per level, summed in segment order
         return np.sqrt(np.bincount(level_of, weights=(e * e * ws).ravel()))
 
-    y2, p2, f = at((xs - left) / h, 2), ex.p_prime(xs), np.asarray(spec.f(xs), dtype=float)
-    l2, h1, h2 = norm(err(xs, 0)), norm(err(xs, 1)), norm(y2 - p2)
+    xi = (xs - left) / h
+    y2, p2, f = at(xi, 2), ex.p_prime(xs), np.asarray(spec.f(xs), dtype=float)
+    l2, h1, h2 = norm(err(xs, xi, 0)), norm(err(xs, xi, 1)), norm(y2 - p2)
     control = norm(-(y2 + f) + (p2 + f))
 
     # max norm: the best equispaced sample of each segment, refined by clamped Newton steps on e'
     x = lo + (hi - lo) * np.linspace(0.0, 1.0, LINF_SAMPLES_PER_ELEMENT + 1)
-    seeded = np.abs(err(x, 0))
+    seeded = np.abs(err(x, (x - left) / h, 0))
     x = np.take_along_axis(x, seeded.argmax(axis=1)[:, None], axis=1)
     for _ in range(_LINF_NEWTON_STEPS):
-        curvature = err(x, 2)
-        step = np.divide(err(x, 1), curvature, out=np.zeros_like(x), where=curvature != 0)
+        xi = (x - left) / h
+        curvature = err(x, xi, 2)
+        step = np.divide(err(x, xi, 1), curvature, out=np.zeros_like(x), where=curvature != 0)
         x = np.clip(x - step, lo, hi)
-    linf = np.maximum.reduceat(
-        np.maximum(seeded.max(axis=1), np.abs(err(x, 0))[:, 0]), np.cumsum([0] + segments[:-1])
-    )
+    refined = np.abs(err(x, (x - left) / h, 0))[:, 0]
+    linf = np.maximum.reduceat(np.maximum(seeded.max(axis=1), refined), np.cumsum([0] + segments[:-1]))
     return [
         ErrorReport(
             n_elements=sol.mesh.n_elements, h=sol.mesh.mesh_size,

@@ -328,13 +328,15 @@ def _element_evaluator(nodes: np.ndarray, coefficients: np.ndarray, element):
 
     Element e spans ``nodes[e]`` to ``nodes[e + 1]`` and owns coefficients
     2e .. 2e + 3, so the arrays of several meshes may be concatenated.
-    Gathers the widths and the four local coefficient columns once; each
+    Gathers the widths and the four local coefficient columns once, column
+    k at DOF ``2 * element + k`` as :func:`_element_dofs` lays them out; each
     call sums them times the shape columns at ``xi`` (broadcast against
     ``element``) as ``(s0 c0 + s2 c2) + (s1 c1 + s3 c3)``: numpy 2.4's einsum
     pairing, written out so that the bits do not depend on numpy's version.
     """
     h = nodes[element + 1] - nodes[element]
-    c0, c1, c2, c3 = coefficients[np.moveaxis(_element_dofs(element), -1, 0)]
+    first = 2 * np.asarray(element)
+    c0, c1, c2, c3 = (coefficients[first + k] for k in range(4))
 
     def at(xi, k):
         s0, s1, s2, s3 = _shape_columns(xi, h, k)

@@ -15,13 +15,14 @@ optimality conditions be verified numerically rather than trusted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .assembly import _require_beta
-from .mesh import _composite_rule, composite_integral
+from .mesh import _composite_rule, _frozen, composite_integral
 
 #: Location where the benchmark data changes branch.
 BREAK = 1.0 / 3.0
@@ -244,6 +245,22 @@ class CheckResult:
         return msg + (f"  [{self.note}]" if self.note else "")
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_table(breakpoints: tuple):
+    """Read-only Legendre data of the weak stationarity check on :func:`_composite_rule`'s points,
+    one per tuple: q_0 .. q_19 at -1 and at +1, their Vandermonde matrices of degree 18 and 19 at
+    the points, and the derivative map from degree-19 to degree-18 coefficients.  The degree-18
+    matrix is the first 19 columns of the degree-19 one, copied: both keep ``legvander``'s
+    column-major layout, on which the bits of their products depend."""
+    leg, degree = np.polynomial.legendre, _KKT_TEST_FUNCTIONS - 1
+    x, _ = _composite_rule(breakpoints)
+    vander = leg.legvander(x, degree)
+    q_left, q_right = leg.legvander([-1.0, 1.0], degree)
+    return tuple(_frozen(a) for a in (
+        q_left, q_right, vander[:, :degree], vander, leg.legder(np.eye(degree + 1))
+    ))
+
+
 def _rule_checks(spec: ProblemSpec):
     """The bundle's checks on [-1, 1], each function evaluated once on the
     composite rule cut at ``spec.breakpoints`` (no point is a breakpoint).
@@ -251,17 +268,16 @@ def _rule_checks(spec: ProblemSpec):
     Returns the worst density mismatch, negativity and rho * (p - psi) over
     the points, the weak stationarity residuals on q_0 .. q_19 (on q: int p' q'
     + (phi - f' + rho - lam) q dx + (f(1) + zeta) q(1) + (gamma - f(-1)) q(-1)),
-    int phi and int psi.
+    int phi and int psi.  The Legendre data come from :func:`_legendre_table`.
     """
-    ex, leg = spec.exact, np.polynomial.legendre
-    x, w = _composite_rule(tuple(spec.breakpoints))
+    ex, breakpoints = spec.exact, tuple(spec.breakpoints)
+    x, w = _composite_rule(breakpoints)
+    q_left, q_right, vander_low, vander, derivative = _legendre_table(breakpoints)
     rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)
     density = ex.p_dprime(x) + f_prime - phi + ex.lam
-    degree = _KKT_TEST_FUNCTIONS - 1
-    q_left, q_right = leg.legvander([-1.0, 1.0], degree)
     residuals = (
-        (w * ex.p_prime(x)) @ leg.legvander(x, degree - 1) @ leg.legder(np.eye(degree + 1))
-        + (w * (phi - f_prime + rho - ex.lam)) @ leg.legvander(x, degree)
+        (w * ex.p_prime(x)) @ vander_low @ derivative
+        + (w * (phi - f_prime + rho - ex.lam)) @ vander
         + (spec.f(1.0) + ex.zeta) * q_right + (ex.gamma - spec.f(-1.0)) * q_left
     )
     return (float(np.max(np.abs(density - rho))), float(max(0.0, -np.min(density))),

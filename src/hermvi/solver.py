@@ -60,16 +60,43 @@ def _assemble_stack(spec: ProblemSpec, meshes) -> list:
     return _dirichlet_systems(a, b, constraint_bounds(stack, spec.psi), stack.first_node)
 
 
-def _prolong(coarse: DiscreteSolution, flags: np.ndarray, mesh: Mesh, bounds: np.ndarray) -> np.ndarray:
+#: Largest relative gap between the multiplier densities of the two run nodes beyond a run end
+#: at which :func:`_prolong` reads the coarse contact measure there as smooth.
+_RUN_DENSITY_TOL = 0.05
+
+
+def _prolong(coarse: DiscreteSolution, multipliers: np.ndarray, mesh: Mesh, bounds: np.ndarray) -> np.ndarray:
     """PDAS start mask, one flag per node of ``mesh``, from the solved level below it.
 
-    ``flags`` marks the active nodes of ``coarse``.  A node shared with the
-    coarse mesh keeps its flag; a new node starts active where the coarse
-    state's slope there, as :func:`evaluate` gives it, reaches its bound.
+    ``multipliers`` holds the slope multiplier of each node of ``coarse``;
+    a node is active there where its multiplier is positive.  A node shared
+    with the coarse mesh keeps that flag, with one exception: an interior
+    node i at the end of an active run starts inactive when its multiplier
+    is below rho * (H - H_f) / 2, where H is the coarse element between i and
+    the next run node k, H_f the fine element next to i on that side, and
+    rho = lambda / w the density of k, with w half the sum of k's two coarse
+    widths; the next two run nodes must be interior, with densities within
+    :data:`_RUN_DENSITY_TOL` of each other.  With a smooth density the contact
+    set then starts beyond the half of H next to i, and so misses i's dual
+    cell on ``mesh``.  A new node starts active where the coarse state's
+    slope there, as :func:`evaluate` gives it, reaches its bound.
     """
-    nodes = coarse.mesh.nodes
+    nodes, widths = coarse.mesh.nodes, coarse.mesh.h
+    flags = multipliers > 0
+    start = flags.copy()
+    # one pass per run end, a few per level: over so few nodes numpy's calls cost more than the arithmetic
+    for e in np.flatnonzero(flags[1:] != flags[:-1]).tolist():  # the flags of nodes e and e + 1 differ
+        d = 1 if flags[e + 1] else -1  # the way the run goes on from its end i
+        i = e + (d > 0)
+        k, k2 = i + d, i + 2 * d
+        if 0 < i < widths.size and 0 < k2 < widths.size and flags[k] and flags[k2]:
+            rho, rho2 = (multipliers[n] / ((widths[n - 1] + widths[n]) / 2) for n in (k, k2))
+            fine = np.searchsorted(mesh.nodes, nodes[i])
+            gap = widths[min(i, k)] - mesh.h[fine - (d < 0)]  # H - H_f
+            if abs(rho - rho2) <= _RUN_DENSITY_TOL * rho and multipliers[i] < rho * gap / 2:
+                start[i] = False
     j = np.searchsorted(nodes, mesh.nodes)
-    active = flags[j]
+    active = start[j]
     new = np.flatnonzero(nodes[j] != mesh.nodes)
     element = j[new] - 1  # the coarse element the new node lies inside
     h, at = _element_evaluator(nodes, coarse.coefficients, element)
@@ -129,11 +156,11 @@ def solve_problem(
         chain = list(zip(meshes, [qp, *(system.to_qp() for system in coarse)]))
         levels = []
         for level, level_qp in reversed(chain):  # coarsest first
-            active = _prolong(levels[-1], flags, level, level_qp.bounds) if levels else _cold_start(level_qp)
+            active = _prolong(levels[-1], lam, level, level_qp.bounds) if levels else _cold_start(level_qp)
             qp_sol = solve_pdas(level_qp, active=active)
-            flags = qp_sol.multipliers[level_qp.constrained] > 0  # one per node: is its slope DOF active?
+            lam = qp_sol.multipliers[level_qp.constrained]  # one per node: its slope DOF's multiplier
             levels.append(DiscreteSolution(
-                qp_sol.x, level, qp_sol.iterations, active_nodes=tuple(np.flatnonzero(flags).tolist()),
+                qp_sol.x, level, qp_sol.iterations, active_nodes=tuple(np.flatnonzero(lam > 0).tolist()),
                 kkt_source=functools.partial(_kkt_record, level_qp, qp_sol),
             ))
     except MatrixNotSpdError as exc:

@@ -58,6 +58,26 @@ def nonuniform_mesh(seed, n):
     return hv.Mesh(nodes)
 
 
+def corpus_spec(seed):
+    """A seeded problem of the stress corpus: y_d and f of four Fourier modes
+    each (amplitude up to 30), beta = 10^U(-6, 2) and the obstacle
+    c (1 + d sin(k pi x)) with c in [0.05, 2], d in [0, 1] and k in {1, 2, 3}."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (30.0 * rng.uniform(-1.0, 1.0, size=4) for _ in range(4))
+    beta = 10.0 ** rng.uniform(-6.0, 2.0)
+    level, depth, k = rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0), int(rng.integers(1, 4))
+
+    def modes(x):
+        return np.pi * np.multiply.outer(np.asarray(x, dtype=float), np.arange(1, 5))
+
+    return hv.ProblemSpec(
+        name=f"corpus-seed{seed}", beta=beta,
+        y_d=lambda x: np.sin(modes(x)) @ a + np.cos(modes(x)) @ b,
+        f=lambda x: np.sin(modes(x)) @ c + np.cos(modes(x)) @ d,
+        psi=lambda x: level * (1.0 + depth * np.sin(k * np.pi * np.asarray(x, dtype=float))),
+    )
+
+
 def counting_kkt(monkeypatch):
     """Record the arguments of every call of ``hermvi.solver.kkt_residual``."""
     calls = []

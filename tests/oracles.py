@@ -11,6 +11,8 @@ the code it checks.
   :func:`objective`.
 * The split rule of every quadrature, one interval at a time:
   :func:`split_segments`.
+* The exact bundle's checks from fresh Legendre matrices:
+  :func:`rule_checks_by_legvander`.
 * The continuous cost of a control problem: :func:`cost`.
 * The discrete problem of a mesh in 40-digit decimal arithmetic:
   :func:`solve_decimal`.
@@ -169,6 +171,32 @@ def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[t
     cuts = sorted(b for b in breakpoints if lo + tol < b < hi - tol)
     edges = [lo, *cuts, hi]
     return list(zip(edges[:-1], edges[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the bundle's checks, from fresh Legendre matrices
+# ---------------------------------------------------------------------------
+
+
+def rule_checks_by_legvander(spec: hv.ProblemSpec, x: np.ndarray, w: np.ndarray) -> tuple:
+    """The exact bundle's checks on the rule (x, w), each Legendre matrix built by ``legvander`` here.
+
+    Returns the worst density mismatch, negativity and rho * (p - psi), the
+    weak stationarity residuals on q_0 .. q_19, int phi and int psi, in the
+    arithmetic order of ``verify``: ``(w p') @ V_18 @ D + (w (phi - f' + rho
+    - lam)) @ V_19`` plus the boundary terms.
+    """
+    ex, leg = spec.exact, np.polynomial.legendre
+    rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)
+    density = ex.p_dprime(x) + f_prime - phi + ex.lam
+    q_left, q_right = leg.legvander([-1.0, 1.0], 19)
+    residuals = (
+        (w * ex.p_prime(x)) @ leg.legvander(x, 18) @ leg.legder(np.eye(20))
+        + (w * (phi - f_prime + rho - ex.lam)) @ leg.legvander(x, 19)
+        + (spec.f(1.0) + ex.zeta) * q_right + (ex.gamma - spec.f(-1.0)) * q_left
+    )
+    return (float(np.max(np.abs(density - rho))), float(max(0.0, -np.min(density))),
+            float(np.max(np.abs(rho * (ex.p(x) - psi)))), residuals, float(w @ phi), float(w @ psi))
 
 
 # ---------------------------------------------------------------------------

@@ -693,7 +693,7 @@ def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
     result = hv.solve_problem(paper, 1024)
     # the finest and the coarsest level each solve their QP unconstrained once,
     # for the cold starts, and each PDAS step factors its pinned band
-    assert len(calls) == 2 + sum(s.iterations for s in result.levels) == 19
+    assert len(calls) == 2 + sum(s.iterations for s in result.levels) == 15
     unbound = dataclasses.replace(paper, psi=lambda x: np.full_like(np.asarray(x, dtype=float), 1e3))
     calls.clear()
     result = hv.solve_problem(unbound, 64)

@@ -98,7 +98,7 @@ def test_solve_fine_mesh_converges(capsys, tmp_path):
         "--output", str(tmp_path / "sol.csv"),
     )
     assert code == 0
-    assert "elements: 4096  pdas iterations: 2" in stderr
+    assert "elements: 4096  pdas iterations: 1" in stderr
 
 
 def test_solve_deterministic_output(capsys, tmp_path):

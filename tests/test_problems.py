@@ -6,9 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 import hermvi as hv
-from hermvi.problems import BREAK, _rule_checks
+from hermvi.mesh import _composite_rule
+from hermvi.problems import BREAK, _legendre_table, _rule_checks
 
-from oracles import cost
+from oracles import cost, rule_checks_by_legvander
 
 
 # ------------------------------------------------------------- paper_example
@@ -204,6 +205,35 @@ def test_weak_stationarity_matches_per_function_quadrature(paper, perturbed):
         assert np.min(np.abs(oracle)) > 1e-8
     assert phi_mean == pytest.approx(hv.composite_integral(ex.phi, spec.breakpoints), abs=1e-15)
     assert psi_mass == pytest.approx(0.5, abs=1e-14)
+
+
+def test_legendre_table_is_shared_read_only(paper):
+    table = _legendre_table(tuple(paper.breakpoints))
+    assert _legendre_table((0.0, BREAK)) is table and _legendre_table((0.5,)) is not table
+    q_left, q_right, vander_low, vander, derivative = table
+    for array in table:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the degree-18 matrix is the degree-19 one's first 19 columns, a copy in the same layout
+    assert np.array_equal(vander_low, vander[:, :19]) and vander_low.flags.f_contiguous
+    assert vander.shape == (_composite_rule((0.0, BREAK))[0].size, 20) and derivative.shape == (19, 20)
+    assert np.array_equal(q_left, (-1.0) ** np.arange(20)) and np.array_equal(q_right, np.ones(20))
+
+
+@pytest.mark.parametrize("case", ["paper", "perturbed", "one-breakpoint"])
+def test_rule_checks_equal_fresh_legendre_matrices(paper, case):
+    # bit for bit: the table changes where the Legendre matrices come from, not the arithmetic
+    base = paper.exact
+    spec = {
+        "paper": paper,
+        "perturbed": with_exact(paper, p_prime=lambda x: base.p_prime(x) + np.exp(np.asarray(x, float)),
+                                rho=lambda x: base.rho(x) + np.cos(5.0 * np.asarray(x, float))),
+        "one-breakpoint": dataclasses.replace(paper, breakpoints=(BREAK,)),
+    }[case]
+    ours = _rule_checks(spec)
+    theirs = rule_checks_by_legvander(spec, *_composite_rule(tuple(spec.breakpoints)))
+    assert ours[3].tobytes() == theirs[3].tobytes()
+    assert ours[:3] + ours[4:] == theirs[:3] + theirs[4:]
 
 
 def test_kkt_verification_flags_tampered_slope_derivative(paper):

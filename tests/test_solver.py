@@ -10,7 +10,7 @@ import hermvi as hv
 from hermvi.assembly import SymmetricBandedMatrix
 from hermvi.solver import _assemble_stack, assemble_system
 
-from conftest import counting_kkt, nonuniform_mesh
+from conftest import corpus_spec, counting_kkt, nonuniform_mesh
 from oracles import pinned
 
 
@@ -225,9 +225,9 @@ def test_solve_calls_the_data_once_per_assembly_pass(paper):
         # one refined solve (1 + 3 dpbtrs, 3 residuals) serves the cold start and
         # the one PDAS step; kkt_residual takes the fourth residual
         ("unconstrained-smoke", 64, 1, 4, 4),
-        # 17 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each), the two cold
+        # 13 pinned PDAS steps (1 + 3 dpbtrs, 5 residuals each), the two cold
         # starts' refined solves and one kkt_residual, on the finest level
-        ("paper", 1024, 19, 76, 92),
+        ("paper", 1024, 15, 60, 72),
     ],
 )
 def test_solve_work_counts(monkeypatch, problem, n, factorizations, triangular_solves, matvecs):
@@ -303,10 +303,10 @@ def test_every_mesh_warm_starts(paper, mesh):
     assert max(level.iterations for level in result.levels) <= 2
 
 
-def prolong_by_flags(coarse, flags, mesh, bounds):
+def prolong_by_flags(coarse, multipliers, mesh, bounds):
     """The earlier start rule, the reference for the slope rule: a shared node
     keeps its flag, a node inside a coarse element needs both ends' flags."""
-    nodes = coarse.mesh.nodes
+    nodes, flags = coarse.mesh.nodes, multipliers > 0
     j = np.searchsorted(nodes, mesh.nodes)
     return flags[j] & (flags[j - 1] | (nodes[j] == mesh.nodes))
 
@@ -330,26 +330,116 @@ def test_slope_prolongation_settles_where_the_flag_rule_does(paper, mesh, monkey
     assert sum(level.iterations for level in shipped) <= sum(level.iterations for level in reference)
 
 
-@pytest.mark.parametrize(
-    "mesh", [hv.build_mesh(1024), hv.build_mesh(33), nonuniform_mesh(1, 1000)],
-    ids=["uniform-1024", "uniform-33", "nonuniform-seed1-1000"],
-)
-def test_prolongation_reads_the_coarse_slope(paper, mesh):
-    # the start rule as stated, on every level: shared nodes keep their flag, new ones compare evaluate's slope
-    levels = hv.solve_problem(paper, mesh=mesh).levels
-    for coarse, fine in zip(levels[:-1], levels[1:]):
-        flags = np.zeros(coarse.mesh.n_nodes, dtype=bool)
-        flags[list(coarse.active_nodes)] = True
-        bounds = hv.constraint_bounds(fine.mesh, paper.psi)
-        j = np.searchsorted(coarse.mesh.nodes, fine.mesh.nodes)
-        shared = coarse.mesh.nodes[j] == fine.mesh.nodes
-        expected = np.where(shared, flags[j], hv.evaluate(coarse, fine.mesh.nodes, 1) >= bounds)
-        assert np.array_equal(hv.solver._prolong(coarse, flags, fine.mesh, bounds), expected)
+def prolong_by_slope(coarse, multipliers, mesh, bounds):
+    """The slope rule without its run-end exception: every shared node keeps
+    its flag, a new one compares the coarse state's slope with its bound."""
+    nodes, flags = coarse.mesh.nodes, multipliers > 0
+    j = np.searchsorted(nodes, mesh.nodes)
+    return np.where(nodes[j] == mesh.nodes, flags[j], hv.evaluate(coarse, mesh.nodes, 1) >= bounds)
+
+
+def prolong_by_run_ends(coarse, multipliers, mesh, bounds):
+    """The start rule written out node by node: the slope rule, except that an
+    interior node i ending an active run starts inactive when its multiplier is
+    below rho (H - H_f) / 2, provided its next two run nodes k, k' are interior
+    with densities lambda / w within 5% of each other."""
+    nodes, widths, flags = coarse.mesh.nodes, coarse.mesh.h, multipliers > 0
+    start, last = multipliers.copy(), nodes.size - 1
+    for i in range(1, last):
+        for d in (1, -1):
+            k, k2 = i + d, i + 2 * d
+            if not (flags[i] and not flags[i - d] and 0 < k2 < last and flags[k] and flags[k2]):
+                continue
+            rho, rho2 = (multipliers[n] / ((widths[n - 1] + widths[n]) / 2) for n in (k, k2))
+            f = mesh.nodes.tolist().index(nodes[i])
+            coarse_width, fine_width = abs(nodes[k] - nodes[i]), abs(mesh.nodes[f + d] - mesh.nodes[f])
+            if abs(rho - rho2) <= 0.05 * rho and multipliers[i] < rho * (coarse_width - fine_width) / 2:
+                start[i] = 0.0
+    return prolong_by_slope(coarse, start, mesh, bounds)
+
+
+def recorded_starts(monkeypatch, spec, **where):
+    """One solve, and every call of the solver's ``_prolong`` in it: its arguments and the mask it returned."""
+    calls, prolong = [], hv.solver._prolong
+
+    def recording(*args):
+        calls.append((args, prolong(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hv.solver, "_prolong", recording)
+    return hv.solve_problem(spec, **where), calls
+
+
+PROLONG_CASES = {
+    **{f"uniform-{n}": (lambda paper, n=n: (paper, hv.build_mesh(n))) for n in (1024, 33, 768)},
+    "nonuniform-seed1-1000": lambda paper: (paper, nonuniform_mesh(1, 1000)),
+    # random data, where the density guard keeps run ends active (at 0.0508 apart on seed 7's 256-element level)
+    **{f"corpus-seed{s}-{n}": (lambda paper, s=s, n=n: (corpus_spec(s), hv.build_mesh(n))) for s, n in ((1, 128), (7, 512))},
+}
+
+
+@pytest.mark.parametrize("case", PROLONG_CASES.values(), ids=PROLONG_CASES.keys())
+def test_prolongation_reads_the_coarse_slope(paper, case, monkeypatch):
+    # the start rule as stated, on every level: it reads the coarse level's own multipliers, shared
+    # nodes keep their flag unless they end a run (prolong_by_run_ends), new ones compare the slope
+    spec, mesh = case(paper)
+    result, calls = recorded_starts(monkeypatch, spec, mesh=mesh)
+    assert len(calls) == len(result.levels) - 1
+    for coarse, fine, ((given, multipliers, fine_mesh, bounds), start) in zip(result.levels, result.levels[1:], calls):
+        assert given is coarse and fine_mesh is fine.mesh
+        assert tuple(np.flatnonzero(multipliers > 0).tolist()) == coarse.active_nodes
+        assert np.array_equal(bounds, hv.constraint_bounds(fine.mesh, spec.psi))
+        assert np.array_equal(start, prolong_by_run_ends(coarse, multipliers, fine.mesh, bounds))
+
+
+def test_run_end_starts_inactive_where_the_fine_cell_misses_the_contact_set(paper, monkeypatch):
+    # paper/512: the node at 0.33203 ends the run on [1/3, 1] at lambda / (rho h) = 0.157, under the
+    # bound 1/4 of a bisected mesh, so it starts inactive at 1024 elements, where it is inactive
+    result, calls = recorded_starts(monkeypatch, paper, n_elements=1024)
+    (coarse, multipliers, mesh, _), start = calls[-1]
+    i = 341
+    assert coarse.mesh.nodes[i] == 0.33203125 and mesh.nodes[2 * i] == 0.33203125
+    assert multipliers[i] > 0 and not multipliers[i - 1] > 0
+    assert multipliers[i] / (paper.exact.rho(0.5) * coarse.mesh.h[i]) == pytest.approx(0.157, abs=5e-4)
+    assert not start[2 * i] and 2 * i not in result.solution.active_nodes
+    assert start[2 * i + 1] and start[2 * i + 2]
+    # 768 = 3 * 2^8: the 384-element level's node at 1/3 ends the run at lambda / (rho h) = 0.499,
+    # so it starts active and stays active
+    result, calls = recorded_starts(monkeypatch, paper, n_elements=768)
+    (coarse, multipliers, mesh, _), start = calls[-1]
+    i = 256
+    assert coarse.mesh.nodes[i] == pytest.approx(1 / 3, abs=1e-15) and mesh.nodes[2 * i] == coarse.mesh.nodes[i]
+    assert multipliers[i] > 0 and not multipliers[i - 1] > 0
+    assert multipliers[i] / (paper.exact.rho(0.5) * coarse.mesh.h[i]) == pytest.approx(0.499, abs=5e-4)
+    assert start[2 * i] and 2 * i in result.solution.active_nodes
+
+
+#: Item 13's generator on uniform meshes, one size per seed in turn.
+CORPUS_SIZES = (64, 128, 256, 512)
+
+
+def test_corpus_settles_where_the_rule_without_run_ends_does(monkeypatch):
+    # random data: the run-end exception moves only the PDAS path, never a level's result
+    def solves():
+        return [hv.solve_problem(corpus_spec(seed), CORPUS_SIZES[seed % len(CORPUS_SIZES)]).levels
+                for seed in range(24)]
+
+    shipped = solves()
+    monkeypatch.setattr(hv.solver, "_prolong", prolong_by_slope)
+    reference = solves()
+    for ours, theirs in zip(shipped, reference):
+        assert len(ours) == len(theirs) > 1
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.coefficients, b.coefficients)
+            assert a.active_nodes == b.active_nodes and a.kkt == b.kkt
+    assert sum(level.iterations for levels in shipped for level in levels) <= sum(
+        level.iterations for levels in reference for level in levels)
 
 
 def test_chain_iterations_per_level(solve_cache):
-    # the flag rule (prolong_by_flags) takes 2 steps on every level, 22 in all
-    assert [level.iterations for level in solve_cache(1024).levels] == [2, 1, 1, 2, 2, 1, 2, 1, 2, 1, 2]
+    # the flag rule (prolong_by_flags) takes 2 steps on every level, 22 in all; the slope rule
+    # without its run-end exception (prolong_by_slope) 17, with a second step at 1, 8, 16, 64, 256 and 1024
+    assert [level.iterations for level in solve_cache(1024).levels] == [2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
