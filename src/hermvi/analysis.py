@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, MeshStack, _element_evaluator, _gauss_points, build_mesh
+from .mesh import DiscreteSolution, MeshStack, _element_evaluator, _gauss_points, _KktOnRead, build_mesh
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import KktResidual
@@ -29,15 +29,13 @@ _LINF_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(_KktOnRead):
     """Error norms of one discrete solve, with that level's KKT residuals.
 
-    ``kkt_source`` is a zero-argument callable that returns the level's
-    KKT record; :attr:`kkt` calls it on its first read and keeps the
-    record, as :class:`DiscreteSolution` does, so a study whose records
-    nobody reads computes none.  Reports compare by their size and norms,
-    not by the record.  A pickle carries the record, read then, and not
-    its source, so no QP travels with a report.
+    The record is :attr:`kkt`, read from ``kkt_source`` on first read and
+    pickled as a value, as a :class:`DiscreteSolution`'s is, so a study
+    whose records nobody reads computes none.  Reports compare by their
+    size and norms, not by the record.
     """
 
     n_elements: int
@@ -50,14 +48,6 @@ class ErrorReport:
     kkt_source: Callable[[], KktResidual | None] | None = field(default=None, compare=False, repr=False)
 
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
-
-    @functools.cached_property
-    def kkt(self) -> KktResidual | None:
-        """The KKT record from ``kkt_source``, computed once; None without a source."""
-        return None if self.kkt_source is None else self.kkt_source()
-
-    def __getstate__(self):  # the record, read now, pickles; its source and the QP behind it do not
-        return {**self.__dict__, "kkt_source": None, "kkt": self.kkt}
 
 
 def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list[ErrorReport]:

@@ -288,15 +288,27 @@ def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float
     return float(w @ np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape))
 
 
+class _KktOnRead:
+    """The ``kkt`` record of a frozen dataclass whose ``kkt_source`` field is a zero-argument callable
+    or None: computed on first read and kept, so a record nobody reads is never computed.  A pickle
+    carries the record, read then, and not its source, so no QP travels with it."""
+
+    @functools.cached_property
+    def kkt(self) -> "KktResidual | None":
+        """The KKT record from ``kkt_source``, computed once; None without a source."""
+        return None if self.kkt_source is None else self.kkt_source()
+
+    def __getstate__(self):
+        return {**self.__dict__, "kkt_source": None, "kkt": self.kkt}
+
+
 @dataclass(frozen=True, eq=False)
-class DiscreteSolution:
+class DiscreteSolution(_KktOnRead):
     """Coefficient vector over all Hermite DOFs plus solve metadata.
 
     ``iterations`` is the PDAS iteration count on this mesh alone; each
     level of a warm-start chain (``SolveResult.levels``) counts its own.
-    ``kkt_source`` is a zero-argument callable that returns the level's
-    KKT record; :attr:`kkt` calls it on its first read and keeps the
-    record, so a level whose record nobody reads never computes it.
+    :attr:`kkt` is its KKT record, read from ``kkt_source`` (:class:`_KktOnRead`).
     """
 
     coefficients: np.ndarray
@@ -313,11 +325,6 @@ class DiscreteSolution:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-
-    @functools.cached_property
-    def kkt(self) -> "KktResidual | None":
-        """The KKT record from ``kkt_source``, computed once; None without a source."""
-        return None if self.kkt_source is None else self.kkt_source()
 
     def __call__(self, x, deriv_order: int = 0):
         return evaluate(self, x, deriv_order)

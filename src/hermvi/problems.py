@@ -274,6 +274,8 @@ def _rule_checks(spec: ProblemSpec):
     x, w = _composite_rule(breakpoints)
     q_left, q_right, vander_low, vander, derivative = _legendre_table(breakpoints)
     rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)
+    # a scalar is a constant on the points, as composite_integral reads it
+    phi, psi = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in (phi, psi))
     density = ex.p_dprime(x) + f_prime - phi + ex.lam
     residuals = (
         (w * ex.p_prime(x)) @ vander_low @ derivative

@@ -18,7 +18,7 @@ from .assembly import (
 from .assembly import apply_dirichlet  # noqa: F401  (no caller here; hermbench traces solver.apply_dirichlet)
 from .mesh import DiscreteSolution, Mesh, MeshStack, _element_evaluator, build_mesh
 from .problems import ProblemSpec
-from .qp import BoundQp, KktResidual, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
+from .qp import BoundQp, NonConvergenceError, QpSolution, _cold_start, kkt_residual, solve_pdas
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +104,6 @@ def _prolong(coarse: DiscreteSolution, multipliers: np.ndarray, mesh: Mesh, boun
     return active
 
 
-def _kkt_record(qp: BoundQp, sol: QpSolution) -> KktResidual:
-    """:func:`kkt_residual` of one chain level, called through this module's name when the
-    level's record is read, so hermbench's tracer, which wraps that name, sees every record."""
-    return kkt_residual(qp, sol)
-
-
 def solve_problem(
     spec: ProblemSpec,
     n_elements: int | None = None,
@@ -130,8 +124,9 @@ def solve_problem(
     element widths; a :class:`NonConvergenceError` on a coarser mesh names
     its element count and carries that mesh's iterate.  The finest level's
     KKT record, the solve's certificate, is computed before this returns;
-    a coarse level's on its first read (:func:`_kkt_record`), so each
-    coarse level keeps its QP for it.
+    a coarse level's on its first read, by the :func:`kkt_residual` that
+    this module's name held when the level was built.  Each level keeps
+    its QP for that; a pickled level carries its record instead.
 
     The requested mesh is assembled alone, for the unconstrained solve;
     the coarse meshes are built first and then assembled together in one
@@ -161,7 +156,7 @@ def solve_problem(
             lam = qp_sol.multipliers[level_qp.constrained]  # one per node: its slope DOF's multiplier
             levels.append(DiscreteSolution(
                 qp_sol.x, level, qp_sol.iterations, active_nodes=tuple(np.flatnonzero(lam > 0).tolist()),
-                kkt_source=functools.partial(_kkt_record, level_qp, qp_sol),
+                kkt_source=functools.partial(kkt_residual, level_qp, qp_sol),
             ))
     except MatrixNotSpdError as exc:
         raise MatrixNotSpdError(

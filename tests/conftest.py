@@ -79,7 +79,8 @@ def corpus_spec(seed):
 
 
 def counting_kkt(monkeypatch):
-    """Record the arguments of every call of ``hermvi.solver.kkt_residual``."""
+    """Record the arguments of every call of ``hermvi.solver.kkt_residual`` made by a solve that
+    starts after this is installed: each chain level binds that name when the level is built."""
     calls = []
     kkt_residual = hv.solver.kkt_residual
 

@@ -7,6 +7,7 @@ unchanged.
 """
 
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,19 @@ def test_traced_solve_leaves_the_finest_qp_as_last_kkt(paper):
         profile = tracer.end_op()
     assert tracer.last_kkt[0] is result.qp and tracer.last_kkt[1] is result.qp_solution
     assert profile.calls["qp.kkt_residual"] == 1
+
+
+def test_traced_levels_pickle_with_their_records(paper):
+    # a level solved under the tracer holds the traced kkt_residual, which does not pickle; its record does
+    tracer = load_harness_module("tracing").Tracer()
+    tracer.begin_op(0)
+    try:
+        levels = hermvi.solve_problem(paper, 64).levels
+    finally:
+        tracer.end_op()
+    back = pickle.loads(pickle.dumps(levels))
+    assert [level.kkt for level in back] == [level.kkt for level in levels]
+    assert [level.kkt for level in back] == [level.kkt for level in hermvi.solve_problem(paper, 64).levels]
 
 
 def test_traced_study_leaves_the_finest_qp_as_last_kkt(capsys):

@@ -249,6 +249,18 @@ def test_kkt_verification_flags_tampered_slope_derivative(paper):
     assert failed[0].worst > failed[0].tolerance == 1e-8
 
 
+def test_kkt_verification_reads_scalar_obstacle_and_potential(paper):
+    # a scalar is a constant on the rule's points, as the spec's own int psi > 0 check reads it
+    checks = hv.verify_continuous_kkt(dataclasses.replace(paper, psi=lambda x: 2.0))
+    assert [c.name for c in checks] == CONTINUOUS_CHECK_NAMES
+    assert [c.name for c in checks if not c.passed] == ["complementarity rho * (p - psi)"]
+    assert checks[3].worst == pytest.approx(211.0 / 48.0)  # rho * (1 - 2) on the contact set
+    assert checks[-1].worst == pytest.approx(4.0) and checks[-1].note == "int psi = 4"
+    checks = hv.verify_continuous_kkt(with_exact(paper, phi=lambda x: 0.0))
+    assert checks[5].passed and checks[5].worst == 0.0
+    assert {c.name for c in checks if not c.passed} >= {"density formula p'' + f' - phi + lam"}
+
+
 def test_kkt_verification_evaluates_each_function_a_few_times(paper):
     # one quadrature pass: a per-test-function loop calls each of these 21-22 times
     calls = dict.fromkeys(("p_prime", "phi", "f_prime", "rho"), 0)
