@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -45,7 +45,7 @@ class ErrorReport(_KktOnRead):
     h1: float
     h2: float
     control_l2: float
-    kkt_source: Callable[[], KktResidual | None] | None = field(default=None, compare=False, repr=False)
+    kkt_source: InitVar[Callable[[], KktResidual | None] | None] = None
 
     NORM_FIELDS = ("l2", "linf", "h1", "h2", "control_l2")
 

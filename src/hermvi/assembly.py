@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import csr_array
 
 from .mesh import Mesh, _element_dofs, _shape_columns, segment_quadrature
 
@@ -57,6 +55,25 @@ REFINE_STEPS = 3
 
 class MatrixNotSpdError(Exception):
     """Raised when a Cholesky factorization of a system matrix fails."""
+
+
+def __getattr__(name: str):
+    """scipy's banded LAPACK ``dpbtrf``, ``dpbtrs`` and ``csr_array``, imported on the first
+    read of any of them and bound as plain module globals, so importing hermvi loads numpy
+    alone.  A name bound before then, such as a patched ``dpbtrf``, keeps its value."""
+    if name not in ("dpbtrf", "dpbtrs", "csr_array"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.sparse import csr_array
+
+    for key, value in (("dpbtrf", dpbtrf), ("dpbtrs", dpbtrs), ("csr_array", csr_array)):
+        globals().setdefault(key, value)
+    return globals()[name]
+
+
+def _scipy(name: str):
+    """The module global ``name``, one of :func:`__getattr__`'s, bound on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 @functools.lru_cache(maxsize=32)
@@ -136,7 +153,7 @@ class SymmetricBandedMatrix:
         width, dim = self.data.shape
         values = np.ascontiguousarray(self.data[::-1].T, dtype=np.longdouble).ravel()
         indices = _slot_rows(self.half_bandwidth, dim)[::-1].T.ravel()
-        return csr_array((values, indices, np.arange(0, width * dim + 1, width)), shape=(dim, dim))
+        return _scipy("csr_array")((values, indices, np.arange(0, width * dim + 1, width)), shape=(dim, dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -189,7 +206,7 @@ class SymmetricBandedMatrix:
         mask = self._mask(fixed)
         if mask.any():  # else the stored rows as they are
             upper = _pinned_band(upper, self.half_bandwidth, mask)
-        factor, info = dpbtrf(upper, lower=0)
+        factor, info = _scipy("dpbtrf")(upper, lower=0)
         if info > 0:
             raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
         return factor
@@ -208,6 +225,7 @@ class SymmetricBandedMatrix:
         ``rhs`` raises ValueError.
         """
         factor = self.factor(fixed)
+        dpbtrs = _scipy("dpbtrs")
         fixed = np.asarray(fixed, dtype=np.intp)
         b = np.array(rhs, dtype=float)
         _require_finite(b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -289,17 +289,22 @@ def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float
 
 
 class _KktOnRead:
-    """The ``kkt`` record of a frozen dataclass whose ``kkt_source`` field is a zero-argument callable
-    or None: computed on first read and kept, so a record nobody reads is never computed.  A pickle
+    """The ``kkt`` record of a frozen dataclass whose init-only ``kkt_source`` is a zero-argument
+    callable or None: computed on first read and kept, so a record nobody reads is never computed.
+    The source is held as ``_kkt_source``, outside the fields, so ``dataclasses.replace`` builds a
+    record without one, whose ``kkt`` reads None rather than the record it was made from.  A pickle
     carries the record, read then, and not its source, so no QP travels with it."""
+
+    def __post_init__(self, kkt_source):
+        object.__setattr__(self, "_kkt_source", kkt_source)
 
     @functools.cached_property
     def kkt(self) -> "KktResidual | None":
         """The KKT record from ``kkt_source``, computed once; None without a source."""
-        return None if self.kkt_source is None else self.kkt_source()
+        return None if self._kkt_source is None else self._kkt_source()
 
     def __getstate__(self):
-        return {**self.__dict__, "kkt_source": None, "kkt": self.kkt}
+        return {**self.__dict__, "_kkt_source": None, "kkt": self.kkt}
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +320,10 @@ class DiscreteSolution(_KktOnRead):
     mesh: Mesh
     iterations: int = 0
     active_nodes: tuple = ()
-    kkt_source: "Callable[[], KktResidual] | None" = None
+    kkt_source: InitVar["Callable[[], KktResidual] | None"] = None
 
-    def __post_init__(self):
+    def __post_init__(self, kkt_source):
+        super().__post_init__(kkt_source)
         coeffs = np.array(self.coefficients, dtype=float)
         if coeffs.shape != (2 * self.mesh.n_nodes,):
             raise ValueError(

@@ -276,9 +276,15 @@ def test_report_pickles_its_records(paper):
     study = hv.run_convergence_study(paper, [4, 8, 16])
     table = hv.render_report(study, format="csv")
     back = pickle.loads(pickle.dumps(study))
-    assert [rep.kkt_source for rep in back.reports] == [None] * 3  # the records travel, not their QPs
+    assert [rep._kkt_source for rep in back.reports] == [None] * 3  # the records travel, not their QPs
     assert back == study and [rep.kkt for rep in back.reports] == [rep.kkt for rep in study.reports]
     assert hv.render_report(back, format="csv") == table
+
+
+def test_replaced_report_certifies_no_solve(paper):
+    report = hv.run_convergence_study(paper, [4, 8, 16]).reports[1]
+    assert dataclasses.replace(report, l2=0.0).kkt is None and report.kkt is not None
+    assert dataclasses.replace(report, l2=0.0).kkt is None  # nor once its record is read
 
 
 def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):

@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -699,3 +703,66 @@ def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
     result = hv.solve_problem(unbound, 64)
     assert result.solution.iterations == 1 and not result.solution.active_nodes
     assert len(calls) == 1
+
+
+# ------------------------------------------------------ scipy on first use
+
+def run_fresh(code: str) -> list:
+    """The JSON lines that ``code`` prints in a fresh interpreter, with warnings as errors,
+    importing the hermvi under test."""
+    package_root = str(Path(hv.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"import sys; sys.path.insert(0, {package_root!r})\n{code}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_import_and_verify_load_no_scipy():
+    stages = run_fresh("""
+import contextlib, io, json
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+import hermvi, hermvi.cli
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hermvi.cli.main(["verify", "--problem", "paper"]) == 0
+loaded()
+hermvi.solve_problem(hermvi.paper_example(), 8)
+loaded()
+import scipy.linalg.lapack, scipy.sparse
+assembly = hermvi.assembly
+print(json.dumps([assembly.dpbtrf is scipy.linalg.lapack.dpbtrf, assembly.dpbtrs is scipy.linalg.lapack.dpbtrs,
+                  assembly.csr_array is scipy.sparse.csr_array]))
+""")
+    imported, verified, solved, bound = stages
+    assert imported == verified == []
+    assert {"scipy.linalg.lapack", "scipy.sparse"} <= set(solved)
+    assert bound == [True, True, True]
+
+
+def test_lapack_patched_before_first_solve_is_the_one_called():
+    # in-process the names are bound already; only a fresh interpreter patches them unbound
+    (counts,) = run_fresh("""
+import json
+import hermvi
+from hermvi import assembly
+assert "dpbtrf" not in vars(assembly) and "dpbtrs" not in vars(assembly)
+counts = {"dpbtrf": 0, "dpbtrs": 0}
+def counting(name):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        import scipy.linalg.lapack
+        return getattr(scipy.linalg.lapack, name)(*args, **kwargs)
+    return counted
+assembly.dpbtrf, assembly.dpbtrs = counting("dpbtrf"), counting("dpbtrs")
+hermvi.solve_problem(hermvi.paper_example(), 1024)
+try:
+    assembly.nope
+except AttributeError:
+    counts["nope"] = "AttributeError"
+print(json.dumps(counts))
+""")
+    # the counts that test_solve_work_counts pins for this solve
+    assert counts == {"dpbtrf": 15, "dpbtrs": 60, "nope": "AttributeError"}

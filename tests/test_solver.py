@@ -549,7 +549,17 @@ def test_levels_survive_pickle(paper):
     for ours, theirs in zip(back, levels):
         assert np.array_equal(ours.coefficients, theirs.coefficients)
         assert ours.active_nodes == theirs.active_nodes and ours.iterations == theirs.iterations
-        assert ours.kkt_source is None
+        assert ours._kkt_source is None
     # read records pickle as values
     again = pickle.loads(pickle.dumps(levels))
     assert [level.kkt for level in again] == [level.kkt for level in levels]
+
+
+def test_replaced_level_certifies_no_solve(paper):
+    levels = hv.solve_problem(paper, 64).levels
+    # replaced before and after the source's record is read: neither certifies the zeros
+    zeroed = dataclasses.replace(levels[3], coefficients=np.zeros_like(levels[3].coefficients))
+    assert zeroed.kkt is None and levels[3].kkt.stationarity < 1e-12
+    assert dataclasses.replace(levels[3], coefficients=np.zeros_like(levels[3].coefficients)).kkt is None
+    # a source is the caller's to give
+    assert dataclasses.replace(zeroed, kkt_source=lambda: levels[3].kkt).kkt is levels[3].kkt
