@@ -87,18 +87,21 @@ def _slot_rows(hbw: int, dim: int) -> np.ndarray:
     return columns.T[::-1]
 
 
-def _pinned_band(band: np.ndarray, hbw: int, mask: np.ndarray) -> np.ndarray:
-    """The top rows ``band`` of a band, with the rows and columns ``mask`` the identity's.
-
-    Slot ``[r, j]`` is hit when its column ``j`` or its row ``j + r - hbw``, read from
-    the mask padded by hbw False on each side, is pinned; a hit slot outside the matrix
-    is off the diagonal and keeps its 0.0.  :func:`_dirichlet_systems` pins the whole
-    band and :meth:`SymmetricBandedMatrix.factor` only the upper rows.
-    """
-    k = band.shape[0]
-    padded = np.concatenate([np.zeros(hbw, bool), mask, np.zeros(hbw, bool)])
-    rows = np.ndarray((k, mask.size), bool, padded, strides=(1, 1))  # rows[r, j] is padded[r + j]
-    return np.where(rows | mask, (np.arange(k) == hbw)[:, None], band)
+def _pinned(band: np.ndarray, hbw: int, fixed: np.ndarray, order: str) -> np.ndarray:
+    """A copy of the top rows ``band`` of a band in ``order``, with the rows and columns ``fixed``
+    (checked indices) the identity's, set by index: slot ``[r, j]`` holds entry ``(j + r - hbw, j)``,
+    so row i is the slots ``[r, i + hbw - r]``, those past either end in hbw columns padding each
+    side.  :meth:`SymmetricBandedMatrix.factor` pins the upper rows in Fortran order, for LAPACK to
+    overwrite, and :func:`_dirichlet_systems` the whole band in C order, whose rows its readers scan."""
+    k, dim = band.shape
+    padded = np.zeros((k, dim + 2 * hbw), order=order)
+    pinned = padded[:, hbw : hbw + dim]
+    pinned[...] = band
+    rows = np.arange(k)[:, None]
+    padded[rows, fixed + (2 * hbw - rows)] = 0.0
+    pinned[:, fixed] = 0.0
+    pinned[hbw, fixed] = 1.0
+    return pinned
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -187,26 +190,19 @@ class SymmetricBandedMatrix:
             raise ValueError(f"indices must be 1-D integers in [0, {self.dim}), not bools or floats")
         return indices if indices.size else indices.astype(np.intp)
 
-    def _mask(self, fixed) -> np.ndarray:
-        """Boolean mask of the coordinates ``fixed``, checked by :meth:`_indices`."""
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[self._indices(fixed)] = True
-        return mask
-
     def factor(self, fixed=()) -> np.ndarray:
         """Upper banded Cholesky factor, from the upper band rows alone, of this
         matrix with the rows and columns ``fixed`` replaced by the identity's.
 
         ``fixed`` follows the rule of :meth:`_indices`, which raises
         ValueError; an empty one pins nothing.  Nothing is cached: each call
-        runs one LAPACK factorization.  Raises MatrixNotSpdError if the matrix
-        is not positive definite; construction has refused an inf or NaN.
+        runs one LAPACK factorization, in place in a pinned copy.  Raises
+        MatrixNotSpdError if the matrix is not positive definite; construction
+        has refused an inf or NaN.
         """
-        upper = self.data[: self.half_bandwidth + 1]
-        mask = self._mask(fixed)
-        if mask.any():  # else the stored rows as they are
-            upper = _pinned_band(upper, self.half_bandwidth, mask)
-        factor, info = _scipy("dpbtrf")(upper, lower=0)
+        hbw = self.half_bandwidth
+        pinned = _pinned(self.data[: hbw + 1], hbw, self._indices(fixed), "F")
+        factor, info = _scipy("dpbtrf")(pinned, lower=0, overwrite_ab=1)
         if info > 0:
             raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
         return factor
@@ -355,7 +351,7 @@ def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarr
 
     Mesh k owns the nodes from ``first_node[k]`` to the next mesh's first
     (:class:`MeshStack`).  The endpoint value DOFs of every mesh are pinned
-    by one :func:`_pinned_band`; the slots that couple two meshes lie
+    by one :func:`_pinned`; the slots that couple two meshes lie
     outside each mesh's matrix and read 0.0, as they would alone.  Each
     system holds views of its mesh's part of the pinned band, of a copy
     of the load and of ``bounds``; the load and bound views are read-only,
@@ -366,7 +362,7 @@ def _dirichlet_systems(a: SymmetricBandedMatrix, b: np.ndarray, bounds: np.ndarr
         raise ValueError("matrix, load and bounds do not agree: need two or more nodes, two DOFs and one bound each")
     ends = [*first_node, bounds.size]  # mesh k's nodes are ends[k] .. ends[k + 1] - 1
     dirichlet = [2 * n for n in ends[:-1]] + [2 * n - 2 for n in ends[1:]]
-    band = _pinned_band(a.data, a.half_bandwidth, a._mask(dirichlet))
+    band = _pinned(a.data, a.half_bandwidth, np.array(dirichlet), "C")
     b = np.array(b, dtype=float)
     b[dirichlet] = 0.0
     b.flags.writeable = False

@@ -174,8 +174,12 @@ def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=16)
 def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
-    """Read-only unique sorted ``breakpoints``, one array per tuple."""
-    return _frozen(np.unique(np.asarray(breakpoints, dtype=float)))
+    """Read-only sorted ``breakpoints`` without repeats, a zero as +0.0, one array per tuple.
+    Each is kept unless it equals its left neighbour: ``np.unique`` would import ``numpy.ma``."""
+    bps = np.sort(np.asarray(breakpoints, dtype=float), axis=None) + 0.0
+    keep = np.ones(bps.size, dtype=bool)
+    keep[1:] = bps[1:] != bps[:-1]
+    return _frozen(bps[keep])
 
 
 def _segments(nodes: np.ndarray, h: np.ndarray, breakpoints: Iterable[float]):

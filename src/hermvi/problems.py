@@ -57,7 +57,7 @@ class ProblemSpec:
 
     ``breakpoints`` lists every point where f, y_d, psi or the exact
     solution is nonsmooth; every quadrature cuts there.  Construction checks
-    that beta is positive and finite and the obstacle compatibility
+    that beta and every breakpoint are finite, beta positive, and the obstacle
     condition int psi dx > 0, without which no admissible state exists.
     """
 
@@ -71,6 +71,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         _require_beta(self.beta)
+        bad = [float(bp) for bp in self.breakpoints if not np.isfinite(bp)]
+        if bad:
+            raise ValueError(f"breakpoints must be finite, got {bad}")
         mass = composite_integral(self.psi, self.breakpoints)
         if not mass > 0.0:
             raise ValueError(

@@ -451,8 +451,8 @@ def test_banded_solve_rejects_non_finite_input():
 
 def pinned_band(a, fixed):
     """The whole band of ``a`` pinned by the library's rule: ``fixed`` checked as
-    :meth:`factor` checks it, then :func:`assembly._pinned_band`, as the Dirichlet pins run it."""
-    return assembly._pinned_band(a.data, a.half_bandwidth, a._mask(fixed))
+    :meth:`factor` checks it, then :func:`assembly._pinned`, as the Dirichlet pins run it."""
+    return assembly._pinned(a.data, a.half_bandwidth, a._indices(fixed), "C")
 
 
 def banded_case(rng, kind, n):
@@ -766,3 +766,26 @@ print(json.dumps(counts))
 """)
     # the counts that test_solve_work_counts pins for this solve
     assert counts == {"dpbtrf": 15, "dpbtrs": 60, "nope": "AttributeError"}
+
+
+# ---------------------------------------------- no numpy.ma before a solve
+
+def test_import_build_and_verify_load_no_numpy_ma():
+    # np.unique loads numpy.ma on numpy 2; numpy 1.x loads it on import, which this cannot test
+    stages = run_fresh("""
+import contextlib, io, json
+def loaded():
+    print(json.dumps("numpy.ma" in sys.modules))
+import numpy
+loaded()
+import hermvi, hermvi.cli
+hermvi.paper_example()
+hermvi.unconstrained_smoke()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hermvi.cli.main(["verify", "--problem", "paper"]) == 0
+loaded()
+""")
+    numpy_alone, verified = stages
+    if numpy_alone:
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert not verified

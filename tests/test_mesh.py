@@ -9,6 +9,7 @@ from hermvi.mesh import (
     COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, MeshStack, _composite_rule, _element_dofs, _element_evaluator,
     _segments,
 )
+from hermvi.mesh import _sorted_breakpoints, segment_quadrature
 
 from conftest import nonuniform_mesh, shape_matrix
 from oracles import split_segments
@@ -409,6 +410,30 @@ def test_composite_rule_and_cut_are_shared_read_only():
         assert hv.composite_integral(np.cos, kind(breakpoints)) == hv.composite_integral(np.cos, (0.3, -0.2))
     with pytest.raises(ValueError, match="read-only"):
         x[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "breakpoints",
+    [(0.3, -0.2, 0.7), (0.3, -0.2, 0.3, 0.3, -0.2), (0.5, 0.5 + 1e-15, 0.5), (0.25,), ()],
+    ids=["unsorted", "repeated", "1e-15-apart", "one", "empty"],
+)
+def test_sorted_breakpoints_are_numpy_unique(breakpoints):
+    bps = _sorted_breakpoints(breakpoints)
+    assert bps.dtype == float and not bps.flags.writeable
+    assert np.array_equal(bps, np.unique(np.asarray(breakpoints, dtype=float)))
+
+
+def test_a_zero_breakpoint_reads_the_same_whatever_its_sign():
+    # -0.0 == 0.0, so the caches keyed by the tuple keep whichever sign comes first: the array
+    # stores +0.0, and every cut and rule is the same bits whichever tuple built it
+    mesh = hv.build_mesh(3)
+    built = []
+    for breakpoints in ((-0.0, 1.0 / 3.0), (0.0, -0.0, 1.0 / 3.0), (0.0, 1.0 / 3.0)):
+        _sorted_breakpoints.cache_clear()
+        _composite_rule.cache_clear()
+        assert [str(b) for b in _sorted_breakpoints(breakpoints)] == ["0.0", str(1.0 / 3.0)]
+        built.append([a.tobytes() for a in (*segment_quadrature(mesh, breakpoints, 4), *_composite_rule(breakpoints))])
+    assert built[0] == built[1] == built[2]
 
 
 def segments_reference(meshes, breakpoints):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_spec_rejects_incompatible_obstacle():
                 psi=lambda x: np.ones_like(np.asarray(x, float)),
                 y_d=lambda x: np.zeros_like(x),
             )
+
+
+
+@pytest.mark.parametrize(
+    "breakpoints, bad",
+    [((np.nan,), "[nan]"), ((np.inf,), "[inf]"), ((0.0, np.nan), "[nan]"), ((-np.inf, 0.5, np.inf), "[-inf, inf]")],
+    ids=["nan", "inf", "zero-nan", "both-infs"],
+)
+def test_spec_rejects_non_finite_breakpoints(paper, breakpoints, bad):
+    # a non-finite breakpoint cuts no element, so the spec would solve as if it were not there
+    with pytest.raises(ValueError, match=re.escape(f"breakpoints must be finite, got {bad}")):
+        dataclasses.replace(paper, breakpoints=breakpoints)
 
 
 # ------------------------------------------------------ verify_continuous_kkt
