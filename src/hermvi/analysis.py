@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import DiscreteSolution, MeshStack, _element_evaluator, _gauss_points, _KktOnRead, build_mesh
+from .mesh import DiscreteSolution, MeshStack, _element_evaluator, _KktOnRead, _segments, build_mesh
 from .mesh import evaluate  # noqa: F401  (no caller here; hermbench traces analysis.evaluate)
 from .problems import ProblemSpec
 from .qp import KktResidual
@@ -53,17 +53,21 @@ class ErrorReport(_KktOnRead):
 def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list[ErrorReport]:
     """Error reports of every level, from one pass over all their segments.
 
-    Each level's elements are cut at ``spec.breakpoints``, and the segments
-    of all levels are concatenated (:meth:`MeshStack.segments`), so every
-    exact-bundle function and ``spec.f`` is called once per use, whatever
-    the number of levels.  Each segment is evaluated on its own element
-    (y_h'' at a node comes from the segment's side).  Squared norms are
-    summed per level in segment order by ``bincount`` and maxima taken per
-    level, so a level's report does not depend on the levels beside it.
+    Each level's elements are cut at ``spec.breakpoints``, and the Gauss
+    points placed, by one :func:`_segments` pass over the levels'
+    :class:`MeshStack`, so every exact-bundle function and ``spec.f`` is
+    called once per use, whatever the number of levels; level k's segments
+    begin with the first on element ``first_node[k]`` of the stack.  Each
+    segment is evaluated on its own element (y_h'' at a node comes from the
+    segment's side).  Squared norms are summed per level in segment order
+    by ``bincount`` and maxima taken per level, so a level's report does not
+    depend on the levels beside it.
     """
     ex = spec.exact
     stack = MeshStack([sol.mesh for sol in levels])
-    element, lo, hi, segments = stack.segments(spec.breakpoints)
+    element, lo, hi, xs, ws = _segments(stack.nodes, stack.h, spec.breakpoints, NORM_QUAD_POINTS)
+    first = np.searchsorted(element, stack.first_node)  # each level's first segment
+    level_of = np.repeat(np.arange(len(levels)), np.diff(first, append=element.size) * NORM_QUAD_POINTS)
     element, lo, hi, nodes = element[:, None], lo[:, None], hi[:, None], stack.nodes
     h, at = _element_evaluator(nodes, np.concatenate([sol.coefficients for sol in levels]), element)
     left = nodes[element]
@@ -72,9 +76,6 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
         return at(xi, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
     # integrated norms, one squared error at a time; the control error shares y_h'' and p' with H2
-    xs, ws = _gauss_points(lo[:, 0], hi[:, 0], NORM_QUAD_POINTS)
-    level_of = np.repeat(np.arange(len(levels)), [n * NORM_QUAD_POINTS for n in segments])
-
     def norm(e):  # per level, summed in segment order
         return np.sqrt(np.bincount(level_of, weights=(e * e * ws).ravel()))
 
@@ -93,7 +94,7 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
         step = np.divide(err(x, xi, 1), curvature, out=np.zeros_like(x), where=curvature != 0)
         x = np.clip(x - step, lo, hi)
     refined = np.abs(err(x, (x - left) / h, 0))[:, 0]
-    linf = np.maximum.reduceat(np.maximum(seeded.max(axis=1), refined), np.cumsum([0] + segments[:-1]))
+    linf = np.maximum.reduceat(np.maximum(seeded.max(axis=1), refined), first)
     return [
         ErrorReport(
             n_elements=sol.mesh.n_elements, h=sol.mesh.mesh_size,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, _element_dofs, _shape_columns, segment_quadrature
+from .mesh import Mesh, _element_dofs, _segments, _shape_columns
 
 #: Half-bandwidth of the Hermite energy matrix in interleaved DOF order.
 HALF_BANDWIDTH = 3
@@ -298,8 +298,10 @@ def assemble_load(
     the order a load of that mesh alone would.
     """
     _require_beta(beta)
-    element, x, xi, w = segment_quadrature(mesh, breakpoints, LOAD_QUAD_POINTS)
+    element, _, _, x, w = _segments(mesh.nodes, mesh.h, breakpoints, LOAD_QUAD_POINTS)
+    element, x, w = np.repeat(element, LOAD_QUAD_POINTS), x.ravel(), w.ravel()
     h = mesh.h[element]
+    xi = (x - mesh.nodes[element]) / h
     wy = w * np.asarray(y_d(x), dtype=float)
     wf = w * np.asarray(f(x), dtype=float)
     vals = np.empty((xi.size, 4))  # (point, local DOF), the order bincount sums in

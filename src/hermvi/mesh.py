@@ -4,8 +4,9 @@ Each mesh node carries two degrees of freedom, the function value and the
 physical slope, so discrete functions are globally C^1 piecewise cubics.
 This module owns the reference shape functions, the node-to-DOF layout
 (:func:`_element_dofs`), meshes stacked end to end (:class:`MeshStack`),
-Gauss-Legendre quadrature on [0, 1], nodal interpolation, and evaluation
-of discrete functions up to the second derivative.
+Gauss-Legendre quadrature on [0, 1], the one cut pass (:func:`_segments`)
+that places the Gauss points every quadrature reads, nodal interpolation,
+and evaluation of discrete functions up to the second derivative.
 """
 
 from __future__ import annotations
@@ -182,14 +183,16 @@ def _sorted_breakpoints(breakpoints: tuple) -> np.ndarray:
     return _frozen(bps[keep])
 
 
-def _segments(nodes: np.ndarray, h: np.ndarray, breakpoints: Iterable[float]):
-    """Every element of positive width, cut at the breakpoints inside it, in one pass over all of them.
+def _segments(nodes: np.ndarray, h: np.ndarray, breakpoints: Iterable[float], quad_points: int):
+    """Every element of positive width, cut at the breakpoints inside it, with the Gauss points of
+    each piece, in one pass over all of them: the points that every quadrature reads.
 
     Element e spans ``nodes[e]`` to ``nodes[e + 1]``, of width ``h[e]``: a :class:`Mesh`, or a
     :class:`MeshStack` whose seams of width 0 drop out, passes its own arrays.  A breakpoint nearer
     either end of its element than 1e-12 of the element's width is ignored, since slivers that thin
     add only noise to quadrature.  Returns the segments' elements, left ends and right ends, element
-    by element, each element's cuts in increasing order.  Each element's ends are searched among
+    by element, each element's cuts in increasing order, then the ``quad_points``-point Gauss points
+    and weights of every segment, shape ``(segment, point)``.  Each element's ends are searched among
     the sorted breakpoints, which are shared read-only, as the composite rule is.
     """
     element = np.flatnonzero(h > 0)
@@ -207,7 +210,9 @@ def _segments(nodes: np.ndarray, h: np.ndarray, breakpoints: Iterable[float]):
         element, lo, hi = np.repeat(element, counts), np.repeat(lo, counts), np.repeat(hi, counts)
         lo[pos + 1] = cuts
         hi[pos] = cuts
-    return element, lo, hi
+    points, weights = gauss_rule(quad_points)
+    width = (hi - lo)[:, None]
+    return element, lo, hi, lo[:, None] + width * points, width * weights
 
 
 #: The width of the seam element between two stacked meshes.
@@ -231,61 +236,28 @@ class MeshStack:
     """
 
     def __init__(self, meshes: Sequence[Mesh]):
-        self.meshes = tuple(meshes)
-        self.first_node = tuple(itertools.accumulate((m.n_nodes for m in self.meshes[:-1]), initial=0))
-        self.nodes = _join([m.nodes for m in self.meshes])
-        self.h = _join([w for m in self.meshes for w in (m.h, _SEAM)][:-1])
+        meshes = tuple(meshes)
+        self.first_node = tuple(itertools.accumulate((m.n_nodes for m in meshes[:-1]), initial=0))
+        self.nodes = _join([m.nodes for m in meshes])
+        self.h = _join([w for m in meshes for w in (m.h, _SEAM)][:-1])
         self.n_nodes = self.nodes.size
-
-    def segments(self, breakpoints: Iterable[float]):
-        """Every element of every mesh, cut at the breakpoints inside it by :func:`_segments`.
-
-        Returns the segments' elements in the stack's numbering, their left
-        and right ends, in mesh order, and the number of segments per mesh.
-        """
-        element, lo, hi = _segments(self.nodes, self.h, breakpoints)
-        counts = np.diff(np.searchsorted(element, self.first_node), append=element.size)
-        return element, lo, hi, counts.tolist()
-
-
-def _gauss_points(lo: np.ndarray, hi: np.ndarray, quad_points: int):
-    """Gauss points and weights of the intervals [lo, hi], shape ``(interval, point)``."""
-    points, weights = gauss_rule(quad_points)
-    lo, width = lo[:, None], (hi - lo)[:, None]
-    return lo + width * points, width * weights
-
-
-def segment_quadrature(mesh: Mesh, breakpoints: Iterable[float], quad_points: int):
-    """Gauss points of every element, split at the breakpoints inside it.
-
-    Each element is cut at the breakpoints inside it, ignoring one closer to
-    either end than 1e-12 of the element's width (:func:`_segments`), so a kink
-    or jump of the data never sits inside a Gauss panel.  Returns flat arrays
-    over (segment, Gauss point): the owning element, the point ``x``, its
-    reference coordinate ``xi`` in that element, and the quadrature weight.
-    ``mesh`` may be a :class:`MeshStack`; its elements are numbered end to end.
-    """
-    element, lo, hi = _segments(mesh.nodes, mesh.h, breakpoints)
-    x, w = (a.ravel() for a in _gauss_points(lo, hi, quad_points))
-    element = np.repeat(element, quad_points)
-    return element, x, (x - mesh.nodes[element]) / mesh.h[element], w
 
 
 @functools.lru_cache(maxsize=16)
 def _composite_rule(breakpoints: tuple):
     """Read-only points and weights of the composite rule, its panels cut at the breakpoints, one per tuple."""
     panels = build_mesh(COMPOSITE_PANELS)
-    _, lo, hi = _segments(panels.nodes, panels.h, breakpoints)
-    return tuple(_frozen(a.ravel()) for a in _gauss_points(lo, hi, COMPOSITE_QUAD_POINTS))
+    *_, x, w = _segments(panels.nodes, panels.h, breakpoints, COMPOSITE_QUAD_POINTS)
+    return _frozen(x.ravel()), _frozen(w.ravel())
 
 
 def composite_integral(fn: Callable, breakpoints: Sequence[float] = ()) -> float:
     """Composite Gauss quadrature of ``fn`` over [-1, 1].
 
-    :data:`COMPOSITE_PANELS` equal panels are cut at the breakpoints by the
-    rule of :func:`segment_quadrature`, so jumps land on piece ends, with
-    :data:`COMPOSITE_QUAD_POINTS` Gauss points per piece.  ``fn`` is called
-    once, on all these points; a scalar result is a constant integrand.
+    :data:`COMPOSITE_PANELS` equal panels, cut at the breakpoints so that jumps land on piece
+    ends, get :data:`COMPOSITE_QUAD_POINTS` Gauss points per piece from :func:`_segments`, as
+    every quadrature does.  ``fn`` is called once, on all these points; a scalar result is a
+    constant integrand.
     The rule is built once per ``tuple(breakpoints)`` and shared read-only.
     """
     x, w = _composite_rule(tuple(breakpoints))
@@ -317,7 +289,8 @@ class DiscreteSolution(_KktOnRead):
 
     ``iterations`` is the PDAS iteration count on this mesh alone; each
     level of a warm-start chain (``SolveResult.levels``) counts its own.
-    :attr:`kkt` is its KKT record, read from ``kkt_source`` (:class:`_KktOnRead`).
+    ``active_nodes`` is stored as a tuple.  :attr:`kkt` is its KKT record,
+    read from ``kkt_source`` (:class:`_KktOnRead`).
     """
 
     coefficients: np.ndarray
@@ -335,6 +308,7 @@ class DiscreteSolution(_KktOnRead):
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "active_nodes", tuple(self.active_nodes))
 
     def __call__(self, x, deriv_order: int = 0):
         return evaluate(self, x, deriv_order)

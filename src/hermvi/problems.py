@@ -56,7 +56,8 @@ class ProblemSpec:
     """Data tuple (beta, f, psi, y_d) with optional exact-solution bundle.
 
     ``breakpoints`` lists every point where f, y_d, psi or the exact
-    solution is nonsmooth; every quadrature cuts there.  Construction checks
+    solution is nonsmooth; every quadrature cuts there.  It is stored as a
+    tuple of floats, so the frozen record keeps what construction checked:
     that beta and every breakpoint are finite, beta positive, and the obstacle
     condition int psi dx > 0, without which no admissible state exists.
     """
@@ -71,7 +72,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         _require_beta(self.beta)
-        bad = [float(bp) for bp in self.breakpoints if not np.isfinite(bp)]
+        object.__setattr__(self, "breakpoints", tuple(float(bp) for bp in self.breakpoints))
+        bad = [bp for bp in self.breakpoints if not np.isfinite(bp)]
         if bad:
             raise ValueError(f"breakpoints must be finite, got {bad}")
         mass = composite_integral(self.psi, self.breakpoints)
@@ -273,7 +275,7 @@ def _rule_checks(spec: ProblemSpec):
     + (phi - f' + rho - lam) q dx + (f(1) + zeta) q(1) + (gamma - f(-1)) q(-1)),
     int phi and int psi.  The Legendre data come from :func:`_legendre_table`.
     """
-    ex, breakpoints = spec.exact, tuple(spec.breakpoints)
+    ex, breakpoints = spec.exact, spec.breakpoints
     x, w = _composite_rule(breakpoints)
     q_left, q_right, vander_low, vander, derivative = _legendre_table(breakpoints)
     rho, phi, f_prime, psi = ex.rho(x), ex.phi(x), ex.f_prime(x), spec.psi(x)

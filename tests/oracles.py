@@ -11,6 +11,8 @@ the code it checks.
   :func:`objective`.
 * The split rule of every quadrature, one interval at a time:
   :func:`split_segments`.
+* The Hermite prolongation from a coarse mesh to a fine one, one fine node
+  at a time: :func:`prolongation`.
 * The exact bundle's checks from fresh Legendre matrices:
   :func:`rule_checks_by_legvander`.
 * The continuous cost of a control problem: :func:`cost`.
@@ -25,6 +27,7 @@ from decimal import Decimal, localcontext
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse
 
 import hermvi as hv
 
@@ -171,6 +174,33 @@ def split_segments(lo: float, hi: float, breakpoints: Iterable[float]) -> list[t
     cuts = sorted(b for b in breakpoints if lo + tol < b < hi - tol)
     edges = [lo, *cuts, hi]
     return list(zip(edges[:-1], edges[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the Hermite prolongation
+# ---------------------------------------------------------------------------
+
+
+def prolongation(coarse: hv.Mesh, fine: hv.Mesh) -> scipy.sparse.csr_matrix:
+    """The coarse Hermite basis read at the fine nodes, shape ``(2 fine nodes, 2 coarse nodes)``.
+
+    Rows 2i and 2i + 1 hold the value and the slope at fine node i of each
+    coarse basis function: :func:`hermvi.reference_shape` at orders 0 and 1
+    on the coarse element holding node i.  When every coarse node is a fine
+    node, the coarse space lies inside the fine one and P maps coarse
+    coefficients to the fine coefficients of the same function, so the
+    coarse energy is P^T A P and the coarse load P^T b, for data that the
+    load's rule integrates exactly.
+    """
+    rows, cols, vals = [], [], []
+    for i, x in enumerate(fine.nodes.tolist()):
+        e = min(int(np.searchsorted(coarse.nodes, x, side="right")) - 1, coarse.n_elements - 1)
+        h = float(coarse.h[e])
+        for order in (0, 1):
+            rows += [2 * i + order] * 4
+            cols += range(2 * e, 2 * e + 4)
+            vals += hv.reference_shape((x - float(coarse.nodes[e])) / h, h, order).tolist()
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(2 * fine.n_nodes, 2 * coarse.n_nodes))
 
 
 # ---------------------------------------------------------------------------

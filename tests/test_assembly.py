@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import quad
 
 import hermvi as hv
 from hermvi import assembly
-from hermvi.mesh import _element_dofs, segment_quadrature
+from hermvi.mesh import _element_dofs, _segments
 
 from conftest import nonuniform_mesh, shape_matrix
-from oracles import from_dense, matvec_per_diagonal, pinned, pinned_by_slots, split_segments, to_dense
+from oracles import from_dense, matvec_per_diagonal, pinned, pinned_by_slots, prolongation, split_segments, to_dense
 
 
 def hermite_basis_integrals(mesh, quad_points=8):
@@ -242,7 +243,8 @@ def test_load_nonuniform_mesh_matches_per_element_split():
     f = lambda x: np.sin(2.0 * x) - 0.5 * np.searchsorted(bps, x)
     beta = 0.7
     ref, scale, points = load_reference(mesh, y_d, f, beta, bps)
-    element, x, _, w = segment_quadrature(mesh, bps, 6)
+    element, _, _, x, w = _segments(mesh.nodes, mesh.h, bps, 6)
+    element, x, w = np.repeat(element, 6), x.ravel(), w.ravel()
     ref_element, ref_x, ref_w = map(np.concatenate, zip(*points))
     assert x.size == (mesh.n_elements + 2) * 6  # only -0.5 and 0.6 cut
     assert np.array_equal(element, ref_element)
@@ -252,13 +254,53 @@ def test_load_nonuniform_mesh_matches_per_element_split():
     assert np.all(np.abs(b - ref) <= 32 * np.finfo(float).eps * scale)
 
 
+# --------------------------------------------------- nested spaces of a chain
+
+def band_as_sparse(a):
+    """A band as a scipy matrix: slot ``[hbw + d, j]`` holds entry ``(j + d, j)``, on scipy's diagonal -d."""
+    hbw = a.half_bandwidth
+    return scipy.sparse.dia_matrix((a.data, np.arange(hbw, -hbw - 1, -1)), shape=(a.dim, a.dim)).tocsr()
+
+
+def polynomial_load(mesh):
+    """The load of y_d = x^3 - x/2 and f = 0.3 x^2 + 1 at beta = 1, which 6 Gauss points integrate exactly."""
+    return hv.assemble_load(mesh, lambda x: x**3 - x / 2.0, lambda x: 0.3 * x**2 + 1.0, 1.0)
+
+
+#: Each chain's solve and its load bound, a fraction of max|b| on the coarse level.
+NESTED_CHAINS = {
+    "paper-1024": (lambda solve_cache, paper: solve_cache(1024), 1e-12),
+    "paper-1000": (lambda solve_cache, paper: hv.solve_problem(paper, 1000), 1e-10),
+    "nonuniform-1000": (lambda solve_cache, paper: hv.solve_problem(paper, mesh=nonuniform_mesh(1, 1000)), 1e-10),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(NESTED_CHAINS))
+def test_chain_spaces_nest_and_assembly_restricts(solve_cache, paper, chain):
+    # every node of a coarse level is a node of the level above, so the coarse energy is P^T A P
+    # and the coarse load P^T b, to rounding; the bounds are fractions of the coarse level's max
+    solve, load_tol = NESTED_CHAINS[chain]
+    meshes = [level.mesh for level in solve(solve_cache, paper).levels]
+    assert meshes[0].n_elements == 1 and len(meshes) >= 10
+    for coarse, fine in zip(meshes[:-1], meshes[1:]):
+        p = prolongation(coarse, fine)
+        for beta in (1.0, 1e-4):
+            a_c = band_as_sparse(hv.assemble_energy(coarse, beta)).toarray()
+            restricted = (p.T @ band_as_sparse(hv.assemble_energy(fine, beta)) @ p).toarray()
+            assert np.max(np.abs(restricted - a_c)) <= 1e-12 * np.max(np.abs(a_c)), (coarse.n_elements, beta)
+        b_c = polynomial_load(coarse)
+        assert np.max(np.abs(p.T @ polynomial_load(fine) - b_c)) <= load_tol * np.max(np.abs(b_c)), coarse.n_elements
+
+
 # ---------------------------------------------------------- constraint_bounds
 
 def load_by_stacked_tables(mesh, spec, beta):
     """The load from whole (point, 4) value and curvature tables: the oracle for
     the column-by-column fill of assemble_load."""
-    element, x, xi, w = segment_quadrature(mesh, spec.breakpoints, assembly.LOAD_QUAD_POINTS)
+    element, _, _, x, w = _segments(mesh.nodes, mesh.h, spec.breakpoints, assembly.LOAD_QUAD_POINTS)
+    element, x, w = np.repeat(element, assembly.LOAD_QUAD_POINTS), x.ravel(), w.ravel()
     h = mesh.h[element]
+    xi = (x - mesh.nodes[element]) / h
     wy = w * np.asarray(spec.y_d(x), dtype=float)
     wf = w * np.asarray(spec.f(x), dtype=float)
     vals = shape_matrix(xi, h, 0) * wy[:, None] - beta * (shape_matrix(xi, h, 2) * wf[:, None])

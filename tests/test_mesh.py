@@ -9,7 +9,7 @@ from hermvi.mesh import (
     COMPOSITE_PANELS, COMPOSITE_QUAD_POINTS, MeshStack, _composite_rule, _element_dofs, _element_evaluator,
     _segments,
 )
-from hermvi.mesh import _sorted_breakpoints, segment_quadrature
+from hermvi.mesh import _sorted_breakpoints
 
 from conftest import nonuniform_mesh, shape_matrix
 from oracles import split_segments
@@ -404,9 +404,9 @@ def test_composite_rule_and_cut_are_shared_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     assert _composite_rule(tuple(breakpoints))[0] is x
     mesh = hv.build_mesh(8)
-    cut = _segments(mesh.nodes, mesh.h, tuple(breakpoints))
+    cut = _segments(mesh.nodes, mesh.h, tuple(breakpoints), 4)
     for kind in (list, tuple, lambda bps: (b for b in bps)):
-        assert all(map(np.array_equal, _segments(mesh.nodes, mesh.h, kind(breakpoints)), cut))
+        assert all(map(np.array_equal, _segments(mesh.nodes, mesh.h, kind(breakpoints), 4), cut))
         assert hv.composite_integral(np.cos, kind(breakpoints)) == hv.composite_integral(np.cos, (0.3, -0.2))
     with pytest.raises(ValueError, match="read-only"):
         x[0] = 0.0
@@ -432,14 +432,14 @@ def test_a_zero_breakpoint_reads_the_same_whatever_its_sign():
         _sorted_breakpoints.cache_clear()
         _composite_rule.cache_clear()
         assert [str(b) for b in _sorted_breakpoints(breakpoints)] == ["0.0", str(1.0 / 3.0)]
-        built.append([a.tobytes() for a in (*segment_quadrature(mesh, breakpoints, 4), *_composite_rule(breakpoints))])
+        built.append([a.tobytes() for a in (*_segments(mesh.nodes, mesh.h, breakpoints, 4), *_composite_rule(breakpoints))])
     assert built[0] == built[1] == built[2]
 
 
 def segments_reference(meshes, breakpoints):
     """split_segments over each element of each mesh, numbered end to end as in a stack whose
-    meshes are joined by one seam element each: the reference for MeshStack.segments.  A repeated
-    breakpoint is one point."""
+    meshes are joined by one seam element each, and the number of segments per mesh: the reference
+    for the elements and ends that _segments gives a MeshStack.  A repeated breakpoint is one point."""
     element, lo, hi, counts, first = [], [], [], [], 0
     for mesh in meshes:
         counts.append(0)
@@ -488,7 +488,9 @@ def test_stack_segments_match_the_per_element_split(solve_cache, stack, case):
     meshes = STACKS[stack](solve_cache)
     for mesh in meshes:  # the cases of each mesh, against the whole stack
         breakpoints = breakpoint_cases(mesh)[case]
-        element, lo, hi, counts = MeshStack(meshes).segments(breakpoints)
+        stack = MeshStack(meshes)
+        element, lo, hi, _, _ = _segments(stack.nodes, stack.h, breakpoints, 1)
+        counts = np.diff(np.searchsorted(element, stack.first_node), append=element.size).tolist()
         ref_element, ref_lo, ref_hi, ref_counts = segments_reference(meshes, breakpoints)
         assert np.array_equal(element, ref_element)
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)

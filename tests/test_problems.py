@@ -138,6 +138,17 @@ def test_spec_rejects_non_finite_breakpoints(paper, breakpoints, bad):
         dataclasses.replace(paper, breakpoints=breakpoints)
 
 
+@pytest.mark.parametrize("kind", [list, np.array], ids=["list", "array"])
+def test_records_keep_what_their_constructors_checked(paper, kind):
+    # a mutable field of a frozen record could take a NaN past the finite check, or lose a cut
+    spec = dataclasses.replace(paper, breakpoints=kind([0.0, BREAK]), exact=None)
+    assert type(spec.breakpoints) is tuple and spec.breakpoints == (0.0, BREAK)
+    assert all(type(bp) is float for bp in spec.breakpoints)
+    hash(spec)
+    sol = hv.DiscreteSolution(np.zeros(4), hv.build_mesh(1), active_nodes=kind([0]))
+    assert type(sol.active_nodes) is tuple and sol.active_nodes == (0,)
+
+
 # ------------------------------------------------------ verify_continuous_kkt
 
 def test_kkt_verification_passes_for_benchmark(paper):
