@@ -55,13 +55,14 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
 
     Each level's elements are cut at ``spec.breakpoints``, and the Gauss
     points placed, by one :func:`_segments` pass over the levels'
-    :class:`MeshStack`, so every exact-bundle function and ``spec.f`` is
-    called once per use, whatever the number of levels; level k's segments
-    begin with the first on element ``first_node[k]`` of the stack.  Each
-    segment is evaluated on its own element (y_h'' at a node comes from the
-    segment's side).  Squared norms are summed per level in segment order
-    by ``bincount`` and maxima taken per level, so a level's report does not
-    depend on the levels beside it.
+    :class:`MeshStack`, so every exact-bundle function is called once per
+    use, whatever the number of levels; level k's segments begin with the
+    first on element ``first_node[k]`` of the stack.  Each segment is
+    evaluated on its own element (y_h'' at a node comes from the segment's
+    side).  Squared norms are summed per level in segment order by
+    ``bincount`` and maxima taken per level, so a level's report does not
+    depend on the levels beside it.  The control error is the H2 error, as
+    u - u_h = -(y'' + f) + (y_h'' + f) = y_h'' - y'': ``spec.f`` is not called.
     """
     ex = spec.exact
     stack = MeshStack([sol.mesh for sol in levels])
@@ -75,14 +76,12 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
     def err(x, xi, k):  # k-th derivative of the error at x of shape (segment, point), of reference coordinate xi
         return at(xi, k) - (ex.y_bar, ex.p, ex.p_prime)[k](x)
 
-    # integrated norms, one squared error at a time; the control error shares y_h'' and p' with H2
+    # integrated norms, one squared error at a time
     def norm(e):  # per level, summed in segment order
         return np.sqrt(np.bincount(level_of, weights=(e * e * ws).ravel()))
 
     xi = (xs - left) / h
-    y2, p2, f = at(xi, 2), ex.p_prime(xs), np.asarray(spec.f(xs), dtype=float)
-    l2, h1, h2 = norm(err(xs, xi, 0)), norm(err(xs, xi, 1)), norm(y2 - p2)
-    control = norm(-(y2 + f) + (p2 + f))
+    l2, h1, h2 = (norm(err(xs, xi, k)) for k in range(3))
 
     # max norm: the best equispaced sample of each segment, refined by clamped Newton steps on e'
     x = lo + (hi - lo) * np.linspace(0.0, 1.0, LINF_SAMPLES_PER_ELEMENT + 1)
@@ -99,7 +98,7 @@ def _level_errors(levels: Sequence[DiscreteSolution], spec: ProblemSpec) -> list
         ErrorReport(
             n_elements=sol.mesh.n_elements, h=sol.mesh.mesh_size,
             l2=float(l2[k]), linf=float(linf[k]), h1=float(h1[k]), h2=float(h2[k]),
-            control_l2=float(control[k]), kkt_source=functools.partial(getattr, sol, "kkt"),
+            control_l2=float(h2[k]), kkt_source=functools.partial(getattr, sol, "kkt"),
         )
         for k, sol in enumerate(levels)
     ]
@@ -110,14 +109,14 @@ def error_norms(sol: DiscreteSolution, spec: ProblemSpec) -> ErrorReport:
 
     Integrated norms use :data:`NORM_QUAD_POINTS`-point Gauss quadrature on
     every element segment split at ``spec.breakpoints``; the control error
-    -(y_h'' + f) + (p' + f), against the state equation's exact control,
-    comes from the same pass as the H2 error.  The max norm samples each
-    of those segments at ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points
-    (ends included) and refines the segment's best sample by Newton steps
-    on the error's slope, clamped into the segment, so it reads the local
-    maximum instead of a grid value.  This is the one-level case of the
-    pass that :func:`run_convergence_study` makes over all its levels at
-    once, and gives the same report bit for bit.
+    against the state equation's exact control, u - u_h = y_h'' - y'', is
+    the H2 error.  The max norm samples each of those segments at
+    ``LINF_SAMPLES_PER_ELEMENT + 1`` equispaced points (ends included) and
+    refines the segment's best sample by Newton steps on the error's slope,
+    clamped into the segment, so it reads the local maximum instead of a
+    grid value.  This is the one-level case of the pass that
+    :func:`run_convergence_study` makes over all its levels at once, and
+    gives the same report bit for bit.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")
@@ -176,10 +175,10 @@ def run_convergence_study(
     warm-start chain (``SolveResult.levels``) holds; a dyadic study is one
     solve, and other counts keep one solve each.  The errors of all levels
     then come from one pass over all their element segments, so each
-    exact-bundle function and ``spec.f`` is called as often for ten levels
-    as for two; each level's report equals :func:`error_norms` on it.  Only
-    the solves' finest records are computed here; a report computes its
-    level's KKT record when it is read.
+    exact-bundle function is called as often for ten levels as for two;
+    each level's report equals :func:`error_norms` on it.  Only the
+    solves' finest records are computed here; a report computes its level's
+    KKT record when it is read.
     """
     if spec.exact is None:
         raise ValueError("problem has no exact solution bundle")

@@ -57,23 +57,14 @@ class MatrixNotSpdError(Exception):
     """Raised when a Cholesky factorization of a system matrix fails."""
 
 
-def __getattr__(name: str):
-    """scipy's banded LAPACK ``dpbtrf``, ``dpbtrs`` and ``csr_array``, imported on the first
-    read of any of them and bound as plain module globals, so importing hermvi loads numpy
-    alone.  A name bound before then, such as a patched ``dpbtrf``, keeps its value."""
-    if name not in ("dpbtrf", "dpbtrs", "csr_array"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-    from scipy.sparse import csr_array
+@functools.cache
+def _scipy():
+    """scipy, with :mod:`scipy.linalg.lapack` and :mod:`scipy.sparse` imported on the first call,
+    so importing hermvi loads numpy alone; callers read their names from it on every use."""
+    import scipy.linalg.lapack
+    import scipy.sparse
 
-    for key, value in (("dpbtrf", dpbtrf), ("dpbtrs", dpbtrs), ("csr_array", csr_array)):
-        globals().setdefault(key, value)
-    return globals()[name]
-
-
-def _scipy(name: str):
-    """The module global ``name``, one of :func:`__getattr__`'s, bound on first use."""
-    return globals().get(name) or __getattr__(name)
+    return scipy
 
 
 @functools.lru_cache(maxsize=32)
@@ -150,13 +141,13 @@ class SymmetricBandedMatrix:
         return self.data.shape[0] // 2
 
     @functools.cached_property
-    def _csr(self) -> csr_array:
+    def _csr(self) -> "scipy.sparse.csr_array":
         # by symmetry row i is column i read bottom to top: columns i + hbw down to
         # i - hbw, those outside the matrix at a clipped index with the value 0.0
         width, dim = self.data.shape
         values = np.ascontiguousarray(self.data[::-1].T, dtype=np.longdouble).ravel()
         indices = _slot_rows(self.half_bandwidth, dim)[::-1].T.ravel()
-        return _scipy("csr_array")((values, indices, np.arange(0, width * dim + 1, width)), shape=(dim, dim))
+        return _scipy().sparse.csr_array((values, indices, np.arange(0, width * dim + 1, width)), shape=(dim, dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in long double.
@@ -202,7 +193,7 @@ class SymmetricBandedMatrix:
         """
         hbw = self.half_bandwidth
         pinned = _pinned(self.data[: hbw + 1], hbw, self._indices(fixed), "F")
-        factor, info = _scipy("dpbtrf")(pinned, lower=0, overwrite_ab=1)
+        factor, info = _scipy().linalg.lapack.dpbtrf(pinned, lower=0, overwrite_ab=1)
         if info > 0:
             raise MatrixNotSpdError(f"{info}-th leading minor not positive definite")
         return factor
@@ -217,11 +208,14 @@ class SymmetricBandedMatrix:
         solve works on the free rows alone: x is zero on the fixed rows until
         the end, each step reads :meth:`residual` of this matrix with its
         fixed rows zeroed, and x takes ``rhs`` on the fixed rows last.
-        ``fixed`` follows the rule of :meth:`factor`; an inf or NaN in
-        ``rhs`` raises ValueError.
+        ``fixed`` follows the rule of :meth:`factor`.  ``rhs`` is a vector or a
+        (dim, k) block of dim rows; another row count raises ValueError before
+        anything is factored, and an inf or NaN before LAPACK sees it.
         """
+        if np.shape(rhs)[:1] != (self.dim,):
+            raise ValueError(f"right-hand side must have {self.dim} rows, got shape {np.shape(rhs)}")
         factor = self.factor(fixed)
-        dpbtrs = _scipy("dpbtrs")
+        dpbtrs = _scipy().linalg.lapack.dpbtrs
         fixed = np.asarray(fixed, dtype=np.intp)
         b = np.array(rhs, dtype=float)
         _require_finite(b)

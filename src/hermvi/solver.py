@@ -132,9 +132,9 @@ def solve_problem(
     the coarse meshes are built first and then assembled together in one
     stacked pass (see :func:`_assemble_stack`), so ``y_d``, ``f`` and
     ``psi`` are called twice per solve with a chain and once without.  As
-    in the error pass, which calls ``spec.f`` once on the points of every
-    level, a coarse level's bits equal those of its own assembly only for
-    data whose value at a point does not depend on the array around it.
+    in the error pass, which calls the exact bundle once on the points of
+    every level, a coarse level's bits equal those of its own assembly only
+    for data whose value at a point does not depend on the array around it.
     """
     if (n_elements is None) == (mesh is None):
         raise ValueError("pass exactly one of n_elements or mesh")

@@ -7,11 +7,13 @@ Run from the repository root, with ``hermvi`` installed::
 or, against a checkout's ``src``, ``PYTHONPATH=src python tests/fingerprint.py``.
 It prints the digest of :data:`FULL`: every level's coefficients, active
 nodes, iteration count and KKT record of each solve listed there (or the
-error a solve raises), a ``paper`` study's norms and CSV, and the lines of
-``verify_continuous_kkt(paper_example())``.  Run it against two versions
-of ``src`` on one machine: equal digests mean the same bits.  The bits
-depend on the platform's ``long double`` and on numpy, so digests from
-different machines or environments do not compare.
+error a solve raises), a ``paper`` study's norms and CSV, the lines of
+``verify_continuous_kkt(paper_example())``, and the exit code, stdout and
+stderr of each ``hermvi`` command listed there, run through
+:func:`hermvi.cli.main`.  Run it against two versions of ``src`` on one
+machine: equal digests mean the same bits.  The bits depend on the
+platform's ``long double`` and on numpy, so digests from different
+machines or environments do not compare.
 
 Floats are hashed as float64 bytes or by ``repr``, never as long-double
 bytes: a long double's padding bytes are never initialised, so the same
@@ -20,11 +22,14 @@ value hashes differently from one process to the next.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 from pathlib import Path
 
 import hermvi as hv
+import hermvi.cli
 
 from conftest import corpus_spec, nonuniform_mesh
 
@@ -32,17 +37,30 @@ HERMBENCH = Path(__file__).resolve().parents[1] / "hermbench"
 
 #: The same-bits list: ``paper`` at each count, ``paper`` on ``nonuniform_mesh(seed, n)``,
 #: ``corpus_spec(seed)`` and ``unbound-fine``'s spec of a seed at n elements, and a ``paper``
-#: study over levels 2^k.
+#: study over levels 2^k, and the argv of each CLI command.
 FULL = dict(
     paper=(1, 2, 3, 5, 16, 33, 64, 96, 100, 640, 1000, 1024, 2047, 2048, 3072, 4096, 8192),
     nonuniform=tuple((seed, n) for seed in (1, 2, 3) for n in (200, 1000)),
     corpus=tuple((seed, 512) for seed in range(1, 13)),
     unbound=((1, 4096),),
     study_levels=tuple(range(12)),
+    cli=(
+        "verify --problem paper",
+        "verify --problem paper --elements 1024",
+        "solve --problem paper --elements 1",
+        "solve --problem paper --elements 4096",
+        "solve --problem unconstrained-smoke --elements 64",
+        "convergence --problem paper --levels 0 1 2 3 4 5 6 7 8 9 10 11 --format csv",
+        "convergence --problem paper --levels 0 1 2 3 4 5 6 7 8 9",
+        "convergence --problem paper --elements 3 5 6 --format csv",
+    ),
 )
 
 #: A short list of the same kinds, for a check that runs in well under a second.
-SHORT = dict(paper=(1, 16, 33), nonuniform=((1, 40),), corpus=((1, 64),), unbound=((1, 64),), study_levels=(0, 1, 2, 3))
+SHORT = dict(
+    paper=(1, 16, 33), nonuniform=((1, 40),), corpus=((1, 64),), unbound=((1, 64),), study_levels=(0, 1, 2, 3),
+    cli=("verify --problem paper --elements 8", "convergence --problem paper --levels 0 1 2 --format csv"),
+)
 
 
 def unbound_spec(seed: int) -> hv.ProblemSpec:
@@ -62,8 +80,8 @@ def solves(paper, nonuniform, corpus, unbound):
     yield from ((f"unbound-{s}/{n}", unbound_spec(s), {"n_elements": n}) for s, n in unbound)
 
 
-def digest(paper, nonuniform, corpus, unbound, study_levels) -> str:
-    """The SHA-256 of the solves, the study and the continuous checks, in hex."""
+def digest(paper, nonuniform, corpus, unbound, study_levels, cli) -> str:
+    """The SHA-256 of the solves, the study, the continuous checks and the CLI commands, in hex."""
     sha = hashlib.sha256()
 
     def text(*items):
@@ -85,6 +103,11 @@ def digest(paper, nonuniform, corpus, unbound, study_levels) -> str:
     text(hv.render_report(report, format="csv"))
     for check in hv.verify_continuous_kkt(hv.paper_example()):
         text(check.line(), repr(float(check.worst)))
+    for argv in cli:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = hv.cli.main(argv.split())
+        text(argv, code, out.getvalue(), err.getvalue())
     return sha.hexdigest()
 
 

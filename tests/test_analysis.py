@@ -288,7 +288,8 @@ def test_replaced_report_certifies_no_solve(paper):
 
 
 def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):
-    # the exact bundle and f are counted in the error pass only: the solves see the plain spec
+    # the exact bundle and f are counted in the error pass only: the solves see the plain spec;
+    # the control error is the H2 error, so the pass never calls f
     names = ("y_bar", "p", "p_prime")
     calls = dict.fromkeys((*names, "f"), 0)
 
@@ -309,7 +310,7 @@ def test_study_evaluates_every_level_in_one_pass(paper, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         hv.run_convergence_study(spec, counts)
         per_study.append(dict(calls))
-    assert per_study[0] == per_study[1] == {"y_bar": 3, "p": 4, "p_prime": 4, "f": 1}
+    assert per_study[0] == per_study[1] == {"y_bar": 3, "p": 4, "p_prime": 4, "f": 0}
 
 
 def test_rates_from_129_to_8193_nodes(paper):
@@ -317,6 +318,8 @@ def test_rates_from_129_to_8193_nodes(paper):
     for name in ("l2", "linf", "h1"):
         assert all(1.9 <= rate <= 2.1 for rate in study.rates[name]), name
     assert all(0.95 <= rate <= 1.05 for rate in study.rates["h2"])
+    # u - u_h = y_h'' - y'': the control error is the H2 error, bit for bit
+    assert all(r.control_l2 == r.h2 for r in study.reports)
 
 
 # --------------------------------------------------------------- render_report

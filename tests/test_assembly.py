@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 from scipy.integrate import quad
 
@@ -478,8 +479,17 @@ def test_banded_factor_rejects_indefinite():
         bad.factor()
 
 
-def test_banded_solve_rejects_non_finite_input():
+def test_banded_solve_rejects_non_finite_input(capfd):
     a = from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    # a right-hand side of another row count is refused before LAPACK sees it: dim - 1 rows
+    # make dpbtrs print to fd 1, and dim + 1 rows are a legal leading dimension to it
+    for matrix in (a, hv.assemble_energy(hv.build_mesh(4), 1.0)):
+        for rows in (matrix.dim - 1, matrix.dim + 1):
+            with pytest.raises(ValueError, match=f"must have {matrix.dim} rows"):
+                matrix.solve(np.ones(rows))
+        block = np.arange(3.0 * matrix.dim).reshape(matrix.dim, 3)
+        assert all(np.array_equal(matrix.solve(block)[:, k], matrix.solve(block[:, k])) for k in range(3))
+    assert capfd.readouterr() == ("", "")
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             a.solve(np.array([1.0, bad]))
@@ -594,7 +604,7 @@ def test_slot_map_readers_match_oracles_at_small_shapes(rng):
             for fixed in (np.array([], dtype=int), np.arange(dim), np.flatnonzero(rng.random(dim) < 0.5)):
                 oracle = pinned_by_slots(a, fixed)
                 assert np.array_equal(pinned_band(a, fixed), oracle), (hbw, dim, fixed)
-                factor, info = assembly.dpbtrf(oracle[: hbw + 1], lower=0)
+                factor, info = scipy.linalg.lapack.dpbtrf(oracle[: hbw + 1], lower=0)
                 assert info == 0 and np.array_equal(a.factor(fixed), factor), (hbw, dim, fixed)
 
 
@@ -734,8 +744,8 @@ def test_one_factorization_per_level_and_pdas_step(paper, monkeypatch):
         calls.append(args[0].shape)
         return factorize(*args, **kwargs)
 
-    factorize = assembly.dpbtrf
-    monkeypatch.setattr(assembly, "dpbtrf", counting)
+    factorize = scipy.linalg.lapack.dpbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counting)
     result = hv.solve_problem(paper, 1024)
     # the finest and the coarsest level each solve their QP unconstrained once,
     # for the cold starts, and each PDAS step factors its pinned band
@@ -773,41 +783,34 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded()
 hermvi.solve_problem(hermvi.paper_example(), 8)
 loaded()
-import scipy.linalg.lapack, scipy.sparse
-assembly = hermvi.assembly
-print(json.dumps([assembly.dpbtrf is scipy.linalg.lapack.dpbtrf, assembly.dpbtrs is scipy.linalg.lapack.dpbtrs,
-                  assembly.csr_array is scipy.sparse.csr_array]))
 """)
-    imported, verified, solved, bound = stages
+    imported, verified, solved = stages
     assert imported == verified == []
     assert {"scipy.linalg.lapack", "scipy.sparse"} <= set(solved)
-    assert bound == [True, True, True]
 
 
 def test_lapack_patched_before_first_solve_is_the_one_called():
-    # in-process the names are bound already; only a fresh interpreter patches them unbound
+    # hermvi binds no scipy name: LAPACK patched in scipy before scipy's first use by
+    # hermvi, in a fresh interpreter, is the one its solves call
     (counts,) = run_fresh("""
 import json
 import hermvi
-from hermvi import assembly
-assert "dpbtrf" not in vars(assembly) and "dpbtrs" not in vars(assembly)
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+import scipy.linalg.lapack
 counts = {"dpbtrf": 0, "dpbtrs": 0}
 def counting(name):
+    fn = getattr(scipy.linalg.lapack, name)
     def counted(*args, **kwargs):
         counts[name] += 1
-        import scipy.linalg.lapack
-        return getattr(scipy.linalg.lapack, name)(*args, **kwargs)
+        return fn(*args, **kwargs)
     return counted
-assembly.dpbtrf, assembly.dpbtrs = counting("dpbtrf"), counting("dpbtrs")
+scipy.linalg.lapack.dpbtrf, scipy.linalg.lapack.dpbtrs = counting("dpbtrf"), counting("dpbtrs")
 hermvi.solve_problem(hermvi.paper_example(), 1024)
-try:
-    assembly.nope
-except AttributeError:
-    counts["nope"] = "AttributeError"
+assert not {"dpbtrf", "dpbtrs", "csr_array"} & set(vars(hermvi.assembly))
 print(json.dumps(counts))
 """)
     # the counts that test_solve_work_counts pins for this solve
-    assert counts == {"dpbtrf": 15, "dpbtrs": 60, "nope": "AttributeError"}
+    assert counts == {"dpbtrf": 15, "dpbtrs": 60}
 
 
 # ---------------------------------------------- no numpy.ma before a solve
